@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import diagram_synth as ds
@@ -131,26 +130,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _pairs_from_files(problems_path, candidates_path, beam, tol, jobs):
-    problems = solver.load_problems(problems_path)
-    candidates = eh.load_candidates(candidates_path)
-
-    def one(rec):
-        texts = candidates.get(rec.id, [])[:beam]
-        return rec, solver.evaluate_beam(
-            texts, solver.Bindings.from_numbers(rec.numbers), rec.answer, tol
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, problems))
-    return [one(rec) for rec in problems]
-
-
 def _cmd_adjudicate(args) -> int:
     tol = eh.Tolerance(abs=args.tol, rel=args.tol_rel)
-    pairs = _pairs_from_files(args.problems, args.candidates, args.beam, tol,
-                              args.jobs)
+    pairs = tr.adjudicate(solver.load_problems(args.problems),
+                          eh.load_candidates(args.candidates), args.beam, tol)
     rows = [
         {
             "id": rec.id,
@@ -170,8 +153,8 @@ def _cmd_adjudicate(args) -> int:
 
 def _cmd_eval(args) -> int:
     tol = eh.Tolerance(abs=args.tol_abs, rel=args.tol_rel)
-    pairs = _pairs_from_files(args.problems, args.candidates, args.beam, tol,
-                              args.jobs)
+    pairs = tr.adjudicate(solver.load_problems(args.problems),
+                          eh.load_candidates(args.candidates), args.beam, tol)
     report = eh.build_report(pairs, tol)
     if args.out:
         eh.write_report(report, args.out)
@@ -262,7 +245,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-2)
     p.add_argument("--tol-rel", type=float, default=1e-3)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_adjudicate)
 
     p = sub.add_parser("eval", help="compute metrics from candidates")
@@ -271,7 +253,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--tol-abs", type=float, default=1e-2)
     p.add_argument("--tol-rel", type=float, default=1e-3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_eval)
 

@@ -158,7 +158,7 @@ def metric_choice(pairs: Sequence[Pair]) -> float:
     return hits / len(pairs)
 
 
-def adjusted_accuracy(pairs: Sequence[Pair], tol: Tolerance) -> float:
+def adjusted_accuracy(pairs: Sequence[Pair]) -> float:
     """Raw top-1 plus 0.25 x the fraction of problems with no executable
     candidate (chance level on four options)."""
     if not pairs:
@@ -199,7 +199,7 @@ def build_report(pairs: Sequence[Pair], tol: Tolerance) -> EvaluationReport:
         top10=metric_top_k(outcomes, 10),
         completion=metric_completion(pairs, tol),
         choice=metric_choice(pairs) if has_choices else None,
-        adjusted_top1=adjusted_accuracy(pairs, tol) if has_choices else None,
+        adjusted_top1=adjusted_accuracy(pairs) if has_choices else None,
         rows=rows,
     )
 

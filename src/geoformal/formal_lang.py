@@ -26,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 
@@ -271,6 +272,16 @@ class ConstRef:
 
 ProgramToken = Operator | Literal | NumRef | VarRef | ConstRef
 
+# The program language's operators and their operand counts, in registry
+# order (which fixes their vocabulary ids); solver.OperatorSpec gives each
+# one its semantics.
+OPERATOR_ARITIES: Mapping[str, int] = MappingProxyType({
+    "g_equal": 1, "g_double": 1, "g_half": 1, "g_add": 2, "g_minus": 2,
+    "g_mul": 2, "g_divide": 2, "gougu_add": 2, "gougu_minus": 2, "Sum": 3,
+    "PRK_Perim": 2, "cal_circle_area": 1, "cal_circle_perimeter": 1,
+    "g_sin": 1, "g_cos": 1, "g_tan": 1,
+})
+
 _NUMREF_RE = re.compile(r"N_(\d+)$")
 _VARREF_RE = re.compile(r"V_(\d+)$")
 _CONSTREF_RE = re.compile(r"C_([A-Z][A-Z0-9_]*)$")
@@ -308,7 +319,7 @@ class SolutionProgram:
         while i < len(toks):
             op = toks[i]
             assert isinstance(op, Operator)
-            arity = _solver_arities()[op.name]
+            arity = OPERATOR_ARITIES[op.name]
             yield op, toks[i + 1 : i + 1 + arity]
             i += 1 + arity
 
@@ -316,26 +327,19 @@ class SolutionProgram:
         return sum(1 for _ in self.groups())
 
 
-def _solver_arities() -> Mapping[str, int]:
-    # Function-level import: solver depends on this module for its types.
-    from . import solver
-
-    return solver.operator_arities()
-
-
 # ---------------------------------------------------------------------------
 # Program parse / format
 # ---------------------------------------------------------------------------
 
-def parse_program(text: str, arities: Mapping[str, int] | None = None) -> SolutionProgram:
+def parse_program(
+    text: str, arities: Mapping[str, int] = OPERATOR_ARITIES
+) -> SolutionProgram:
     """Parse and validate a whitespace-separated program token stream.
 
     Validation: the leading token of every group must be a registered
     operator, each operator must be followed by exactly its arity of operand
     tokens, and every `V_i` must refer to a group that already completed.
     """
-    if arities is None:
-        arities = _solver_arities()
     words = text.split()
     tokens: list[ProgramToken] = []
     i = 0
@@ -449,11 +453,9 @@ POINT_LABELS = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 def build_default_vocab() -> Vocab:
     """Deterministic vocabulary covering captions, programs, and question text."""
-    from . import solver
-
     tokens: list[str] = list(SPECIALS)
     tokens += ["Line", _ODOT, _LIESON]
-    tokens += [spec.name for spec in solver.operator_table()]
+    tokens += list(OPERATOR_ARITIES)
     tokens += list(POINT_LABELS)
     tokens += list("0123456789") + ["."]
     tokens += [f"N_{i}" for i in range(10)]

@@ -38,6 +38,27 @@ class EmptyTargetError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Pre-LN transformer block (MAE encoder and decoder)
+# ---------------------------------------------------------------------------
+
+def _block_init(p: dict[str, Tensor], name: str, rng: Rng, d: int) -> None:
+    _ln_init(p, f"{name}.ln1", d)
+    for piece in ("sa_q", "sa_k", "sa_v", "sa_o"):
+        _linear_init(p, f"{name}.{piece}", rng.split(piece), d, d)
+    _ln_init(p, f"{name}.ln2", d)
+    _linear_init(p, f"{name}.ffn1", rng.split("ffn1"), d, 4 * d)
+    _linear_init(p, f"{name}.ffn2", rng.split("ffn2"), 4 * d, d)
+
+
+def block(params: dict[str, Tensor], name: str, x: Tensor, n_heads: int,
+          mask: Tensor | None) -> Tensor:
+    """x + self-attention(ln1 x), then + ffn(ln2 x); mask as in `mha`."""
+    h = norm(params, f"{name}.ln1", x)
+    x = tc.add(x, mha(params, f"{name}.sa_", h, h, n_heads, mask))
+    return tc.add(x, ffn(params, f"{name}.ffn", norm(params, f"{name}.ln2", x)))
+
+
+# ---------------------------------------------------------------------------
 # Masked patch reconstruction
 # ---------------------------------------------------------------------------
 
@@ -109,13 +130,7 @@ def init_mae_params(cfg: MAEConfig, rng: Rng) -> dict[str, Tensor]:
         requires_grad=True,
     )
     for i in range(cfg.n_layers):
-        lr = r.split(f"enc{i}")
-        _ln_init(p, f"enc{i}.ln1", cfg.d_model)
-        for piece in ("sa_q", "sa_k", "sa_v", "sa_o"):
-            _linear_init(p, f"enc{i}.{piece}", lr.split(piece), cfg.d_model, cfg.d_model)
-        _ln_init(p, f"enc{i}.ln2", cfg.d_model)
-        _linear_init(p, f"enc{i}.ffn1", lr.split("ffn1"), cfg.d_model, 4 * cfg.d_model)
-        _linear_init(p, f"enc{i}.ffn2", lr.split("ffn2"), 4 * cfg.d_model, cfg.d_model)
+        _block_init(p, f"enc{i}", r.split(f"enc{i}"), cfg.d_model)
     _ln_init(p, "ln_f", cfg.d_model)
     _linear_init(p, "head", r.split("head"), cfg.d_model, cfg.patch_dim)
     return p
@@ -133,9 +148,7 @@ def mae_forward(
     x = tc.add(tc.mul(emb, visible), tc.mul(token_row, masked))
     x = tc.add(x, tc.narrow(params["pos"], 0, 0, n))
     for i in range(cfg.n_layers):
-        h = norm(params, f"enc{i}.ln1", x)
-        x = tc.add(x, mha(params, f"enc{i}.sa_", h, h, cfg.n_heads, None))
-        x = tc.add(x, ffn(params, f"enc{i}.ffn", norm(params, f"enc{i}.ln2", x)))
+        x = block(params, f"enc{i}", x, cfg.n_heads, None)
     return linear(params, "head", norm(params, "ln_f", x))
 
 
@@ -172,13 +185,7 @@ def init_decoder_params(cfg: DecoderConfig, rng: Rng) -> dict[str, Tensor]:
         requires_grad=True,
     )
     for i in range(cfg.n_layers):
-        lr = r.split(f"dec{i}")
-        _ln_init(p, f"dec{i}.ln1", cfg.d_lm)
-        for piece in ("sa_q", "sa_k", "sa_v", "sa_o"):
-            _linear_init(p, f"dec{i}.{piece}", lr.split(piece), cfg.d_lm, cfg.d_lm)
-        _ln_init(p, f"dec{i}.ln2", cfg.d_lm)
-        _linear_init(p, f"dec{i}.ffn1", lr.split("ffn1"), cfg.d_lm, 4 * cfg.d_lm)
-        _linear_init(p, f"dec{i}.ffn2", lr.split("ffn2"), 4 * cfg.d_lm, cfg.d_lm)
+        _block_init(p, f"dec{i}", r.split(f"dec{i}"), cfg.d_lm)
     _ln_init(p, "ln_f", cfg.d_lm)
     p["head_b"] = tc.zeros((cfg.vocab_size,), requires_grad=True)
     return p
@@ -193,13 +200,11 @@ def decoder_forward(
     """Causal forward over [prefix_embeds || embedded token_ids]; returns
     next-token logits for every position (tied output head)."""
     parts: list[Tensor] = []
-    n_prefix = 0
     if prefix_embeds is not None:
         if prefix_embeds.ndim != 2 or prefix_embeds.shape[1] != cfg.d_lm:
             raise tc.ShapeMismatchError("decoder prefix", prefix_embeds.shape,
                                         (-1, cfg.d_lm))
         parts.append(prefix_embeds)
-        n_prefix = prefix_embeds.shape[0]
     ids = list(token_ids)
     if ids:
         parts.append(tc.embedding_lookup(params["tok_emb"], ids))
@@ -212,9 +217,7 @@ def decoder_forward(
     x = tc.add(x, tc.narrow(params["pos_emb"], 0, 0, total))
     causal = Tensor(np.tril(np.ones((total, total))))
     for i in range(cfg.n_layers):
-        h = norm(params, f"dec{i}.ln1", x)
-        x = tc.add(x, mha(params, f"dec{i}.sa_", h, h, cfg.n_heads, causal))
-        x = tc.add(x, ffn(params, f"dec{i}.ffn", norm(params, f"dec{i}.ln2", x)))
+        x = block(params, f"dec{i}", x, cfg.n_heads, causal)
     x = norm(params, "ln_f", x)
     return tc.add(tc.matmul(x, tc.transpose(params["tok_emb"])), params["head_b"])
 

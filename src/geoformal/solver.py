@@ -2,8 +2,8 @@
 
 Executes one operator group at a time, appending each result to the `V_` slots,
 and adjudicates ranked beam candidates against a ground-truth answer.  The
-operator registry is data-driven: adding an OperatorSpec is the only change
-needed to support a new operation.
+operator registry is data-driven: a new operation needs its arity in
+formal_lang.OPERATOR_ARITIES and an OperatorSpec here, nothing else.
 
 Note `g_minus` is the absolute difference (geometric lengths and angles are
 nonnegative) and the angle operators take degrees.
@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from .formal_lang import (
+    OPERATOR_ARITIES,
     ConstRef,
     FormalLangError,
     Literal,
@@ -26,6 +27,7 @@ from .formal_lang import (
     ProgramToken,
     SolutionProgram,
     VarRef,
+    format_program,
     parse_program,
 )
 
@@ -67,10 +69,13 @@ class EmptyProgramError(SolverError):
 @dataclass(frozen=True)
 class OperatorSpec:
     name: str
-    arity: int
     fn: Callable[..., float]
     domain: Callable[..., bool] | None = None  # None: total on the reals
     domain_reason: str = ""
+
+    @property
+    def arity(self) -> int:
+        return OPERATOR_ARITIES[self.name]
 
 
 def _nonzero(b: float) -> bool:
@@ -82,26 +87,26 @@ def _tan_defined(deg: float) -> bool:
 
 
 _OPERATORS: tuple[OperatorSpec, ...] = (
-    OperatorSpec("g_equal", 1, lambda x: x),
-    OperatorSpec("g_double", 1, lambda x: 2.0 * x),
-    OperatorSpec("g_half", 1, lambda x: x / 2.0),
-    OperatorSpec("g_add", 2, lambda a, b: a + b),
-    OperatorSpec("g_minus", 2, lambda a, b: abs(a - b)),
-    OperatorSpec("g_mul", 2, lambda a, b: a * b),
+    OperatorSpec("g_equal", lambda x: x),
+    OperatorSpec("g_double", lambda x: 2.0 * x),
+    OperatorSpec("g_half", lambda x: x / 2.0),
+    OperatorSpec("g_add", lambda a, b: a + b),
+    OperatorSpec("g_minus", lambda a, b: abs(a - b)),
+    OperatorSpec("g_mul", lambda a, b: a * b),
     OperatorSpec(
-        "g_divide", 2, lambda a, b: a / b,
+        "g_divide", lambda a, b: a / b,
         domain=lambda a, b: _nonzero(b), domain_reason="division by zero",
     ),
-    OperatorSpec("gougu_add", 2, lambda a, b: math.sqrt(a * a + b * b)),
-    OperatorSpec("gougu_minus", 2, lambda a, b: math.sqrt(abs(a * a - b * b))),
-    OperatorSpec("Sum", 3, lambda a, b, c: a + b + c),
-    OperatorSpec("PRK_Perim", 2, lambda side, count: side * count),
-    OperatorSpec("cal_circle_area", 1, lambda r: math.pi * r * r),
-    OperatorSpec("cal_circle_perimeter", 1, lambda r: 2.0 * math.pi * r),
-    OperatorSpec("g_sin", 1, lambda deg: math.sin(math.radians(deg))),
-    OperatorSpec("g_cos", 1, lambda deg: math.cos(math.radians(deg))),
+    OperatorSpec("gougu_add", lambda a, b: math.sqrt(a * a + b * b)),
+    OperatorSpec("gougu_minus", lambda a, b: math.sqrt(abs(a * a - b * b))),
+    OperatorSpec("Sum", lambda a, b, c: a + b + c),
+    OperatorSpec("PRK_Perim", lambda side, count: side * count),
+    OperatorSpec("cal_circle_area", lambda r: math.pi * r * r),
+    OperatorSpec("cal_circle_perimeter", lambda r: 2.0 * math.pi * r),
+    OperatorSpec("g_sin", lambda deg: math.sin(math.radians(deg))),
+    OperatorSpec("g_cos", lambda deg: math.cos(math.radians(deg))),
     OperatorSpec(
-        "g_tan", 1, lambda deg: math.tan(math.radians(deg)),
+        "g_tan", lambda deg: math.tan(math.radians(deg)),
         domain=_tan_defined, domain_reason="tangent undefined at 90 degrees",
     ),
 )
@@ -114,8 +119,9 @@ def operator_table() -> list[OperatorSpec]:
     return list(_OPERATORS)
 
 
-def operator_arities() -> dict[str, int]:
-    return {spec.name: spec.arity for spec in _OPERATORS}
+def operator_arities() -> Mapping[str, int]:
+    """Read-only name -> operand count, shared with the parser."""
+    return OPERATOR_ARITIES
 
 
 def lookup(name: str) -> OperatorSpec | None:
@@ -256,8 +262,6 @@ def evaluate_beam(
                 results.append(CandidateResult(cand, False, error=str(exc)))
                 continue
         if text is None:
-            from .formal_lang import format_program
-
             text = format_program(program)
         try:
             trace = execute_program(program, b.copy())

@@ -258,15 +258,6 @@ def absval(a: Tensor) -> Tensor:
     return _node(np.abs(a.data), (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0.0
-
-    def backward(go):
-        _accumulate(a, go * keep)
-
-    return _node(a.data * keep, (a,), backward)
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -485,11 +476,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: Tensor | None = None) -
     return matmul(probs, v)
 
 
-def is_all_masked(key_mask: Tensor) -> bool:
-    """Soft signal for the degenerate everything-dropped attention case."""
-    return bool(np.all(key_mask.data <= 0.0))
-
-
 # ---------------------------------------------------------------------------
 # Losses and sampling
 # ---------------------------------------------------------------------------
@@ -700,12 +686,19 @@ class Adam:
 # Checkpoints: flat little-endian float64 + JSON sidecar
 # ---------------------------------------------------------------------------
 
-def save_params(params: dict[str, Tensor], prefix: str | Path) -> None:
+def checkpoint_path(prefix: str | Path, suffix: str) -> Path:
+    """`<prefix><suffix>`, the one rule for naming a run's files.  The suffix
+    is appended, never substituted, so prefixes that differ only after a dot
+    (ck.v1, ck.v2) name different files."""
     prefix = Path(prefix)
+    return prefix.with_name(prefix.name + suffix)
+
+
+def save_params(params: dict[str, Tensor], prefix: str | Path) -> None:
     names = sorted(params)
     index: dict[str, dict] = {}
     offset = 0
-    with open(prefix.with_suffix(".bin"), "wb") as fh:
+    with open(checkpoint_path(prefix, ".bin"), "wb") as fh:
         for name in names:
             src = params[name].data
             arr = np.ascontiguousarray(src, dtype="<f8")
@@ -713,17 +706,17 @@ def save_params(params: dict[str, Tensor], prefix: str | Path) -> None:
             index[name] = {"offset": offset, "shape": list(src.shape)}
             offset += arr.nbytes
     sidecar = {"schema": 1, "params": index}
-    prefix.with_suffix(".json").write_text(
+    checkpoint_path(prefix, ".json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
 def load_params(prefix: str | Path, requires_grad: bool = True) -> dict[str, Tensor]:
-    prefix = Path(prefix)
-    sidecar = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
+    sidecar = json.loads(
+        checkpoint_path(prefix, ".json").read_text(encoding="utf-8"))
     if sidecar.get("schema") != 1:
         raise ValueError(f"unsupported checkpoint schema: {sidecar.get('schema')!r}")
-    raw = prefix.with_suffix(".bin").read_bytes()
+    raw = checkpoint_path(prefix, ".bin").read_bytes()
     params: dict[str, Tensor] = {}
     for name, meta in sidecar["params"].items():
         shape = tuple(meta["shape"])

@@ -5,6 +5,12 @@ from labeled Rng splits, every run writes a JSONL step log plus a resolved
 config snapshot next to its checkpoint, and checkpoints are flat float64
 binaries with a JSON sidecar (tensorcore.save_params).
 
+All four stages share one loop, `_run_loop`: it owns the optimizer, the
+per-step Rng split `step{n}`, zero_grad/backward/step, the step log, the
+checkpoint and the snapshot.  A stage supplies only its initial parameters,
+its prepared data and a `step_loss(step, step_rng)` closure that draws the
+step's batch and returns the loss with the fields to log.
+
 The instruction stage trains the patch encoder, the projection head, and the
 decoder end to end by default; --freeze-encoder leaves the encoder fixed.
 """
@@ -12,8 +18,11 @@ decoder end to end by default; --freeze-encoder leaves the encoder fixed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
+from typing import Callable
 
 from . import diagram_synth as ds
 from . import eval_harness as eh
@@ -36,6 +45,15 @@ class StageConfig:
 
     def to_json(self) -> dict:
         return self.__dict__.copy()
+
+    def validate(self) -> None:
+        if not isinstance(self.batch, int) or self.batch < 1:
+            raise ValueError(f"batch must be an integer >= 1, got {self.batch!r}")
+        if not isinstance(self.steps, int) or self.steps < 0:
+            raise ValueError(f"steps must be an integer >= 0, got {self.steps!r}")
+        if not (isinstance(self.lr, (int, float)) and math.isfinite(self.lr)
+                and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
 
 
 DEFAULT_STAGES = {
@@ -106,6 +124,8 @@ def resolve_run_config(
         if stage in base.stages and fieldname:
             setattr(base.stages[stage], fieldname, value)
     base.gsformer.validate()
+    for stage in base.stages.values():
+        stage.validate()
     return base
 
 
@@ -132,6 +152,8 @@ class Dataset:
 def load_dataset(root: str | Path, patch: int = 8) -> Dataset:
     root = Path(root)
     problems = solver.load_problems(root / "problems.jsonl")
+    if not problems:
+        raise eh.SchemaError(f"{root / 'problems.jsonl'} holds no problems")
     vocab_path = root / "vocab.txt"
     vocab = fl.Vocab.load(vocab_path) if vocab_path.exists() else ds.default_vocab()
     patches: dict[str, Tensor] = {}
@@ -152,45 +174,65 @@ def _program_ids(rec: solver.ProblemRecord, vocab: fl.Vocab) -> list[int]:
     return fl.tokenize(rec.gt_program, vocab) + [fl.EOS_ID]
 
 
-def _write_snapshot(prefix: Path, config: RunConfig, seed: int, stage: str) -> None:
-    payload = config.to_json()
-    payload["seed"] = seed
-    payload["stage"] = stage
-    prefix.with_suffix(".config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-class _StepLog:
-    def __init__(self, prefix: Path):
-        self.path = prefix.with_suffix(".log.jsonl")
-        self._fh = open(self.path, "w", encoding="utf-8")
-
-    def write(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 def _sample_indices(rng: Rng, n: int, batch: int) -> list[int]:
     return [int(i) for i in rng.integers(0, n, (min(batch, n),))]
+
+
+def _mean(losses: list[Tensor]) -> Tensor:
+    return tc.mul(reduce(tc.add, losses), Tensor(1.0 / len(losses)))
 
 
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
+def _run_loop(
+    stage: str,
+    config: RunConfig,
+    seed: int,
+    out_prefix: str | Path,
+    trainable: dict[str, Tensor],
+    step_loss: Callable[[int, Rng], tuple[Tensor, dict]],
+    saved: dict[str, Tensor] | None = None,
+) -> dict:
+    """Run Adam on `trainable` for the stage's steps and write its files.
+
+    `step_loss(step, step_rng)` returns the scalar to minimise and the fields
+    logged for that step; step_rng is Rng(seed).split(f"step{step}").  Writes
+    the step log, the checkpoint of `saved` (default: `trainable`) and the
+    config snapshot, and returns the last step's logged fields ({} when the
+    stage runs no steps).
+    """
+    settings = config.stages[stage]
+    rng = Rng(seed)
+    opt = Adam(trainable, lr=settings.lr)
+    last: dict = {}
+    log_path = tc.checkpoint_path(out_prefix, ".log.jsonl")
+    with open(log_path, "w", encoding="utf-8") as log:
+        for step in range(settings.steps):
+            opt.zero_grad()
+            loss, last = step_loss(step, rng.split(f"step{step}"))
+            loss.backward()
+            opt.step()
+            log.write(json.dumps({"step": step, **last}, sort_keys=True) + "\n")
+            # free this step's tape before the next step builds its own
+            del loss
+    tc.save_params(trainable if saved is None else saved, out_prefix)
+    snapshot = {**config.to_json(), "seed": seed, "stage": stage}
+    tc.checkpoint_path(out_prefix, ".config.json").write_text(
+        json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return last
+
+
 def train_mae_stage(
     data: Dataset, config: RunConfig, seed: int, out_prefix: str | Path
 ) -> dict:
     """Fit the reconstruction objective on one seed-fixed mask per diagram
     (the desk-scale analogue of memorizing a repeated sequence)."""
-    prefix = Path(out_prefix)
     stage = config.stages["mae"]
     rng = Rng(seed)
     params = pt.init_mae_params(config.mae, rng.split("init"))
-    opt = Adam(params, lr=stage.lr)
     order = sorted(data.patches)
     masked = {
         pid: pt.mae_mask(data.patches[pid], config.mae.mask_ratio,
@@ -198,109 +240,72 @@ def train_mae_stage(
         for pid in order
     }
 
+    def loss_of(pid: str) -> Tensor:
+        return pt.mae_loss(pt.mae_forward(params, config.mae, masked[pid]),
+                           data.patches[pid], masked[pid])
+
     def dataset_loss() -> float:
         with tc.no_grad():
-            values = [
-                pt.mae_loss(pt.mae_forward(params, config.mae, masked[pid]),
-                            data.patches[pid], masked[pid]).item()
-                for pid in order
-            ]
+            values = [loss_of(pid).item() for pid in order]
         return sum(values) / len(values)
 
-    init_loss = dataset_loss()
-    steps_log = _StepLog(prefix)
-    final = None
-    for step in range(stage.steps):
-        step_rng = rng.split(f"step{step}")
+    def step_loss(step: int, step_rng: Rng):
         picks = _sample_indices(step_rng.split("batch"), len(order), stage.batch)
-        opt.zero_grad()
-        total = None
-        for index in picks:
-            pid = order[index]
-            batch = masked[pid]
-            loss = pt.mae_loss(pt.mae_forward(params, config.mae, batch),
-                               data.patches[pid], batch)
-            total = loss if total is None else tc.add(total, loss)
-        total = tc.mul(total, Tensor(1.0 / len(picks)))
-        total.backward()
-        opt.step()
-        final = total.item()
-        steps_log.write({"step": step, "loss": final})
-    steps_log.close()
-    tc.save_params(params, prefix)
-    _write_snapshot(prefix, config, seed, "mae")
+        loss = _mean([loss_of(order[i]) for i in picks])
+        return loss, {"loss": loss.item()}
+
+    init_loss = dataset_loss()
+    last = _run_loop("mae", config, seed, out_prefix, params, step_loss)
     return {"stage": "mae", "steps": stage.steps, "init_loss": init_loss,
-            "final_loss": dataset_loss(), "last_batch_loss": final}
+            "final_loss": dataset_loss(), "last_batch_loss": last.get("loss")}
 
 
 def train_lm_stage(
     data: Dataset, config: RunConfig, seed: int, out_prefix: str | Path
 ) -> dict:
-    prefix = Path(out_prefix)
     stage = config.stages["lm"]
-    rng = Rng(seed)
-    params = pt.init_decoder_params(config.decoder, rng.split("init"))
+    params = pt.init_decoder_params(config.decoder, Rng(seed).split("init"))
     sequences = []
     for rec in data.problems:
         sequences.append(_caption_ids(rec, data.vocab))
         sequences.append([fl.BOS_ID] + _program_ids(rec, data.vocab))
-    opt = Adam(params, lr=stage.lr)
-    steps_log = _StepLog(prefix)
-    final = None
-    for step in range(stage.steps):
-        picks = _sample_indices(
-            rng.split(f"step{step}"), len(sequences), stage.batch
-        )
-        opt.zero_grad()
-        total = None
-        for index in picks:
-            loss = pt.lm_loss(params, config.decoder, sequences[index])
-            total = loss if total is None else tc.add(total, loss)
-        total = tc.mul(total, Tensor(1.0 / len(picks)))
-        total.backward()
-        opt.step()
-        final = total.item()
-        steps_log.write({"step": step, "loss": final})
-    steps_log.close()
-    tc.save_params(params, prefix)
-    _write_snapshot(prefix, config, seed, "lm")
-    return {"stage": "lm", "steps": stage.steps, "final_loss": final}
+
+    def step_loss(step: int, step_rng: Rng):
+        # lm draws its batch from the step stream itself, not step{n}/batch
+        picks = _sample_indices(step_rng, len(sequences), stage.batch)
+        loss = _mean([pt.lm_loss(params, config.decoder, sequences[i])
+                      for i in picks])
+        return loss, {"loss": loss.item()}
+
+    last = _run_loop("lm", config, seed, out_prefix, params, step_loss)
+    return {"stage": "lm", "steps": stage.steps, "final_loss": last.get("loss")}
 
 
 def train_align_stage(
     data: Dataset, config: RunConfig, seed: int, out_prefix: str | Path
 ) -> dict:
-    prefix = Path(out_prefix)
     stage = config.stages["align"]
-    rng = Rng(seed)
-    params = gsf.init_params(config.gsformer, rng.split("init"))
+    params = gsf.init_params(config.gsformer, Rng(seed).split("init"))
     pairs = [
         (data.patches[rec.id], _caption_ids(rec, data.vocab))
         for rec in data.problems
     ]
-    opt = Adam(params, lr=stage.lr)
-    steps_log = _StepLog(prefix)
-    final = None
-    for step in range(stage.steps):
-        step_rng = rng.split(f"step{step}")
+
+    def step_loss(step: int, step_rng: Rng):
         picks = _sample_indices(step_rng.split("batch"), len(pairs), stage.batch)
-        batch = [pairs[i] for i in picks]
         step_cfg = replace(
             config.gsformer,
             tau=config.gsformer.tau_at(step, stage.steps),
         )
-        opt.zero_grad()
         out = gsf.pretrain_loss(
-            batch, step_cfg, params, step_rng.split("noise"), hard=False
+            [pairs[i] for i in picks], step_cfg, params,
+            step_rng.split("noise"), hard=False,
         )
-        out.tensor.backward()
-        opt.step()
-        final = out.l_total
-        steps_log.write({"step": step, "tau": step_cfg.tau, **out.to_json()})
-    steps_log.close()
-    tc.save_params(params, prefix)
-    _write_snapshot(prefix, config, seed, "align")
-    return {"stage": "align", "steps": stage.steps, "final_loss": final}
+        return out.tensor, {"tau": step_cfg.tau, **out.to_json()}
+
+    last = _run_loop("align", config, seed, out_prefix, params, step_loss)
+    return {"stage": "align", "steps": stage.steps,
+            "final_loss": last.get("l_total")}
 
 
 def _join_sft_params(gs, dec, proj_w, proj_b):
@@ -325,7 +330,6 @@ def train_sft_stage(
     encoder_ckpt: str | Path | None = None,
 ) -> dict:
     """End-to-end instruction tuning: encoder -> projection -> decoder."""
-    prefix = Path(out_prefix)
     stage = config.stages["sft"]
     rng = Rng(seed)
     if encoder_ckpt is not None:
@@ -340,23 +344,15 @@ def train_sft_stage(
         requires_grad=True,
     )
     proj_b = tc.zeros((config.decoder.d_lm,), requires_grad=True)
-
-    trainable = _join_sft_params(
-        {} if stage.freeze_encoder else gs_params, dec_params, proj_w, proj_b
-    )
-    opt = Adam(trainable, lr=stage.lr)
     examples = [
         (data.patches[rec.id], rec.question_tokens,
          _program_ids(rec, data.vocab))
         for rec in data.problems
     ]
-    steps_log = _StepLog(prefix)
-    final_sum = final_mean = None
-    for step in range(stage.steps):
-        step_rng = rng.split(f"step{step}")
+
+    def step_loss(step: int, step_rng: Rng):
         picks = _sample_indices(step_rng.split("batch"), len(examples), stage.batch)
-        opt.zero_grad()
-        total = None
+        losses = []
         n_targets = 0
         for slot, index in enumerate(picks):
             patches, t_p, s = examples[index]
@@ -365,21 +361,20 @@ def train_sft_stage(
                 step_rng.split(f"noise{slot}"), hard=False,
             )
             t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
-            loss = pt.instruction_loss(dec_params, config.decoder, t_g, t_p, s)
-            total = loss if total is None else tc.add(total, loss)
+            losses.append(pt.instruction_loss(dec_params, config.decoder, t_g, t_p, s))
             n_targets += len(s)
+        total = reduce(tc.add, losses)
         mean = tc.mul(total, Tensor(1.0 / n_targets))
-        mean.backward()
-        opt.step()
-        final_sum = total.item()
-        final_mean = mean.item()
-        steps_log.write({"step": step, "loss_sum": final_sum,
-                         "loss_mean": final_mean})
-    steps_log.close()
-    tc.save_params(_join_sft_params(gs_params, dec_params, proj_w, proj_b), prefix)
-    _write_snapshot(prefix, config, seed, "sft")
+        return mean, {"loss_sum": total.item(), "loss_mean": mean.item()}
+
+    trainable = _join_sft_params(
+        {} if stage.freeze_encoder else gs_params, dec_params, proj_w, proj_b
+    )
+    last = _run_loop("sft", config, seed, out_prefix, trainable, step_loss,
+                     saved=_join_sft_params(gs_params, dec_params, proj_w, proj_b))
     return {"stage": "sft", "steps": stage.steps,
-            "final_loss_sum": final_sum, "final_loss_mean": final_mean}
+            "final_loss_sum": last.get("loss_sum"),
+            "final_loss_mean": last.get("loss_mean")}
 
 
 def run_stage(
@@ -406,8 +401,7 @@ def run_stage(
 # ---------------------------------------------------------------------------
 
 def load_sft_checkpoint(prefix: str | Path):
-    prefix = Path(prefix)
-    snapshot = json.loads(prefix.with_suffix(".config.json").read_text())
+    snapshot = json.loads(tc.checkpoint_path(prefix, ".config.json").read_text())
     gs_cfg = gsf.GSFormerConfig.from_json(snapshot["gsformer"])
     dec_cfg = pt.DecoderConfig.from_json(snapshot["decoder"])
     joined = tc.load_params(prefix, requires_grad=False)
@@ -450,6 +444,8 @@ def adjudicate(
     beam: int,
     tol: eh.Tolerance,
 ) -> list[eh.Pair]:
+    if beam < 1:
+        raise ValueError(f"beam must be >= 1, got {beam}")
     pairs: list[eh.Pair] = []
     for rec in problems:
         texts = candidates.get(rec.id, [])[:beam]

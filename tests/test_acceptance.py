@@ -338,7 +338,7 @@ def test_criterion_8_metric_calibration():
         dyadic.append((rec, solver.BeamOutcome(tuple(candidates), first_exec,
                                                first_corr)))
     outs = [o for _, o in dyadic]
-    delta = eh.adjusted_accuracy(dyadic, tol) - eh.metric_top_k(outs, 1)
+    delta = eh.adjusted_accuracy(dyadic) - eh.metric_top_k(outs, 1)
     assert delta == 0.25 * 0.25
     report(8, f"random programs over 2000 four-option problems gave "
               f"choice={choice:.3f}; adjusted identity exact")

@@ -135,26 +135,71 @@ def test_eval_schema_error_exit_code(dataset, tmp_path, capsys):
     assert code == 2
 
 
-def test_eval_jobs_parallel_matches_serial(dataset, tmp_path, capsys):
-    problems = [
-        json.loads(line)
-        for line in (dataset / "problems.jsonl").read_text().splitlines()
-    ]
+# ---------------------------------------------------------------------------
+# bad inputs: exit 2 with a message, never a traceback or a vacuous "ok"
+# ---------------------------------------------------------------------------
+
+def assert_data_error(capsys, *argv) -> str:
+    code = dispatch(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch", "0", "batch must be"),
+    ("--steps", "-1", "steps must be"),
+    ("--lr", "nan", "lr must be"),
+    ("--lr", "0", "lr must be"),
+])
+def test_train_rejects_bad_stage_flag(dataset, tmp_path, capsys, flag, value,
+                                      message):
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "lm", "--data", str(dataset),
+        "--out", str(tmp_path / "x"), flag, value,
+    )
+    assert message in err
+    assert not (tmp_path / "x.log.jsonl").exists()
+
+
+def test_train_rejects_bad_stage_value_in_config_file(dataset, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"schema": 1, "stages": {"sft": {"batch": 0}}}))
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "lm", "--data", str(dataset),
+        "--config", str(config), "--out", str(tmp_path / "x"),
+    )
+    assert "batch must be" in err
+
+
+def test_train_on_empty_dataset_is_data_error(tmp_path, capsys):
+    data = tmp_path / "empty"
+    code, payload = run_cli(capsys, "gen-data", "--n", "0", "--out", str(data))
+    assert code == 0 and payload["problems"] == 0
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "mae", "--data", str(data),
+        "--out", str(tmp_path / "x"),
+    )
+    assert "no problems" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "adjudicate"])
+def test_nonpositive_beam_is_data_error(dataset, tmp_path, capsys, command):
     cands = tmp_path / "c.jsonl"
-    with open(cands, "w") as fh:
-        for rec in problems:
-            fh.write(json.dumps(
-                {"id": rec["id"], "candidates": [rec["gt_program"], "junk"]}
-            ) + "\n")
-    _, serial = run_cli(
-        capsys, "eval", "--problems", str(dataset / "problems.jsonl"),
-        "--candidates", str(cands),
+    cands.write_text("")
+    err = assert_data_error(
+        capsys, command, "--problems", str(dataset / "problems.jsonl"),
+        "--candidates", str(cands), "--beam", "-1",
     )
-    _, parallel = run_cli(
-        capsys, "eval", "--problems", str(dataset / "problems.jsonl"),
-        "--candidates", str(cands), "--jobs", "4",
-    )
-    assert serial == parallel
+    assert "beam must be" in err
+
+
+def test_gradcheck_without_points_is_data_error(capsys):
+    err = assert_data_error(capsys, "gradcheck", "--points", "0")
+    assert "points must be" in err
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +219,54 @@ def test_train_mae_smoke(dataset, tmp_path, capsys):
     assert out.with_suffix(".config.json").exists()
     log_lines = out.with_suffix(".log.jsonl").read_text().splitlines()
     assert len(log_lines) == 3
+
+
+STEP_LOG_KEYS = {
+    "mae": {"step", "loss"},
+    "lm": {"step", "loss"},
+    "align": {"step", "tau", "l_contrast", "l_match", "l_caption", "l_align",
+              "l_spr", "l_total", "keep_rates"},
+    "sft": {"step", "loss_sum", "loss_mean"},
+}
+SUMMARY_KEYS = {
+    "mae": {"init_loss", "final_loss", "last_batch_loss"},
+    "lm": {"final_loss"},
+    "align": {"final_loss"},
+    "sft": {"final_loss_sum", "final_loss_mean"},
+}
+
+
+@pytest.mark.parametrize("stage", ["mae", "lm", "align", "sft"])
+def test_train_stage_summary_and_log_keys(dataset, tmp_path, capsys, stage):
+    out = tmp_path / stage
+    code, payload = run_cli(
+        capsys, "train-toy", "--stage", stage, "--data", str(dataset),
+        "--seed", "2", "--out", str(out), "--steps", "2", "--batch", "2",
+    )
+    assert code == 0
+    assert set(payload) == {"stage", "steps", "out", "seed"} | SUMMARY_KEYS[stage]
+    assert payload["stage"] == stage and payload["steps"] == 2
+    records = [json.loads(line) for line in
+               (tmp_path / f"{stage}.log.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in records] == [0, 1]
+    assert all(set(r) == STEP_LOG_KEYS[stage] for r in records)
+    snapshot = json.loads((tmp_path / f"{stage}.config.json").read_text())
+    assert snapshot["stage"] == stage and snapshot["seed"] == 2
+
+
+def test_dotted_prefixes_keep_separate_files(dataset, tmp_path, capsys):
+    for seed, prefix in ((1, "ck.v1"), (2, "ck.v2")):
+        code, _ = run_cli(
+            capsys, "train-toy", "--stage", "lm", "--data", str(dataset),
+            "--seed", str(seed), "--out", str(tmp_path / prefix), "--steps", "1",
+        )
+        assert code == 0
+    for suffix in (".bin", ".json", ".config.json", ".log.jsonl"):
+        assert (tmp_path / f"ck.v1{suffix}").exists(), suffix
+        assert (tmp_path / f"ck.v2{suffix}").exists(), suffix
+    assert (tmp_path / "ck.v1.bin").read_bytes() != \
+        (tmp_path / "ck.v2.bin").read_bytes()
+    assert not (tmp_path / "ck.bin").exists()
 
 
 def test_train_sft_and_decode_smoke(dataset, tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_adjusted_formula_fixture():
         else:          # executes but wrong
             out = outcome([9.0], answer)
         pairs.append((problem(f"p{i}", answer, choices), out))
-    assert adjusted_accuracy(pairs, TOL) == pytest.approx(0.6 + 0.25 * 0.2, abs=0)
+    assert adjusted_accuracy(pairs) == pytest.approx(0.6 + 0.25 * 0.2, abs=0)
 
 
 def test_adjusted_equals_raw_when_everything_executes():
@@ -169,7 +169,7 @@ def test_adjusted_equals_raw_when_everything_executes():
         (problem("b", 5.0, four_choices(5.0)), outcome([9.0], 5.0)),
     ]
     outs = [o for _, o in pairs]
-    assert adjusted_accuracy(pairs, TOL) == metric_top_k(outs, 1)
+    assert adjusted_accuracy(pairs) == metric_top_k(outs, 1)
 
 
 def test_adjusted_all_unexecutable_is_chance():
@@ -177,7 +177,7 @@ def test_adjusted_all_unexecutable_is_chance():
         (problem(f"p{i}", 5.0, four_choices(5.0)), outcome([None], 5.0))
         for i in range(8)
     ]
-    assert adjusted_accuracy(pairs, TOL) == 0.25
+    assert adjusted_accuracy(pairs) == 0.25
 
 
 def test_adjusted_identity_exact_on_random_fixtures():
@@ -196,7 +196,7 @@ def test_adjusted_identity_exact_on_random_fixtures():
             )
         outs = [o for _, o in pairs]
         unexec = sum(1 for o in outs if o.rank_of_first_executed is None) / len(outs)
-        assert adjusted_accuracy(pairs, TOL) == metric_top_k(outs, 1) + 0.25 * unexec
+        assert adjusted_accuracy(pairs) == metric_top_k(outs, 1) + 0.25 * unexec
 
 
 def test_adjusted_subtraction_identity_exact_on_dyadic_fixture():
@@ -213,7 +213,7 @@ def test_adjusted_subtraction_identity_exact_on_dyadic_fixture():
             out = outcome([9.0], answer)
         pairs.append((problem(f"p{i}", answer, four_choices(answer)), out))
     outs = [o for _, o in pairs]
-    assert adjusted_accuracy(pairs, TOL) - metric_top_k(outs, 1) == 0.25 * 0.25
+    assert adjusted_accuracy(pairs) - metric_top_k(outs, 1) == 0.25 * 0.25
 
 
 # ---------------------------------------------------------------------------

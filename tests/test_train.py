@@ -1,15 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geoformal import diagram_synth as ds
 from geoformal import eval_harness as eh
+from geoformal import formal_lang as fl
+from geoformal import gsformer as gsf
 from geoformal import pretrain as pt
 from geoformal import solver
 from geoformal import tensorcore as tc
 from geoformal import train as tr
-from geoformal.tensorcore import Rng
+from geoformal.tensorcore import Rng, Tensor
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +119,109 @@ def test_unknown_stage_rejected(dataset, tmp_path):
     config = small_config(dataset)
     with pytest.raises(ValueError):
         tr.run_stage("warp", dataset, config, 1, tmp_path / "x")
+
+
+# ---------------------------------------------------------------------------
+# Step-0 oracles: the first logged loss, recomputed at the init params from
+# the stage's Rng labels and its own reduction
+# ---------------------------------------------------------------------------
+
+def first_logged(prefix) -> dict:
+    log = prefix.with_name(prefix.name + ".log.jsonl")
+    return json.loads(log.read_text().splitlines()[0])
+
+
+def draw(rng: Rng, n: int, batch: int) -> list[int]:
+    return [int(i) for i in rng.integers(0, n, (min(batch, n),))]
+
+
+def test_mae_step0_loss_matches_oracle(dataset, tmp_path):
+    config, seed = small_config(dataset), 7
+    tr.train_mae_stage(dataset, config, seed, tmp_path / "mae")
+    rng = Rng(seed)
+    params = pt.init_mae_params(config.mae, rng.split("init"))
+    order = sorted(dataset.patches)
+    picks = draw(rng.split("step0").split("batch"), len(order),
+                 config.stages["mae"].batch)
+    losses = []
+    with tc.no_grad():
+        for i in picks:
+            patches = dataset.patches[order[i]]
+            batch = pt.mae_mask(patches, config.mae.mask_ratio,
+                                rng.split(f"mask/{order[i]}"))
+            recon = pt.mae_forward(params, config.mae, batch)
+            losses.append(pt.mae_loss(recon, patches, batch).item())
+    expected = sum(losses) / len(losses)
+    assert first_logged(tmp_path / "mae")["loss"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_lm_step0_loss_matches_oracle(dataset, tmp_path):
+    config, seed = small_config(dataset), 8
+    tr.train_lm_stage(dataset, config, seed, tmp_path / "lm")
+    params = pt.init_decoder_params(config.decoder, Rng(seed).split("init"))
+    sequences = []
+    for rec in dataset.problems:
+        caption = fl.tokenize(" ".join(rec.caption.split()), dataset.vocab)
+        program = fl.tokenize(rec.gt_program, dataset.vocab)
+        sequences.append([fl.BOS_ID] + caption + [fl.EOS_ID])
+        sequences.append([fl.BOS_ID] + program + [fl.EOS_ID])
+    # lm draws from step0 itself, not step0/batch
+    picks = draw(Rng(seed).split("step0"), len(sequences), config.stages["lm"].batch)
+    with tc.no_grad():
+        losses = [pt.lm_loss(params, config.decoder, sequences[i]).item()
+                  for i in picks]
+    expected = sum(losses) / len(losses)
+    assert first_logged(tmp_path / "lm")["loss"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_align_step0_loss_matches_oracle(dataset, tmp_path):
+    config, seed = small_config(dataset), 9
+    tr.train_align_stage(dataset, config, seed, tmp_path / "align")
+    params = gsf.init_params(config.gsformer, Rng(seed).split("init"))
+    step_rng = Rng(seed).split("step0")
+    picks = draw(step_rng.split("batch"), len(dataset.problems),
+                 config.stages["align"].batch)
+    batch = []
+    for i in picks:
+        rec = dataset.problems[i]
+        caption = fl.tokenize(" ".join(rec.caption.split()), dataset.vocab)
+        batch.append((dataset.patches[rec.id], [fl.BOS_ID] + caption + [fl.EOS_ID]))
+    cfg = replace(config.gsformer,
+                  tau=config.gsformer.tau_at(0, config.stages["align"].steps))
+    with tc.no_grad():
+        out = gsf.pretrain_loss(batch, cfg, params, step_rng.split("noise"))
+    first = first_logged(tmp_path / "align")
+    assert first["tau"] == cfg.tau
+    assert first["l_total"] == pytest.approx(out.l_total, rel=1e-12)
+
+
+def test_sft_step0_loss_matches_oracle(dataset, tmp_path):
+    config, seed = small_config(dataset), 10
+    tr.train_sft_stage(dataset, config, seed, tmp_path / "sft")
+    rng = Rng(seed)
+    gs = gsf.init_params(config.gsformer, rng.split("gs_init"))
+    dec = pt.init_decoder_params(config.decoder, rng.split("dec_init"))
+    proj_w = Tensor(rng.split("proj").normal(
+        (config.gsformer.d_model, config.decoder.d_lm), std=gsf.INIT_STD))
+    proj_b = tc.zeros((config.decoder.d_lm,))
+    step_rng = rng.split("step0")
+    picks = draw(step_rng.split("batch"), len(dataset.problems),
+                 config.stages["sft"].batch)
+    total, n_targets = 0.0, 0
+    with tc.no_grad():
+        for slot, i in enumerate(picks):
+            rec = dataset.problems[i]
+            target = fl.tokenize(rec.gt_program, dataset.vocab) + [fl.EOS_ID]
+            feats, _, _ = gsf.gs_former_forward(
+                dataset.patches[rec.id], [], config.gsformer, gs,
+                step_rng.split(f"noise{slot}"), hard=False)
+            t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
+            total += pt.instruction_loss(dec, config.decoder, t_g,
+                                         rec.question_tokens, target).item()
+            n_targets += len(target)
+    first = first_logged(tmp_path / "sft")
+    assert first["loss_sum"] == pytest.approx(total, rel=1e-12)
+    assert first["loss_mean"] == pytest.approx(total / n_targets, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
