@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -213,27 +214,36 @@ def norm(params, name, x: Tensor) -> Tensor:
 
 
 def mha(params, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
-         mask: Tensor | None) -> Tensor:
-    """Multi-head attention; mask is None, a (n_keys,) key mask, or a full
-    (n_q, n_keys) allowed matrix (broadcast by masked_softmax either way)."""
+         mask: Tensor | None, cache=None) -> Tensor:
+    """Multi-head attention over the last axis (leading axes batch); mask is
+    None, a (n_keys,) key mask, or a full (n_q, n_keys) allowed matrix
+    (broadcast by masked_softmax either way).  With a `cache`
+    (pretrain.KVCache) the keys and values are its stored blocks plus x_kv's."""
     q = linear(params, f"{prefix}q", x_q)
     k = linear(params, f"{prefix}k", x_kv)
     v = linear(params, f"{prefix}v", x_kv)
-    d = q.shape[1]
-    dh = d // n_heads
+    blocks = [(k, v)] if cache is None else cache.extend(k, v)
+    dh = q.shape[-1] // n_heads
     scale = Tensor(1.0 / math.sqrt(dh))
     heads = []
     for h in range(n_heads):
-        qh = tc.narrow(q, 1, h * dh, dh)
-        kh = tc.narrow(k, 1, h * dh, dh)
-        vh = tc.narrow(v, 1, h * dh, dh)
-        logits = tc.mul(tc.matmul(qh, tc.transpose(kh)), scale)
+        cols = (-1, h * dh, dh)
+        qh = tc.narrow(q, *cols)
+        logits = [tc.matmul(qh, tc.transpose(tc.narrow(kb, *cols))) for kb, _ in blocks]
+        logits = tc.mul(logits[0] if len(blocks) == 1
+                        else tc.concat(logits, axis=-1), scale)
         if mask is None:
             probs = tc.softmax(logits, axis=-1)
         else:
             probs = tc.masked_softmax(logits, mask)
-        heads.append(tc.matmul(probs, vh))
-    return linear(params, f"{prefix}o", tc.concat(heads, axis=1))
+        parts, start = [], 0
+        for kb, vb in blocks:
+            n = kb.shape[-2]
+            part = probs if len(blocks) == 1 else tc.narrow(probs, -1, start, n)
+            parts.append(tc.matmul(part, tc.narrow(vb, *cols)))
+            start += n
+        heads.append(reduce(tc.add, parts))
+    return linear(params, f"{prefix}o", tc.concat(heads, axis=-1))
 
 
 def ffn(params, prefix: str, x: Tensor) -> Tensor:

@@ -4,7 +4,9 @@ Stage 1 objectives: masked patch reconstruction (MSE on masked positions
 only) and autoregressive language modeling.  Stage 3: a projection head maps
 query features into the decoder embedding space as visual tokens, the
 instruction loss is the plain sum of target-position negative log-likelihoods,
-and decoding is length-normalized beam search.
+and decoding is length-normalized beam search.  Decoding is KV-cached: the
+prefix keys/values of each layer are computed once and shared by every
+hypothesis, generated rows sit in per-beam buffers reordered by parent index.
 
 The decoder is a 2-layer pre-LN causal transformer with a tied embedding /
 output head; anything with the same prefix-conditioned interface would do.
@@ -51,10 +53,10 @@ def _block_init(p: dict[str, Tensor], name: str, rng: Rng, d: int) -> None:
 
 
 def block(params: dict[str, Tensor], name: str, x: Tensor, n_heads: int,
-          mask: Tensor | None) -> Tensor:
-    """x + self-attention(ln1 x), then + ffn(ln2 x); mask as in `mha`."""
+          mask: Tensor | None, cache: "KVCache | None" = None) -> Tensor:
+    """x + self-attention(ln1 x), then + ffn(ln2 x); mask and cache as in `mha`."""
     h = norm(params, f"{name}.ln1", x)
-    x = tc.add(x, mha(params, f"{name}.sa_", h, h, n_heads, mask))
+    x = tc.add(x, mha(params, f"{name}.sa_", h, h, n_heads, mask, cache))
     return tc.add(x, ffn(params, f"{name}.ffn", norm(params, f"{name}.ln2", x)))
 
 
@@ -191,14 +193,43 @@ def init_decoder_params(cfg: DecoderConfig, rng: Rng) -> dict[str, Tensor]:
     return p
 
 
+class KVCache:
+    """One decoder layer's keys and values during beam search: the prefix
+    rows, kept once and shared by every hypothesis, then one row per live
+    hypothesis and step in a (2, beam, steps, d) buffer that is allocated once
+    per search and permuted in place by parent index after each pruning."""
+
+    def __init__(self, beam: int, steps: int, d: int):
+        self.prefix: tuple[Tensor, Tensor] | None = None
+        self.rows = np.zeros((2, beam, steps, d))
+        self.n = 0  # generated rows per hypothesis
+
+    def extend(self, k: Tensor, v: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """Store k, v; return the (keys, values) blocks to attend over."""
+        if self.prefix is None:
+            self.prefix = (k, v)
+            return [self.prefix]
+        live = k.shape[0]
+        self.rows[:, :live, self.n] = k.data[:, 0], v.data[:, 0]
+        self.n += 1
+        keys, values = self.rows[:, :live, :self.n]
+        return [self.prefix, (Tensor(keys), Tensor(values))]
+
+    def reorder(self, parents: list[int]) -> None:
+        self.rows[:, :len(parents), :self.n] = self.rows[:, parents, :self.n]
+
+
 def decoder_forward(
     params: dict[str, Tensor],
     cfg: DecoderConfig,
     token_ids: Sequence[int],
     prefix_embeds: Tensor | None = None,
+    cache: list[KVCache] | None = None,
 ) -> Tensor:
     """Causal forward over [prefix_embeds || embedded token_ids]; returns
-    next-token logits for every position (tied output head)."""
+    next-token logits for every position (tied output head).  With `cache`
+    (one KVCache per layer) the first call encodes the prefix; later calls
+    take one token id per hypothesis and return (B, 1, V) logits."""
     parts: list[Tensor] = []
     if prefix_embeds is not None:
         if prefix_embeds.ndim != 2 or prefix_embeds.shape[1] != cfg.d_lm:
@@ -211,13 +242,18 @@ def decoder_forward(
     if not parts:
         raise tc.ShapeMismatchError("decoder needs input", (0,))
     x = tc.concat(parts, axis=0) if len(parts) > 1 else parts[0]
-    total = x.shape[0]
+    start = 0
+    if cache is not None and cache[0].prefix is not None:
+        start = cache[0].prefix[0].shape[0] + cache[0].n
+        x = tc.reshape(x, (len(ids), 1, cfg.d_lm))
+    total = start + x.shape[-2]
     if total > cfg.max_len:
         raise tc.ShapeMismatchError("sequence too long", (total,), (cfg.max_len,))
-    x = tc.add(x, tc.narrow(params["pos_emb"], 0, 0, total))
-    causal = Tensor(np.tril(np.ones((total, total))))
+    x = tc.add(x, tc.narrow(params["pos_emb"], 0, start, total - start))
+    causal = None if start else Tensor(np.tril(np.ones((total, total))))
     for i in range(cfg.n_layers):
-        x = block(params, f"dec{i}", x, cfg.n_heads, causal)
+        x = block(params, f"dec{i}", x, cfg.n_heads, causal,
+                  None if cache is None else cache[i])
     x = norm(params, "ln_f", x)
     return tc.add(tc.matmul(x, tc.transpose(params["tok_emb"])), params["head_b"])
 
@@ -285,11 +321,6 @@ class BeamHypothesis:
     normalized: float
 
 
-def _log_softmax_row(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 def beam_decode(
     params: dict[str, Tensor],
     cfg: DecoderConfig,
@@ -304,32 +335,42 @@ def beam_decode(
     Candidates are ranked by log-prob divided by token count, ties broken by
     generation order.  Returns at most `beam` hypotheses; sequences that never
     emit EOS are cut at max_len.
+
+    KV-cached: the prefix [t_g || t_p] runs through the decoder once, then
+    each step advances every live hypothesis by one token as one (B, 1, d)
+    batch over the shared prefix keys/values plus its own rows (KVCache).
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    instr = list(t_p)
+    cache = [KVCache(beam, max_len, cfg.d_lm) for _ in range(cfg.n_layers)]
     live: list[tuple[list[int], float]] = [([], 0.0)]
     finished: list[tuple[list[int], float]] = []
     with tc.no_grad():
-        for _ in range(max_len):
+        for step in range(max_len):
             if not live:
                 break
-            expansions: list[tuple[list[int], float]] = []
-            for tokens, score in live:
-                logits = decoder_forward(params, cfg, instr + tokens, prefix_embeds=t_g)
-                logp = _log_softmax_row(logits.data[-1])
-                top = np.argsort(-logp, kind="stable")[:beam]
-                for token_id in top:
-                    expansions.append(
-                        (tokens + [int(token_id)], score + float(logp[token_id]))
-                    )
+            if step == 0:
+                logits = decoder_forward(params, cfg, t_p, t_g, cache).data[-1:]
+            else:
+                last = [tokens[-1] for tokens, _ in live]
+                logits = decoder_forward(params, cfg, last, cache=cache).data[:, -1]
+            logp = logits - logits.max(axis=1, keepdims=True)
+            logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+            top = np.argsort(-logp, axis=1, kind="stable")[:, :beam]
+            expansions = [
+                (tokens + [int(t)], score + float(logp[parent, t]), parent)
+                for parent, (tokens, score) in enumerate(live) for t in top[parent]
+            ]
             expansions.sort(key=lambda e: -e[1])
-            live = []
-            for tokens, score in expansions:
+            live, parents = [], []
+            for tokens, score, parent in expansions:
                 if tokens[-1] == eos_id:
                     finished.append((tokens, score))
                 elif len(live) < beam:
                     live.append((tokens, score))
+                    parents.append(parent)
+            for layer in cache:
+                layer.reorder(parents)
     pool = finished + live
     hypotheses = [
         BeamHypothesis(tuple(tokens), score, score / max(1, len(tokens)))

@@ -531,6 +531,8 @@ def _op_cases(rng: Rng):
     v = Tensor(rng.normal((5, 3)))
     q = Tensor(rng.normal((2, 4)))
     mask = Tensor(0.3 + 0.7 * rng.uniform((5,)))
+    batch_left = Tensor(rng.normal((2, 3, 4)))
+    batch_right = Tensor(rng.normal((2, 4, 3)))
     cases += [
         ("attention_q", lambda r: normal(r, (2, 4)),
          lambda t: tc.tsum(tc.power(tc.attention(t, k, v, mask), 2.0))),
@@ -541,6 +543,12 @@ def _op_cases(rng: Rng):
         ("attention_mask",
          lambda r: Tensor(0.3 + 0.7 * r.uniform((5,)), requires_grad=True),
          lambda t: tc.tsum(tc.power(tc.attention(q, k, v, t), 2.0))),
+        ("matmul_batched", lambda r: normal(r, (2, 3, 4)),
+         lambda t: tc.tsum(tc.power(tc.matmul(t, batch_right), 2.0))),
+        ("matmul_broadcast_right", lambda r: normal(r, (4, 3)),
+         lambda t: tc.tsum(tc.power(tc.matmul(batch_left, t), 2.0))),
+        ("transpose_batched", lambda r: normal(r, (2, 3, 4)),
+         lambda t: tc.tsum(tc.power(tc.matmul(tc.transpose(t), other), 2.0))),
     ]
     return cases
 

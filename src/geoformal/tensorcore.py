@@ -71,9 +71,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -103,35 +100,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; floats coerce to constant tensors.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     if not (_grad_enabled and any(p.requires_grad for p in parents)):
@@ -147,6 +115,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, (have, want) in enumerate(zip(g.shape, shape)):
@@ -264,7 +234,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """Tanh-approximation GELU with its exact derivative."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
@@ -277,13 +247,14 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeMismatchError("transpose (2-D only)", a.shape)
+    """Swap the last two axes; leading axes are a batch."""
+    if a.ndim < 2:
+        raise ShapeMismatchError("transpose (needs >= 2-D)", a.shape)
 
     def backward(go):
-        _accumulate(a, go.T)
+        _accumulate(a, go.swapaxes(-1, -2))
 
-    return _node(a.data.T, (a,), backward)
+    return _node(a.data.swapaxes(-1, -2), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -351,13 +322,18 @@ def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Product over the last two axes; leading batch axes broadcast."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
-    data = a.data @ b.data
+    if a.ndim > 2 and b.ndim == 2:  # one BLAS product, not a loop over the batch
+        data = a.data.reshape(-1, a.shape[-1]) @ b.data
+        data = data.reshape(a.shape[:-1] + b.shape[-1:])
+    else:
+        data = a.data @ b.data
 
     def backward(go):
-        _accumulate(a, go @ b.data.T)
-        _accumulate(b, a.data.T @ go)
+        _accumulate(a, _unbroadcast(go @ b.data.swapaxes(-1, -2), a.shape))
+        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ go, b.shape))
 
     return _node(data, (a, b), backward)
 
@@ -450,7 +426,7 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Row normalization for 1-D tensors, composed from primitives."""
-    norm = power(tsum(mul(x, x)) + eps, 0.5)
+    norm = power(add(tsum(mul(x, x)), Tensor(eps)), 0.5)
     return div(x, norm)
 
 
@@ -633,10 +609,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice_index(self, weights: Sequence[float]) -> int:
-        w = np.asarray(weights, dtype=np.float64)
-        return int(self._gen.choice(len(w), p=w / w.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
@@ -92,33 +93,39 @@ def default_run_config(vocab_size: int, n_patches: int, patch_dim: int) -> RunCo
     )
 
 
+def _section(label: str, rec, known) -> dict:
+    """A config-file section: a JSON object naming only `known` fields."""
+    if not isinstance(rec, dict):
+        raise eh.SchemaError(f"{label} must be a JSON object")
+    unknown = sorted(set(rec) - set(known))
+    if unknown:
+        raise eh.SchemaError(f"unknown field {unknown[0]!r} in {label}")
+    return rec
+
+
 def resolve_run_config(
     base: RunConfig, file_config: dict | None, overrides: dict | None = None
 ) -> RunConfig:
     """Layer a config file and flag overrides over the dataset defaults."""
     if file_config is not None:
+        if not isinstance(file_config, dict):
+            raise eh.SchemaError("config must be a JSON object")
         if file_config.get("schema") != 1:
             raise eh.SchemaError(
                 f"unsupported config schema: {file_config.get('schema')!r}"
             )
-        if "gsformer" in file_config:
-            base.gsformer = gsf.GSFormerConfig.from_json(
-                {**base.gsformer.to_json(), **file_config["gsformer"]}
-            )
-        if "decoder" in file_config:
-            base.decoder = pt.DecoderConfig.from_json(
-                {**base.decoder.to_json(), **file_config["decoder"]}
-            )
-        if "mae" in file_config:
-            base.mae = pt.MAEConfig.from_json(
-                {**base.mae.to_json(), **file_config["mae"]}
-            )
-        for stage, rec in file_config.get("stages", {}).items():
-            if stage not in STAGES:
-                raise eh.SchemaError(f"unknown stage {stage!r} in config")
-            base.stages[stage] = StageConfig(
-                **{**base.stages[stage].to_json(), **rec}
-            )
+        for name, cls in (("gsformer", gsf.GSFormerConfig),
+                          ("decoder", pt.DecoderConfig), ("mae", pt.MAEConfig)):
+            if name in file_config:
+                current = getattr(base, name).to_json()
+                rec = _section(f"config section {name!r}", file_config[name], current)
+                setattr(base, name, cls.from_json({**current, **rec}))
+        stages = _section("config section 'stages'",
+                          file_config.get("stages", {}), STAGES)
+        for stage, rec in stages.items():
+            current = base.stages[stage].to_json()
+            rec = _section(f"config section 'stages.{stage}'", rec, current)
+            base.stages[stage] = StageConfig(**{**current, **rec})
     for key, value in (overrides or {}).items():
         stage, _, fieldname = key.partition(".")
         if stage in base.stages and fieldname:
@@ -356,10 +363,12 @@ def train_sft_stage(
         n_targets = 0
         for slot, index in enumerate(picks):
             patches, t_p, s = examples[index]
-            feats, _, _ = gsf.gs_former_forward(
-                patches, [], config.gsformer, gs_params,
-                step_rng.split(f"noise{slot}"), hard=False,
-            )
+            # a frozen encoder builds no tape: its gradients would go unused
+            with tc.no_grad() if stage.freeze_encoder else nullcontext():
+                feats, _, _ = gsf.gs_former_forward(
+                    patches, [], config.gsformer, gs_params,
+                    step_rng.split(f"noise{slot}"), hard=False,
+                )
             t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
             losses.append(pt.instruction_loss(dec_params, config.decoder, t_g, t_p, s))
             n_targets += len(s)

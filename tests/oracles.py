@@ -1,14 +1,21 @@
 """Independent oracles and fuzz generators used by the test suite.
 
-Everything here is deliberately written against the *text* of the two
-languages, with its own arity table and operator semantics, so that it shares
-no code path with the package it checks.
+The language oracles are deliberately written against the *text* of the two
+languages, with their own arity table and operator semantics, so that they
+share no code path with the package they check.  `reference_beam_decode` is
+the uncached beam search: it re-runs the full decoder for every hypothesis at
+every step and pins the KV-cached `pretrain.beam_decode`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+
+import numpy as np
+
+from geoformal import pretrain as pt
+from geoformal import tensorcore as tc
 
 # Hand-written arity table (kept independent of the package registry).
 ORACLE_ARITY = {
@@ -143,3 +150,55 @@ def random_program_text(
 def random_bytes_text(rng: random.Random, max_len: int = 80) -> str:
     raw = bytes(rng.randrange(256) for _ in range(rng.randint(0, max_len)))
     return raw.decode("latin-1")
+
+
+# ---------------------------------------------------------------------------
+# Uncached beam search (reference for the KV-cached decoder)
+# ---------------------------------------------------------------------------
+
+def reference_beam_decode(params, cfg, t_g, t_p, beam=10, max_len=24, eos_id=2):
+    """Length-normalized beam search with one full `decoder_forward` over
+    [t_g || t_p || partial program] per live hypothesis per step."""
+    if beam < 1:
+        raise ValueError("beam must be >= 1")
+    instr = list(t_p)
+    live: list[tuple[list[int], float]] = [([], 0.0)]
+    finished: list[tuple[list[int], float]] = []
+    with tc.no_grad():
+        for _ in range(max_len):
+            if not live:
+                break
+            expansions: list[tuple[list[int], float]] = []
+            for tokens, score in live:
+                logits = pt.decoder_forward(params, cfg, instr + tokens,
+                                            prefix_embeds=t_g)
+                row = logits.data[-1]
+                shifted = row - row.max()
+                logp = shifted - np.log(np.exp(shifted).sum())
+                top = np.argsort(-logp, kind="stable")[:beam]
+                for token_id in top:
+                    expansions.append(
+                        (tokens + [int(token_id)], score + float(logp[token_id]))
+                    )
+            expansions.sort(key=lambda e: -e[1])
+            live = []
+            for tokens, score in expansions:
+                if tokens[-1] == eos_id:
+                    finished.append((tokens, score))
+                elif len(live) < beam:
+                    live.append((tokens, score))
+    pool = finished + live
+    hypotheses = [
+        pt.BeamHypothesis(tuple(tokens), score, score / max(1, len(tokens)))
+        for tokens, score in pool
+    ]
+    hypotheses.sort(key=lambda h: -h.normalized)
+    return hypotheses[:beam]
+
+
+def assert_same_beams(cached, reference, tol: float = 1e-9) -> None:
+    """Identical token ids in identical order; scores within `tol`."""
+    assert [h.token_ids for h in cached] == [h.token_ids for h in reference]
+    for a, b in zip(cached, reference):
+        assert abs(a.log_prob - b.log_prob) <= tol
+        assert abs(a.normalized - b.normalized) <= tol

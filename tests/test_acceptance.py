@@ -25,10 +25,12 @@ from geoformal import train as tr
 from geoformal.tensorcore import Rng, Tensor
 
 from oracles import (
+    assert_same_beams,
     oracle_eval,
     random_bytes_text,
     random_caption_text,
     random_program_text,
+    reference_beam_decode,
     rel_close,
 )
 
@@ -404,3 +406,19 @@ def test_criterion_10_determinism(pipeline, tmp_path):
     assert second_path.read_bytes() == pipeline.candidates_path.read_bytes()
     report(10, "selftest stdout, gen-data outputs, and decode candidates are "
                "byte-identical across two runs")
+
+
+def test_cached_decode_matches_uncached_on_the_pipeline_checkpoint(pipeline):
+    gs_cfg, dec_cfg, gs_params, dec_params, proj_w, proj_b = \
+        tr.load_sft_checkpoint(pipeline.ckpt)
+    for rec in pipeline.data.problems[:8]:
+        with tc.no_grad():
+            feats, _, _ = gsf.gs_former_forward(
+                pipeline.data.patches[rec.id], [], gs_cfg, gs_params, None,
+                hard=True)
+            t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
+        args = (dec_params, dec_cfg, t_g, rec.question_tokens)
+        cached = pt.beam_decode(*args, beam=10, max_len=24, eos_id=fl.EOS_ID)
+        reference = reference_beam_decode(*args, beam=10, max_len=24,
+                                          eos_id=fl.EOS_ID)
+        assert_same_beams(cached, reference)

@@ -175,6 +175,26 @@ def test_train_rejects_bad_stage_value_in_config_file(dataset, tmp_path, capsys)
     assert "batch must be" in err
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"schema": 1, "stages": {"lm": {"bogus": 1}}},
+     "unknown field 'bogus' in config section 'stages.lm'"),
+    ({"schema": 1, "decoder": {"bogus": 1}},
+     "unknown field 'bogus' in config section 'decoder'"),
+    ([1, 2], "config must be a JSON object"),
+    ({"schema": 1, "mae": [64]}, "config section 'mae' must be a JSON object"),
+], ids=["stage-field", "decoder-field", "list", "non-object-section"])
+def test_train_rejects_malformed_config_file(dataset, tmp_path, capsys, config,
+                                             message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "lm", "--data", str(dataset),
+        "--config", str(path), "--out", str(tmp_path / "x"),
+    )
+    assert message in err
+    assert not (tmp_path / "x.log.jsonl").exists()
+
+
 def test_train_on_empty_dataset_is_data_error(tmp_path, capsys):
     data = tmp_path / "empty"
     code, payload = run_cli(capsys, "gen-data", "--n", "0", "--out", str(data))

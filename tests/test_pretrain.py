@@ -24,6 +24,8 @@ from geoformal.pretrain import (
 )
 from geoformal.tensorcore import Adam, Rng, Tensor
 
+from oracles import assert_same_beams, reference_beam_decode
+
 
 def small_decoder(vocab=24, d=32, max_len=40):
     cfg = DecoderConfig(n_layers=1, d_lm=d, n_heads=2, vocab_size=vocab,
@@ -283,3 +285,53 @@ def test_overfit_decoder_ranks_memorized_sequence_first():
         opt.step()
     hyps = beam_decode(params, cfg, t_g, t_p, beam=3, max_len=8)
     assert list(hyps[0].token_ids) == target
+
+
+# ---------------------------------------------------------------------------
+# KV-cached beam search against the uncached reference
+# ---------------------------------------------------------------------------
+
+def cache_decoder(seed, max_len=40):
+    cfg = DecoderConfig(n_layers=2, d_lm=32, n_heads=4, vocab_size=24,
+                        max_len=max_len)
+    params = init_decoder_params(cfg, Rng(seed))
+    for p in params.values():
+        p.data *= 5.0  # sharpen next-token distributions away from uniform
+    return cfg, params
+
+
+@pytest.mark.parametrize("with_t_g", [False, True])
+@pytest.mark.parametrize("beam", [1, 4, 10])
+@pytest.mark.parametrize("seed", range(5))
+def test_cached_beam_decode_matches_uncached_reference(seed, beam, with_t_g):
+    cfg, params = cache_decoder(seed)
+    t_g = (Tensor(Rng(seed + 10).normal((3, cfg.d_lm), std=0.5))
+           if with_t_g else None)
+    t_p = [int(x) for x in Rng(seed).integers(3, cfg.vocab_size, (4,))]
+    cached = beam_decode(params, cfg, t_g, t_p, beam=beam, max_len=12)
+    assert_same_beams(cached, reference_beam_decode(params, cfg, t_g, t_p,
+                                                    beam=beam, max_len=12))
+    assert len(cached) == beam
+
+
+def test_cached_beam_decode_matches_reference_when_eos_comes_early():
+    cfg, params = cache_decoder(7)
+    params["head_b"].data[2] += 4.0  # make EOS a likely continuation
+    t_g = Tensor(Rng(8).normal((2, cfg.d_lm), std=0.5))
+    cached = beam_decode(params, cfg, t_g, [5, 9], beam=4, max_len=10)
+    assert_same_beams(cached, reference_beam_decode(params, cfg, t_g, [5, 9],
+                                                    beam=4, max_len=10))
+    assert any(h.token_ids[-1] == 2 and len(h.token_ids) < 10 for h in cached)
+
+
+def test_cached_beam_decode_hits_the_length_limit_at_the_same_step():
+    # prefix 2 + 4 = 6 rows; the step that would hold 11 rows passes max_len 10
+    cfg, params = cache_decoder(9, max_len=10)
+    t_g = Tensor(Rng(9).normal((2, cfg.d_lm), std=0.5))
+    t_p = [4, 5, 6, 7]
+    assert_same_beams(
+        beam_decode(params, cfg, t_g, t_p, beam=3, max_len=5),
+        reference_beam_decode(params, cfg, t_g, t_p, beam=3, max_len=5))
+    for decode in (beam_decode, reference_beam_decode):
+        with pytest.raises(tc.ShapeMismatchError, match="sequence too long"):
+            decode(params, cfg, t_g, t_p, beam=3, max_len=6)

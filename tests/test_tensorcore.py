@@ -141,6 +141,54 @@ def test_grad_matmul_both_sides():
                         rand(rng, (5, 2)))
 
 
+def test_batched_matmul_and_transpose_forward():
+    rng = Rng(14)
+    a = Tensor(rng.normal((3, 2, 5)))
+    b = Tensor(rng.normal((3, 5, 4)))
+    w = Tensor(rng.normal((5, 4)))
+    assert np.allclose(tc.matmul(a, b).data,
+                       np.stack([a.data[i] @ b.data[i] for i in range(3)]),
+                       rtol=0.0, atol=1e-12)
+    # a 2-D right operand broadcasts over the batch
+    assert np.allclose(tc.matmul(a, w).data,
+                       np.stack([a.data[i] @ w.data for i in range(3)]),
+                       rtol=0.0, atol=1e-12)
+    assert tc.transpose(b).shape == (3, 4, 5)
+    assert np.array_equal(tc.transpose(b).data[1], b.data[1].T)
+    with pytest.raises(ShapeMismatchError):
+        tc.matmul(a, Tensor(np.zeros((2, 4, 4))))
+    with pytest.raises(ShapeMismatchError):
+        tc.transpose(Tensor(np.zeros(3)))
+
+
+def test_batched_matmul_and_transpose_grads():
+    rng = Rng(15)
+    left = Tensor(rng.normal((3, 2, 5)))
+    right = Tensor(rng.normal((3, 5, 4)))
+    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.matmul(t, right), 2.0)),
+                        rand(rng, (3, 2, 5)))
+    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.matmul(left, t), 2.0)),
+                        rand(rng, (3, 5, 4)))
+    # the broadcast 2-D operand sums its gradient over the batch
+    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.matmul(left, t), 2.0)),
+                        rand(rng, (5, 4)))
+    assert_grad_matches(
+        lambda t: tc.tsum(tc.power(tc.matmul(tc.transpose(t), right), 2.0)),
+        rand(rng, (3, 5, 2)))
+
+
+def test_two_d_matmul_and_transpose_are_bit_identical_to_plain_numpy():
+    rng = Rng(16)
+    a = Tensor(rng.normal((7, 9)), requires_grad=True)
+    b = Tensor(rng.normal((9, 5)), requires_grad=True)
+    out = tc.matmul(a, tc.transpose(tc.transpose(b)))
+    go = rng.normal((7, 5))
+    tc.tsum(tc.mul(out, Tensor(go))).backward()
+    assert np.array_equal(out.data, a.data @ b.data)
+    assert np.array_equal(a.grad, go @ b.data.T)
+    assert np.array_equal(b.grad, a.data.T @ go)
+
+
 def test_grad_softmax_and_layer_norm():
     rng = Rng(5)
     weights = Tensor(rng.normal((4,)))

@@ -106,6 +106,27 @@ def test_sft_freeze_encoder_keeps_encoder_fixed(dataset, tmp_path):
     assert changed
 
 
+def test_frozen_encoder_builds_no_gradients(dataset, tmp_path, monkeypatch):
+    config = small_config(dataset)
+    config.stages["sft"].steps = 3
+    tr.train_align_stage(dataset, config, 4, tmp_path / "align")
+    config.stages["sft"].freeze_encoder = True
+    seen = {}
+    run_loop = tr._run_loop
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs["saved"])
+        return run_loop(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "_run_loop", spy)
+    tr.train_sft_stage(dataset, config, 5, tmp_path / "sft",
+                       encoder_ckpt=tmp_path / "align")
+    encoder = [k for k in seen if k.startswith("gs.")]
+    assert encoder
+    assert [k for k in encoder if seen[k].grad is not None] == []
+    assert seen["proj_w"].grad is not None
+
+
 def test_stage_runs_are_deterministic(dataset, tmp_path):
     config = small_config(dataset)
     tr.train_align_stage(dataset, config, 6, tmp_path / "a")
