@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -70,22 +69,8 @@ class GSFormerConfig:
             raise ValueError(f"sampler layers {bad} outside 1..{self.n_layers - 1}")
 
     def to_json(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_queries": self.n_queries,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_in": self.d_in,
-            "n_patches": self.n_patches,
-            "vocab_size": self.vocab_size,
-            "max_caption_len": self.max_caption_len,
-            "embed_dim": self.embed_dim,
-            "sgs_layers": list(self.sgs_layers),
-            "lam": self.lam,
-            "tau": self.tau,
-            "tau_final": self.tau_final,
-            "align_weights": list(self.align_weights),
-        }
+        return {**self.__dict__, "sgs_layers": list(self.sgs_layers),
+                "align_weights": list(self.align_weights)}
 
     @classmethod
     def from_json(cls, rec: dict) -> "GSFormerConfig":
@@ -111,9 +96,6 @@ class SGSState:
     def n_patches(self) -> int:
         return int(self.masks[0].shape[0])
 
-    def keep_rates(self) -> list[float]:
-        return [float(m.data.mean()) for m in self.masks]
-
 
 @dataclass
 class AlignedFeatures:
@@ -133,15 +115,7 @@ class LossBreakdown:
     tensor: Tensor | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
-        return {
-            "l_contrast": self.l_contrast,
-            "l_match": self.l_match,
-            "l_caption": self.l_caption,
-            "l_align": self.l_align,
-            "l_spr": self.l_spr,
-            "l_total": self.l_total,
-            "keep_rates": self.keep_rates,
-        }
+        return {k: v for k, v in self.__dict__.items() if k != "tensor"}
 
 
 # ---------------------------------------------------------------------------
@@ -215,35 +189,29 @@ def norm(params, name, x: Tensor) -> Tensor:
 
 def mha(params, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
          mask: Tensor | None, cache=None) -> Tensor:
-    """Multi-head attention over the last axis (leading axes batch); mask is
-    None, a (n_keys,) key mask, or a full (n_q, n_keys) allowed matrix
-    (broadcast by masked_softmax either way).  With a `cache`
-    (pretrain.KVCache) the keys and values are its stored blocks plus x_kv's."""
+    """Multi-head attention over the last axis (leading axes batch).  Heads
+    are split once to (..., h, n, d/h), so all of them share one matmul, one
+    softmax and one matmul.  mask is None, a (n_keys,) key mask, or a full
+    (n_q, n_keys) allowed matrix (broadcast by masked_softmax).  With a
+    `cache` (pretrain.KVCache) the keys and values are the cache's rows."""
     q = linear(params, f"{prefix}q", x_q)
     k = linear(params, f"{prefix}k", x_kv)
     v = linear(params, f"{prefix}v", x_kv)
-    blocks = [(k, v)] if cache is None else cache.extend(k, v)
+    if cache is not None:
+        k, v = cache.extend(k, v)
     dh = q.shape[-1] // n_heads
-    scale = Tensor(1.0 / math.sqrt(dh))
-    heads = []
-    for h in range(n_heads):
-        cols = (-1, h * dh, dh)
-        qh = tc.narrow(q, *cols)
-        logits = [tc.matmul(qh, tc.transpose(tc.narrow(kb, *cols))) for kb, _ in blocks]
-        logits = tc.mul(logits[0] if len(blocks) == 1
-                        else tc.concat(logits, axis=-1), scale)
-        if mask is None:
-            probs = tc.softmax(logits, axis=-1)
-        else:
-            probs = tc.masked_softmax(logits, mask)
-        parts, start = [], 0
-        for kb, vb in blocks:
-            n = kb.shape[-2]
-            part = probs if len(blocks) == 1 else tc.narrow(probs, -1, start, n)
-            parts.append(tc.matmul(part, tc.narrow(vb, *cols)))
-            start += n
-        heads.append(reduce(tc.add, parts))
-    return linear(params, f"{prefix}o", tc.concat(heads, axis=-1))
+
+    def heads(x: Tensor) -> Tensor:
+        return tc.transpose(tc.reshape(x, x.shape[:-1] + (n_heads, dh)), -2, -3)
+
+    logits = tc.mul(tc.matmul(heads(q), tc.transpose(heads(k))),
+                    Tensor(1.0 / math.sqrt(dh)))
+    if mask is None:
+        probs = tc.softmax(logits, axis=-1)
+    else:
+        probs = tc.masked_softmax(logits, mask)
+    out = tc.transpose(tc.matmul(probs, heads(v)), -2, -3)
+    return linear(params, f"{prefix}o", tc.reshape(out, q.shape))
 
 
 def ffn(params, prefix: str, x: Tensor) -> Tensor:
@@ -386,15 +354,6 @@ def sparsification_loss(state: SGSState) -> Tensor:
     return tc.mul(total, Tensor(1.0 / (state.n_stages * state.n_patches)))
 
 
-def _project_rows(params, name: str, rows: list[Tensor]) -> Tensor:
-    projected = []
-    for row in rows:
-        d = row.shape[0]
-        flat = tc.reshape(linear(params, name, tc.reshape(row, (1, d))), (-1,))
-        projected.append(tc.l2_normalize(flat))
-    return tc.stack_rows(projected)
-
-
 def alignment_loss(
     features: list[AlignedFeatures],
     caption_logits: list[Tensor],
@@ -412,13 +371,13 @@ def alignment_loss(
     batch = len(features)
     if batch < 2:
         raise BatchTooSmallError(batch)
-    pooled = [tc.mean_pool(f.f_g, axis=0) for f in features]
-    text = [f.text_cls for f in features]
-    if any(t is None for t in text):
+    if any(f.text_cls is None for f in features):
         raise ValueError("alignment batch requires captions")
+    pooled = tc.stack_rows([tc.mean_pool(f.f_g, axis=0) for f in features])
+    text = tc.stack_rows([f.text_cls for f in features])
 
-    g_mat = _project_rows(params, "vis_proj", pooled)
-    t_mat = _project_rows(params, "txt_proj", text)
+    g_mat = tc.l2_normalize(linear(params, "vis_proj", pooled))
+    t_mat = tc.l2_normalize(linear(params, "txt_proj", text))
     sim = tc.mul(tc.matmul(g_mat, tc.transpose(t_mat)), tc.exp(params["log_scale"]))
     diag = list(range(batch))
     l_contrast = tc.mul(
@@ -426,12 +385,12 @@ def alignment_loss(
         Tensor(0.5),
     )
 
-    fused = []
-    for i in range(batch):
-        fused.append(tc.concat([pooled[i], text[i]], axis=0))
-    for i in range(batch):
-        fused.append(tc.concat([pooled[i], text[(i + 1) % batch]], axis=0))
-    hidden = tc.gelu(linear(params, "match1", tc.stack_rows(fused)))
+    # rows 0..B-1 pair example i with its own text, rows B..2B-1 with the
+    # text of example i + 1 (mod B)
+    paired_text = tc.concat([text, tc.narrow(text, 0, 1, batch - 1),
+                             tc.narrow(text, 0, 0, 1)], axis=0)
+    fused = tc.concat([tc.concat([pooled, pooled], axis=0), paired_text], axis=1)
+    hidden = tc.gelu(linear(params, "match1", fused))
     match_logits = linear(params, "match2", hidden)
     labels = [1] * batch + [0] * batch
     l_match = tc.cross_entropy(match_logits, labels)

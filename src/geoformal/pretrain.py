@@ -4,9 +4,11 @@ Stage 1 objectives: masked patch reconstruction (MSE on masked positions
 only) and autoregressive language modeling.  Stage 3: a projection head maps
 query features into the decoder embedding space as visual tokens, the
 instruction loss is the plain sum of target-position negative log-likelihoods,
-and decoding is length-normalized beam search.  Decoding is KV-cached: the
-prefix keys/values of each layer are computed once and shared by every
-hypothesis, generated rows sit in per-beam buffers reordered by parent index.
+and decoding is length-normalized beam search.  Decoding is KV-cached: each
+layer's keys/values live in one (2, beam, n_prefix + max_len, d) buffer whose
+beam rows start with a copy of the prefix rows, computed once; generated rows
+follow and are reordered by parent index.  Attention splits heads as
+(..., h, n, d/h) and attends over that one block (gsformer.mha).
 
 The decoder is a 2-layer pre-LN causal transformer with a tied embedding /
 output head; anything with the same prefix-conditioned interface would do.
@@ -165,7 +167,6 @@ class DecoderConfig:
     n_heads: int = 4
     vocab_size: int = 128
     max_len: int = 96
-    n_vis: int = 8
 
     def to_json(self) -> dict:
         return self.__dict__.copy()
@@ -194,29 +195,34 @@ def init_decoder_params(cfg: DecoderConfig, rng: Rng) -> dict[str, Tensor]:
 
 
 class KVCache:
-    """One decoder layer's keys and values during beam search: the prefix
-    rows, kept once and shared by every hypothesis, then one row per live
-    hypothesis and step in a (2, beam, steps, d) buffer that is allocated once
-    per search and permuted in place by parent index after each pruning."""
+    """One decoder layer's keys and values during beam search: one
+    (2, beam, n_prefix + steps, d) buffer, allocated by the first `extend`,
+    whose beam rows all start with the prefix rows; the generated rows after
+    them are permuted by parent index after each pruning."""
 
-    def __init__(self, beam: int, steps: int, d: int):
-        self.prefix: tuple[Tensor, Tensor] | None = None
-        self.rows = np.zeros((2, beam, steps, d))
-        self.n = 0  # generated rows per hypothesis
+    def __init__(self, beam: int, steps: int):
+        self.size = (beam, steps)
+        self.rows: np.ndarray | None = None
+        self.n_prefix = self.n = 0  # n: filled rows per hypothesis
 
-    def extend(self, k: Tensor, v: Tensor) -> list[tuple[Tensor, Tensor]]:
-        """Store k, v; return the (keys, values) blocks to attend over."""
-        if self.prefix is None:
-            self.prefix = (k, v)
-            return [self.prefix]
+    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Store k, v (first the (n_prefix, d) prefix, then one (B, 1, d) row
+        per live hypothesis); return the keys and values to attend over."""
+        if self.rows is None:
+            beam, steps = self.size
+            self.n_prefix = self.n = k.shape[0]
+            self.rows = np.empty((2, beam, self.n + steps, k.shape[1]))
+            self.rows[:, :, :self.n] = np.stack((k.data, v.data))[:, None]
+            return k, v
         live = k.shape[0]
         self.rows[:, :live, self.n] = k.data[:, 0], v.data[:, 0]
         self.n += 1
         keys, values = self.rows[:, :live, :self.n]
-        return [self.prefix, (Tensor(keys), Tensor(values))]
+        return Tensor(keys), Tensor(values)
 
     def reorder(self, parents: list[int]) -> None:
-        self.rows[:, :len(parents), :self.n] = self.rows[:, parents, :self.n]
+        new = slice(self.n_prefix, self.n)
+        self.rows[:, :len(parents), new] = self.rows[:, parents, new]
 
 
 def decoder_forward(
@@ -242,9 +248,8 @@ def decoder_forward(
     if not parts:
         raise tc.ShapeMismatchError("decoder needs input", (0,))
     x = tc.concat(parts, axis=0) if len(parts) > 1 else parts[0]
-    start = 0
-    if cache is not None and cache[0].prefix is not None:
-        start = cache[0].prefix[0].shape[0] + cache[0].n
+    start = 0 if cache is None else cache[0].n
+    if start:
         x = tc.reshape(x, (len(ids), 1, cfg.d_lm))
     total = start + x.shape[-2]
     if total > cfg.max_len:
@@ -338,11 +343,12 @@ def beam_decode(
 
     KV-cached: the prefix [t_g || t_p] runs through the decoder once, then
     each step advances every live hypothesis by one token as one (B, 1, d)
-    batch over the shared prefix keys/values plus its own rows (KVCache).
+    batch over its row of the cache: the prefix keys/values, then its own
+    generated ones (KVCache).
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    cache = [KVCache(beam, max_len, cfg.d_lm) for _ in range(cfg.n_layers)]
+    cache = [KVCache(beam, max_len) for _ in range(cfg.n_layers)]
     live: list[tuple[list[int], float]] = [([], 0.0)]
     finished: list[tuple[list[int], float]] = []
     with tc.no_grad():

@@ -2,7 +2,7 @@
 
 selftest runs every module's invariants on seeded fuzz; gradcheck audits each
 differentiable op against central finite differences and probes random
-coordinates of the full pretraining loss graph.  Both are deterministic under
+coordinates of the full pretraining and instruction-tuning loss graphs.  Both are deterministic under
 the seed and keep their output free of paths and timestamps so two runs are
 byte-identical.
 
@@ -27,6 +27,7 @@ from . import gsformer as gsf
 from . import pretrain as pt
 from . import solver
 from . import tensorcore as tc
+from . import train as tr
 from .tensorcore import Rng, Tensor
 
 GRAD_TOL = 1e-3
@@ -310,7 +311,7 @@ def _check_mae_contract(rng: Rng) -> tuple[bool, str]:
 
 def _check_beam_greedy(rng: Rng) -> tuple[bool, str]:
     cfg = pt.DecoderConfig(n_layers=1, d_lm=16, n_heads=2, vocab_size=12,
-                           max_len=20, n_vis=2)
+                           max_len=20)
     params = pt.init_decoder_params(cfg, rng.split("d"))
     t_p = [int(t) for t in rng.integers(3, 12, (3,))]
     greedy: list[int] = []
@@ -549,14 +550,37 @@ def _op_cases(rng: Rng):
          lambda t: tc.tsum(tc.power(tc.matmul(batch_left, t), 2.0))),
         ("transpose_batched", lambda r: normal(r, (2, 3, 4)),
          lambda t: tc.tsum(tc.power(tc.matmul(tc.transpose(t), other), 2.0))),
+        ("transpose_axes", lambda r: normal(r, (2, 3, 4)),
+         lambda t: tc.tsum(tc.power(
+             tc.matmul(tc.transpose(t, 0, 1), tc.transpose(other)), 2.0))),
     ]
     return cases
 
 
+def _coord_audit(params: dict[str, Tensor], loss: Callable[[], Tensor],
+                 rng: Rng, points: int) -> dict:
+    """Backpropagate `loss()` once, then compare the gradient at `points`
+    random coordinates of the parameters that receive one against central
+    finite differences of the loss."""
+    for p in params.values():
+        p.grad = None
+    loss().backward()
+    names = sorted(name for name, p in params.items() if p.grad is not None)
+    worst = 0.0
+    for _ in range(points):
+        p = params[names[rng.integers(0, len(names))]]
+        index = np.unravel_index(rng.integers(0, p.data.size), p.data.shape)
+        fd = tc.finite_diff_coord(lambda: loss().item(), p, index, h=1e-5)
+        bp = float(p.grad[index])
+        worst = max(worst, abs(fd - bp) / max(abs(fd), abs(bp), 1e-4))
+    return {"coords": points, "max_rel_err": worst, "ok": worst <= GRAD_TOL}
+
+
 def gradcheck(seed: int = 1, points: int = 50) -> dict:
     """Audit every differentiable op (full FD gradients at `points` random
-    inputs) and the composed pretraining loss (FD at `points` random
-    parameter coordinates)."""
+    inputs), the composed pretraining loss and the composed instruction-tuning
+    loss (encoder -> projection -> decoder; FD at `points` random parameter
+    coordinates each)."""
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     rng = Rng(seed)
@@ -577,32 +601,34 @@ def gradcheck(seed: int = 1, points: int = 50) -> dict:
     cfg = _tiny_cfg()
     params = gsf.init_params(cfg, rng.split("pretrain_params"))
     batch = _tiny_batch(cfg, rng.split("pretrain_batch"))
+    pretrain = _coord_audit(
+        params, lambda: gsf.pretrain_loss(batch, cfg, params, Rng(99)).tensor,
+        rng.split("coords"), points)
 
-    def loss_value() -> float:
-        return gsf.pretrain_loss(batch, cfg, params, Rng(99)).l_total
+    # encoder -> projection -> decoder; captions stand in for t_p and s
+    dec_cfg = pt.DecoderConfig(n_layers=1, d_lm=8, n_heads=2, vocab_size=20,
+                               max_len=16)
+    dec = pt.init_decoder_params(dec_cfg, rng.split("sft_params"))
+    proj_w = Tensor(rng.split("sft_proj").normal((cfg.d_model, dec_cfg.d_lm)),
+                    requires_grad=True)
+    proj_b = tc.zeros((dec_cfg.d_lm,), requires_grad=True)
 
-    out = gsf.pretrain_loss(batch, cfg, params, Rng(99))
-    out.tensor.backward()
-    names = sorted(params)
-    coord_rng = rng.split("coords")
-    worst = 0.0
-    probed = 0
-    while probed < points:
-        name = names[coord_rng.integers(0, len(names))]
-        p = params[name]
-        if p.grad is None or p.data.size == 0:
-            continue
-        flat = coord_rng.integers(0, p.data.size)
-        index = np.unravel_index(flat, p.data.shape)
-        fd = tc.finite_diff_coord(loss_value, p, index, h=1e-5)
-        bp = float(p.grad[index])
-        worst = max(worst, abs(fd - bp) / max(abs(fd), abs(bp), 1e-4))
-        probed += 1
-    pretrain_ok = worst <= GRAD_TOL
-    overall_ok &= pretrain_ok
+    def sft_loss() -> Tensor:
+        losses = []
+        for index, (patches, ids) in enumerate(batch):
+            feats, _, _ = gsf.gs_former_forward(
+                patches, [], cfg, params, Rng(99).split(f"sample{index}"))
+            t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
+            losses.append(pt.instruction_loss(dec, dec_cfg, t_g, ids[:2], ids[2:]))
+        return tr._mean(losses)
+
+    sft = _coord_audit(tr._join_sft_params(params, dec, proj_w, proj_b),
+                       sft_loss, rng.split("sft_coords"), points)
+    overall_ok &= pretrain["ok"] and sft["ok"]
     return {
         "ops": op_results,
-        "pretrain_loss": {"coords": probed, "max_rel_err": worst, "ok": pretrain_ok},
+        "pretrain_loss": pretrain,
+        "sft_loss": sft,
         "points": points,
         "seed": seed,
         "ok": bool(overall_ok),

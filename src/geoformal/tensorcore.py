@@ -246,15 +246,15 @@ def gelu(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes; leading axes are a batch."""
+def transpose(a: Tensor, axis1: int = -1, axis2: int = -2) -> Tensor:
+    """Swap two axes, by default the last two (leading axes are a batch)."""
     if a.ndim < 2:
         raise ShapeMismatchError("transpose (needs >= 2-D)", a.shape)
 
     def backward(go):
-        _accumulate(a, go.swapaxes(-1, -2))
+        _accumulate(a, go.swapaxes(axis1, axis2))
 
-    return _node(a.data.swapaxes(-1, -2), (a,), backward)
+    return _node(a.data.swapaxes(axis1, axis2), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -351,6 +351,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 _MASK_TINY = 1e-30
+_EXP_MAX = math.log(np.finfo(np.float64).max)
 
 
 def masked_softmax(logits: Tensor, mask: Tensor) -> Tensor:
@@ -369,7 +370,8 @@ def masked_softmax(logits: Tensor, mask: Tensor) -> Tensor:
     shifted_src = np.where(live, logits.data, -np.inf)
     row_max = shifted_src.max(axis=-1, keepdims=True)
     row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    e = np.exp(logits.data - row_max)
+    # cap masked keys far above the live maximum: a finite weight times 0 is 0
+    e = np.exp(np.minimum(logits.data - row_max, _EXP_MAX))
     weighted = e * mask_b
     z = weighted.sum(axis=-1, keepdims=True)
     safe = z > _MASK_TINY
@@ -379,9 +381,10 @@ def masked_softmax(logits: Tensor, mask: Tensor) -> Tensor:
     def backward(go):
         dot = (go * data).sum(axis=-1, keepdims=True)
         d_logits = data * (go - dot)
-        d_mask = np.where(safe, (e / z_safe) * (go - dot), 0.0)
         _accumulate(logits, d_logits)
-        _accumulate(mask, _unbroadcast(d_mask, mask.shape))
+        if mask.requires_grad:
+            d_mask = np.where(safe, (e / z_safe) * (go - dot), 0.0)
+            _accumulate(mask, _unbroadcast(d_mask, mask.shape))
 
     return _node(data, (logits, mask), backward)
 
@@ -425,8 +428,8 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Row normalization for 1-D tensors, composed from primitives."""
-    norm = power(add(tsum(mul(x, x)), Tensor(eps)), 0.5)
+    """Unit L2 norm over the last axis, composed from primitives."""
+    norm = power(add(tsum(mul(x, x), axis=-1, keepdims=True), Tensor(eps)), 0.5)
     return div(x, norm)
 
 
@@ -547,15 +550,9 @@ def finite_diff_grad(
 ) -> np.ndarray:
     """Central-difference gradient of a scalar function, one coordinate at a time."""
     grad = np.zeros_like(x.data)
-    flat = grad.reshape(-1)
-    base = x.data.copy()
-    for i in range(base.size):
-        for sign in (+1.0, -1.0):
-            probe = base.copy().reshape(-1)
-            probe[i] += sign * h
-            value = f(Tensor(probe.reshape(base.shape))).item()
-            flat[i] += sign * value
-        flat[i] /= 2.0 * h
+    with no_grad():
+        for index in np.ndindex(x.shape):
+            grad[index] = finite_diff_coord(lambda: f(x).item(), x, index, h)
     return grad
 
 

@@ -411,8 +411,13 @@ def run_stage(
 
 def load_sft_checkpoint(prefix: str | Path):
     snapshot = json.loads(tc.checkpoint_path(prefix, ".config.json").read_text())
-    gs_cfg = gsf.GSFormerConfig.from_json(snapshot["gsformer"])
-    dec_cfg = pt.DecoderConfig.from_json(snapshot["decoder"])
+    if not isinstance(snapshot, dict):
+        raise eh.SchemaError("checkpoint snapshot must be a JSON object")
+    gs_cfg, dec_cfg = (
+        cls.from_json(_section(f"checkpoint snapshot section {name!r}",
+                               snapshot.get(name), cls.__dataclass_fields__))
+        for name, cls in (("gsformer", gsf.GSFormerConfig),
+                          ("decoder", pt.DecoderConfig)))
     joined = tc.load_params(prefix, requires_grad=False)
     gs_params, dec_params, proj_w, proj_b = split_sft_params(joined)
     return gs_cfg, dec_cfg, gs_params, dec_params, proj_w, proj_b

@@ -4,7 +4,10 @@ The language oracles are deliberately written against the *text* of the two
 languages, with their own arity table and operator semantics, so that they
 share no code path with the package they check.  `reference_beam_decode` is
 the uncached beam search: it re-runs the full decoder for every hypothesis at
-every step and pins the KV-cached `pretrain.beam_decode`.
+every step and pins the KV-cached `pretrain.beam_decode`.  `reference_mha`
+attends one head at a time and `reference_alignment_loss` projects and fuses
+one example at a time; they pin the head-batched `gsformer.mha` and the
+batched `gsformer.alignment_loss`.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import random
 
 import numpy as np
 
+from geoformal import gsformer as gsf
 from geoformal import pretrain as pt
 from geoformal import tensorcore as tc
+from geoformal.tensorcore import Tensor
 
 # Hand-written arity table (kept independent of the package registry).
 ORACLE_ARITY = {
@@ -202,3 +207,63 @@ def assert_same_beams(cached, reference, tol: float = 1e-9) -> None:
     for a, b in zip(cached, reference):
         assert abs(a.log_prob - b.log_prob) <= tol
         assert abs(a.normalized - b.normalized) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Per-head attention and per-row alignment losses
+# ---------------------------------------------------------------------------
+
+def reference_mha(params, prefix, x_q, x_kv, n_heads, mask):
+    """Multi-head attention with one narrow of q, k and v per head; the head
+    outputs are concatenated before the output projection."""
+    q = gsf.linear(params, f"{prefix}q", x_q)
+    k = gsf.linear(params, f"{prefix}k", x_kv)
+    v = gsf.linear(params, f"{prefix}v", x_kv)
+    dh = q.shape[-1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        cols = (-1, h * dh, dh)
+        logits = tc.mul(
+            tc.matmul(tc.narrow(q, *cols), tc.transpose(tc.narrow(k, *cols))),
+            Tensor(1.0 / math.sqrt(dh)))
+        if mask is None:
+            probs = tc.softmax(logits, axis=-1)
+        else:
+            probs = tc.masked_softmax(logits, mask)
+        heads.append(tc.matmul(probs, tc.narrow(v, *cols)))
+    return gsf.linear(params, f"{prefix}o", tc.concat(heads, axis=-1))
+
+
+def reference_alignment_loss(features, caption_logits, caption_targets, params):
+    """(contrast, match, caption) with every projection, normalization and
+    fused match row built from one example's 1-D rows."""
+    batch = len(features)
+    pooled = [tc.mean_pool(f.f_g, axis=0) for f in features]
+    text = [f.text_cls for f in features]
+
+    def project(name, rows):
+        out = []
+        for row in rows:
+            flat = tc.reshape(gsf.linear(params, name, tc.reshape(row, (1, -1))), (-1,))
+            out.append(tc.l2_normalize(flat))
+        return tc.stack_rows(out)
+
+    g_mat = project("vis_proj", pooled)
+    t_mat = project("txt_proj", text)
+    sim = tc.mul(tc.matmul(g_mat, tc.transpose(t_mat)), tc.exp(params["log_scale"]))
+    diag = list(range(batch))
+    l_contrast = tc.mul(
+        tc.add(tc.cross_entropy(sim, diag), tc.cross_entropy(tc.transpose(sim), diag)),
+        Tensor(0.5))
+    fused = [tc.concat([pooled[i], text[i]], axis=0) for i in range(batch)]
+    fused += [tc.concat([pooled[i], text[(i + 1) % batch]], axis=0)
+              for i in range(batch)]
+    hidden = tc.gelu(gsf.linear(params, "match1", tc.stack_rows(fused)))
+    l_match = tc.cross_entropy(gsf.linear(params, "match2", hidden),
+                               [1] * batch + [0] * batch)
+    rows, targets = [], []
+    for logits, ids in zip(caption_logits, caption_targets):
+        rows.append(tc.narrow(logits, 0, 0, len(ids) - 1))
+        targets.extend(ids[1:])
+    l_caption = tc.cross_entropy(tc.concat(rows, axis=0), targets)
+    return l_contrast, l_match, l_caption

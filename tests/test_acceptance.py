@@ -243,7 +243,7 @@ def test_criterion_5_gradient_audit():
 
 def test_criterion_6_instruction_loss_conformance():
     cfg = pt.DecoderConfig(n_layers=1, d_lm=32, n_heads=2, vocab_size=24,
-                           max_len=40, n_vis=2)
+                           max_len=40)
     params = pt.init_decoder_params(cfg, Rng(0))
     t_g = Tensor(Rng(1).normal((2, cfg.d_lm), std=0.02))
     t_p = [5, 6, 7]

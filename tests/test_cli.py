@@ -312,6 +312,35 @@ def test_train_sft_and_decode_smoke(dataset, tmp_path, capsys):
     assert all(len(v) <= 2 for v in table.values())
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda snap: snap["decoder"].update(bogus=1),
+     "unknown field 'bogus' in checkpoint snapshot section 'decoder'"),
+    (lambda snap: snap.update(decoder=[2, 128]),
+     "checkpoint snapshot section 'decoder' must be a JSON object"),
+    (lambda snap: snap["decoder"].update(n_vis=8),
+     "unknown field 'n_vis' in checkpoint snapshot section 'decoder'"),
+], ids=["decoder-field", "decoder-list", "stale-n_vis"])
+def test_decode_rejects_malformed_checkpoint_snapshot(dataset, tmp_path, capsys,
+                                                      edit, message):
+    out = tmp_path / "sft"
+    code, _ = run_cli(
+        capsys, "train-toy", "--stage", "sft", "--data", str(dataset),
+        "--seed", "1", "--out", str(out), "--steps", "0",
+    )
+    assert code == 0
+    path = out.with_suffix(".config.json")
+    snapshot = json.loads(path.read_text())
+    edit(snapshot)
+    path.write_text(json.dumps(snapshot))
+    err = assert_data_error(
+        capsys, "decode", "--ckpt", str(out),
+        "--problems", str(dataset / "problems.jsonl"),
+        "--out", str(tmp_path / "cands.jsonl"),
+    )
+    assert message in err
+    assert not (tmp_path / "cands.jsonl").exists()
+
+
 def test_train_with_config_file(dataset, tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({

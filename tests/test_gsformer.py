@@ -14,11 +14,14 @@ from geoformal.gsformer import (
     gqg_queries,
     gs_former_forward,
     init_params,
+    mha,
     pretrain_loss,
     sgs_update_mask,
     sparsification_loss,
 )
 from geoformal.tensorcore import Rng, Tensor
+
+from oracles import reference_alignment_loss, reference_mha
 
 
 def tiny_config(**overrides) -> GSFormerConfig:
@@ -263,6 +266,55 @@ def test_sparsification_bounds():
 
 
 # ---------------------------------------------------------------------------
+# Head-batched attention against the per-head reference
+# ---------------------------------------------------------------------------
+
+def _grads_of(build, params, weight):
+    for p in params.values():
+        p.grad = None
+    out = build()
+    tc.tsum(tc.mul(out, weight)).backward()
+    return out.data, {k: p.grad for k, p in params.items() if p.grad is not None}
+
+
+def _assert_close(a, b, tol=1e-12):
+    assert np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batched"])
+@pytest.mark.parametrize("mask_kind", ["none", "key", "causal"])
+def test_mha_matches_per_head_reference(lead, mask_kind):
+    cfg = tiny_config(n_heads=4)
+    params = init_params(cfg, Rng(0))
+    prefix = "layer1.ca_"
+    attn = {k: p for k, p in params.items() if k.startswith(prefix)}
+    rng = Rng(1)
+    n_q, n_k = 5, 7
+    x_q = Tensor(rng.normal(lead + (n_q, cfg.d_model)), requires_grad=True)
+    x_kv = Tensor(rng.normal(lead + (n_k, cfg.d_model)), requires_grad=True)
+    for p in attn.values():
+        p.data = p.data + rng.normal(p.shape, std=0.3)
+    mask = {
+        "none": None,
+        "key": Tensor(0.2 + 0.8 * rng.uniform((n_k,)), requires_grad=True),
+        "causal": Tensor(np.tril(np.ones((n_q, n_k)), k=2)),
+    }[mask_kind]
+    weight = Tensor(rng.normal(lead + (n_q, cfg.d_model)))
+    leaves = {**attn, "x_q": x_q, "x_kv": x_kv}
+    if mask is not None and mask.requires_grad:
+        leaves["mask"] = mask
+    got, got_grads = _grads_of(
+        lambda: mha(params, prefix, x_q, x_kv, cfg.n_heads, mask), leaves, weight)
+    want, want_grads = _grads_of(
+        lambda: reference_mha(params, prefix, x_q, x_kv, cfg.n_heads, mask),
+        leaves, weight)
+    _assert_close(got, want)
+    assert got_grads.keys() == want_grads.keys() == leaves.keys()
+    for name in want_grads:
+        _assert_close(got_grads[name], want_grads[name])
+
+
+# ---------------------------------------------------------------------------
 # Alignment losses
 # ---------------------------------------------------------------------------
 
@@ -369,6 +421,29 @@ def test_contrast_and_caption_invariant_under_any_permutation():
     )
     assert mixed[0].item() == pytest.approx(base[0].item(), rel=1e-12)
     assert mixed[2].item() == pytest.approx(base[2].item(), rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_batched_alignment_loss_matches_per_row_reference(size):
+    cfg = tiny_config()
+    params = init_params(cfg, Rng(0))
+    batch = random_batch(cfg, Rng(1), size)
+
+    def loss(losses, index):
+        feats, logits, targets = _forward_batch(cfg, params, batch, Rng(2))
+        return losses(feats, logits, targets)[index]
+
+    for index in range(3):
+        got, got_grads = _grads_of(
+            lambda: loss(lambda *fwd: alignment_loss(*fwd, cfg, params), index),
+            params, Tensor(1.0))
+        want, want_grads = _grads_of(
+            lambda: loss(lambda *fwd: reference_alignment_loss(*fwd, params), index),
+            params, Tensor(1.0))
+        _assert_close(got, want)
+        assert got_grads.keys() == want_grads.keys()
+        for name in want_grads:
+            _assert_close(got_grads[name], want_grads[name])
 
 
 def test_alignment_rejects_batch_of_one():

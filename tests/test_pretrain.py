@@ -29,7 +29,7 @@ from oracles import assert_same_beams, reference_beam_decode
 
 def small_decoder(vocab=24, d=32, max_len=40):
     cfg = DecoderConfig(n_layers=1, d_lm=d, n_heads=2, vocab_size=vocab,
-                        max_len=max_len, n_vis=2)
+                        max_len=max_len)
     return cfg, init_decoder_params(cfg, Rng(0))
 
 
@@ -335,3 +335,24 @@ def test_cached_beam_decode_hits_the_length_limit_at_the_same_step():
     for decode in (beam_decode, reference_beam_decode):
         with pytest.raises(tc.ShapeMismatchError, match="sequence too long"):
             decode(params, cfg, t_g, t_p, beam=3, max_len=6)
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+@pytest.mark.parametrize("n_visual", [0, 3])
+def test_cache_filled_to_the_decoder_limit_fails_at_the_reference_step(beam, n_visual):
+    # decode max_len 24 outruns cfg.max_len 12: the cache fills every position
+    # the decoder has, then the next step must fail where the reference fails
+    cfg, params = cache_decoder(11, max_len=12)
+    params["head_b"].data[2] -= 50.0  # no hypothesis ends before the limit
+    t_g = Tensor(Rng(12).normal((n_visual, cfg.d_lm), std=0.5)) if n_visual else None
+    t_p = [4, 5, 6]
+    fill = cfg.max_len - n_visual - len(t_p) + 1  # steps that fit exactly
+    assert_same_beams(
+        beam_decode(params, cfg, t_g, t_p, beam=beam, max_len=fill),
+        reference_beam_decode(params, cfg, t_g, t_p, beam=beam, max_len=fill))
+    shapes = []
+    for decode in (beam_decode, reference_beam_decode):
+        with pytest.raises(tc.ShapeMismatchError, match="sequence too long") as err:
+            decode(params, cfg, t_g, t_p, beam=beam, max_len=24)
+        shapes.append(err.value.shapes)
+    assert shapes[0] == shapes[1] == ((cfg.max_len + 1,), (cfg.max_len,))

@@ -177,6 +177,18 @@ def test_batched_matmul_and_transpose_grads():
         rand(rng, (3, 5, 2)))
 
 
+def test_transpose_swaps_any_two_axes():
+    rng = Rng(17)
+    x = Tensor(rng.normal((2, 3, 4)))
+    assert np.array_equal(tc.transpose(x, 0, 1).data, x.data.swapaxes(0, 1))
+    assert np.array_equal(tc.transpose(x, -2, -3).data, x.data.swapaxes(1, 0))
+    assert np.array_equal(tc.transpose(x).data, x.data.swapaxes(-1, -2))
+    weight = Tensor(rng.normal((3, 2, 4)))
+    assert_grad_matches(
+        lambda t: tc.tsum(tc.power(tc.mul(tc.transpose(t, 0, 1), weight), 2.0)),
+        rand(rng, (2, 3, 4)))
+
+
 def test_two_d_matmul_and_transpose_are_bit_identical_to_plain_numpy():
     rng = Rng(16)
     a = Tensor(rng.normal((7, 9)), requires_grad=True)
@@ -220,6 +232,39 @@ def test_grad_masked_softmax_logits_and_mask():
     assert_grad_matches(
         lambda m: tc.tsum(tc.mul(tc.masked_softmax(logits, m), weights)), mask
     )
+
+
+def test_masked_softmax_ignores_a_masked_logit_far_above_the_live_ones():
+    logits = Tensor([[0.0, 1000.0, 1.0]], requires_grad=True)
+    mask = Tensor([1.0, 0.0, 1.0])
+    with np.errstate(all="raise"):
+        out = tc.masked_softmax(logits, mask)
+        tc.tsum(tc.mul(out, Tensor([[1.0, 5.0, -2.0]]))).backward()
+    live = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
+    assert np.array_equal(out.data, [[live[0], 0.0, live[1]]])
+    assert np.all(np.isfinite(logits.grad)) and logits.grad[0, 1] == 0.0
+
+
+def test_masked_softmax_matches_the_plain_formula_bit_for_bit():
+    rng = Rng(18)
+    for hard in (False, True):
+        logits = Tensor(rng.normal((2, 3, 5), std=3.0), requires_grad=True)
+        m = 0.2 + 0.8 * rng.uniform((3, 5))
+        if hard:
+            m = (m > 0.5).astype(float)
+        mask = Tensor(m, requires_grad=True)
+        go = rng.normal((2, 3, 5))
+        out = tc.masked_softmax(logits, mask)
+        tc.tsum(tc.mul(out, Tensor(go))).backward()
+        live = np.broadcast_to(m, go.shape) > 0.0
+        row_max = np.where(live, logits.data, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(logits.data - row_max)
+        z = (e * m).sum(axis=-1, keepdims=True)
+        want = e * m / z
+        dot = (go * want).sum(axis=-1, keepdims=True)
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(logits.grad, want * (go - dot))
+        assert np.array_equal(mask.grad, ((e / z) * (go - dot)).sum(axis=0))
 
 
 def test_grad_embedding_lookup():

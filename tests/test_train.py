@@ -273,7 +273,7 @@ def test_adjudicate_missing_candidates_yield_empty_outcomes(dataset):
 def test_wider_beam_never_scores_below_greedy():
     for seed in range(10):
         cfg = pt.DecoderConfig(n_layers=1, d_lm=16, n_heads=2, vocab_size=12,
-                               max_len=16, n_vis=0)
+                               max_len=16)
         params = pt.init_decoder_params(cfg, Rng(seed))
         t_p = [int(t) for t in Rng(seed + 100).integers(3, 12, (3,))]
         narrow = pt.beam_decode(params, cfg, None, t_p, beam=1, max_len=6)
