@@ -46,7 +46,7 @@ def _default_seed(value: int | None) -> int:
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,8 @@ def _cmd_gen_data(args) -> int:
         "image_size": args.image_size, "patch": args.patch,
     }
     (out / "gen-config.json").write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(snapshot, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
     _emit({"problems": len(problems), "out": str(out), "seed": seed})
     return 0

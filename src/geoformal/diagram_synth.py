@@ -235,11 +235,6 @@ def patchify(diagram: Diagram) -> Tensor:
     return Tensor(grid.transpose(0, 2, 1, 3).reshape(-1, p * p))
 
 
-def unpatchify(patches: np.ndarray, h: int, w: int, p: int) -> np.ndarray:
-    grid = patches.reshape(h // p, w // p, p, p)
-    return grid.transpose(0, 2, 1, 3).reshape(h, w)
-
-
 # ---------------------------------------------------------------------------
 # Problems
 # ---------------------------------------------------------------------------

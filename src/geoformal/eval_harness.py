@@ -10,7 +10,7 @@ All metrics share one denominator: the full problem count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -59,24 +59,13 @@ class ProblemRow:
     correct_option: int | None
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "first_executed_rank": self.first_executed_rank,
-            "first_correct_rank": self.first_correct_rank,
-            "chosen_option": self.chosen_option,
-            "correct_option": self.correct_option,
-        }
+        return self.__dict__.copy()
 
     @classmethod
     def from_json(cls, rec: dict) -> "ProblemRow":
         try:
-            return cls(
-                id=str(rec["id"]),
-                first_executed_rank=rec["first_executed_rank"],
-                first_correct_rank=rec["first_correct_rank"],
-                chosen_option=rec["chosen_option"],
-                correct_option=rec["correct_option"],
-            )
+            return cls(**{**{f.name: rec[f.name] for f in fields(cls)},
+                          "id": str(rec["id"])})
         except KeyError as exc:
             raise SchemaError(f"row missing field {exc}") from None
 
@@ -223,7 +212,8 @@ def write_report(report: EvaluationReport, path: str | Path) -> None:
         "rows": [row.to_json() for row in report.rows],
     }
     Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -274,5 +264,5 @@ def save_candidates(
     with open(path, "w", encoding="utf-8") as fh:
         for problem_id, texts in candidates:
             fh.write(json.dumps(
-                {"id": problem_id, "candidates": texts}, sort_keys=True
+                {"id": problem_id, "candidates": texts}, sort_keys=True, allow_nan=False
             ) + "\n")

@@ -500,16 +500,11 @@ def detokenize(ids: Iterable[int], vocab: Vocab) -> str:
 
     for token_id in ids:
         tok = vocab.token_of(token_id)
-        if tok in (PAD, BOS, EOS):
-            flush()
-            continue
-        if tok == SEP:
-            flush()
-            continue
         if tok in _DIGIT_PIECES:
             run.append(tok)
             continue
         flush()
-        words.append(tok)
+        if tok not in (PAD, BOS, EOS, SEP):
+            words.append(tok)
     flush()
     return " ".join(words)

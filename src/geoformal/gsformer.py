@@ -9,9 +9,18 @@ plus caption positions <= l.  This keeps the caption-generation head causal
 and makes the query outputs independent of the caption, so the same forward
 serves caption-free decoding.
 
+Batch layout: every forward runs a whole batch at once.  Patches stack to
+(B, N, d_in) (every diagram has the same N, so they need no padding);
+captions are right-padded with PAD_ID to the longest caption in the batch
+(`pad_ids`).  The causal caption mask already hides the trailing pads from
+every real position, text_cls is the length-masked mean of the caption
+states, and the caption loss gives pad positions weight 0, so neither the
+losses nor the gradients depend on what the pads hold.
+
 Mask stages: stage 0 is all ones; each sampler layer multiplies the previous
 mask by the keep column of a Gumbel-Softmax sample over per-patch keep/drop
-logits.  The sparsification loss is the mean L1 of all mask entries.
+logits, with each example's noise drawn from its own Rng.  The
+sparsification loss is the mean L1 of all mask entries over the batch.
 """
 
 from __future__ import annotations
@@ -86,15 +95,10 @@ class GSFormerConfig:
 @dataclass
 class SGSState:
     masks: list[Tensor]
-    probs: list[Tensor] = field(default_factory=list)
 
     @property
     def n_stages(self) -> int:
         return len(self.masks)
-
-    @property
-    def n_patches(self) -> int:
-        return int(self.masks[0].shape[0])
 
 
 @dataclass
@@ -179,6 +183,19 @@ def init_params(cfg: GSFormerConfig, rng: Rng) -> dict[str, Tensor]:
 # Building blocks
 # ---------------------------------------------------------------------------
 
+PAD_ID = 0  # fills each token list past its own length (formal_lang.PAD_ID)
+
+
+def pad_ids(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad token lists with PAD_ID to the longest one in the batch:
+    ((B, L) ids, (B,) lengths)."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    ids = np.full((len(seqs), int(lengths.max(initial=0))), PAD_ID, dtype=np.int64)
+    for row, seq in zip(ids, seqs):
+        row[:len(seq)] = seq
+    return ids, lengths
+
+
 def linear(params, name, x: Tensor) -> Tensor:
     return tc.add(tc.matmul(x, params[f"{name}_w"]), params[f"{name}_b"])
 
@@ -191,8 +208,9 @@ def mha(params, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
          mask: Tensor | None, cache=None) -> Tensor:
     """Multi-head attention over the last axis (leading axes batch).  Heads
     are split once to (..., h, n, d/h), so all of them share one matmul, one
-    softmax and one matmul.  mask is None, a (n_keys,) key mask, or a full
-    (n_q, n_keys) allowed matrix (broadcast by masked_softmax).  With a
+    softmax and one matmul.  mask is None or broadcasts against the
+    (..., h, n_q, n_keys) logits: a (n_keys,) key mask, a (n_q, n_keys)
+    allowed matrix, or a (B, 1, 1, n_keys) per-example key mask.  With a
     `cache` (pretrain.KVCache) the keys and values are the cache's rows."""
     q = linear(params, f"{prefix}q", x_q)
     k = linear(params, f"{prefix}k", x_kv)
@@ -219,28 +237,19 @@ def ffn(params, prefix: str, x: Tensor) -> Tensor:
                   tc.gelu(linear(params, f"{prefix}1", x)))
 
 
-def caption_attend_mask(n_queries: int, n_caption: int) -> Tensor:
-    """Rows are caption positions: position l sees every query plus caption
-    positions <= l (queries themselves attend only queries, handled by a
-    separate query-block attention call)."""
-    m = np.ones((n_caption, n_queries + n_caption))
-    m[:, n_queries:] = np.tril(np.ones((n_caption, n_caption)))
-    return Tensor(m)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
 def gqg_queries(patch_feats: Tensor, learned_queries: Tensor, params) -> Tensor:
     """Content-aware queries: pooled attention context, projected, added to
-    the learned query bank (one shared context row per diagram)."""
+    the learned query bank (one shared context row per diagram; leading axes
+    of patch_feats are a batch)."""
     context = tc.mean_pool(
-        tc.attention(learned_queries, patch_feats, patch_feats), axis=0
+        tc.attention(learned_queries, patch_feats, patch_feats), axis=-2,
+        keepdims=True,
     )
-    d = context.shape[0]
-    projected = linear(params, "gqg", tc.reshape(context, (1, d)))
-    return tc.add(learned_queries, projected)
+    return tc.add(learned_queries, linear(params, "gqg", context))
 
 
 def sgs_update_mask(
@@ -250,131 +259,130 @@ def sgs_update_mask(
     b: Tensor,
     tau: float,
     hard: bool,
-    rng: Rng | None,
-) -> tuple[Tensor, Tensor]:
+    rng: Rng | Sequence[Rng] | None,
+) -> Tensor:
     """One sampler stage: keep/drop logits from a linear layer, Gumbel-Softmax
-    sample, Hadamard product with the previous mask.  Returns (new_mask,
-    keep_probabilities) with the probabilities detached for logging."""
+    sample, Hadamard product with the previous (..., N) mask.  rng is one
+    stream, one per example of a (B, N) batch, or None."""
     logits = tc.add(tc.matmul(patch_feats, w), b)
     sample = tc.gumbel_softmax(logits, tau, hard, rng)
-    keep = tc.reshape(tc.narrow(sample, 1, 0, 1), (prev_mask.shape[0],))
-    new_mask = tc.mul(prev_mask, keep)
-    with tc.no_grad():
-        probs = tc.reshape(
-            tc.narrow(tc.softmax(logits.detach(), axis=-1), 1, 0, 1),
-            (prev_mask.shape[0],),
-        )
-    return new_mask, probs
+    keep = tc.reshape(tc.narrow(sample, -1, 0, 1), prev_mask.shape)
+    return tc.mul(prev_mask, keep)
 
 
 def gs_former_forward(
     patches: Tensor,
-    caption_ids: Sequence[int],
+    captions: Sequence[Sequence[int]],
     cfg: GSFormerConfig,
     params: dict[str, Tensor],
-    rng: Rng | None,
+    rngs: Sequence[Rng] | None,
     hard: bool = False,
 ) -> tuple[AlignedFeatures, SGSState, Tensor | None]:
-    """Full forward pass.
+    """Full forward pass over a batch: (B, N, d_in) patches, one caption id
+    list per example and one Rng per example (None: noise-free).
 
-    Empty caption_ids run the caption-free path (text_cls and caption logits
-    are None); the query outputs are identical either way.
+    Empty captions run the caption-free path (text_cls and caption logits
+    are None); the query outputs are identical either way.  Returns f_g
+    (B, n_queries, d), text_cls (B, d) and (B, L, V) caption logits, L the
+    longest caption.
     """
-    n_patches = patches.shape[0]
-    if patches.ndim != 2 or patches.shape[1] != cfg.d_in or n_patches > cfg.n_patches:
+    if (patches.ndim != 3 or patches.shape[-1] != cfg.d_in
+            or patches.shape[1] > cfg.n_patches):
         raise tc.ShapeMismatchError("gs_former_forward patches", patches.shape,
-                                    (cfg.n_patches, cfg.d_in))
-    ids = list(caption_ids)
-    if any(not 0 <= t < cfg.vocab_size for t in ids):
+                                    (-1, cfg.n_patches, cfg.d_in))
+    batch, n_patches = patches.shape[:2]
+    ids, lengths = pad_ids(captions)
+    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise OutOfVocabError(f"<caption id outside 0..{cfg.vocab_size - 1}>")
-    if len(ids) > cfg.max_caption_len:
-        raise tc.ShapeMismatchError("caption too long", (len(ids),),
+    n_cap = ids.shape[1]
+    if n_cap > cfg.max_caption_len:
+        raise tc.ShapeMismatchError("caption too long", (n_cap,),
                                     (cfg.max_caption_len,))
+    if n_cap and not lengths.all():
+        raise ValueError("a batch mixes captioned and caption-free examples")
 
     pf = tc.add(linear(params, "patch_proj", patches),
                 tc.narrow(params["pos_patch"], 0, 0, n_patches))
     pf = norm(params, "ln_pf", pf)
 
     xq = gqg_queries(pf, params["queries"], params)
-    n_cap = len(ids)
-    xc: Tensor | None = None
-    if n_cap:
-        xc = tc.add(tc.embedding_lookup(params["tok_emb"], ids),
-                    tc.narrow(params["pos_caption"], 0, 0, n_cap))
-    cap_mask = caption_attend_mask(cfg.n_queries, n_cap) if n_cap else None
+    xc = tc.add(tc.embedding_lookup(params["tok_emb"], ids),
+                tc.narrow(params["pos_caption"], 0, 0, n_cap))
+    # caption position l sees every query plus caption positions <= l
+    cap_mask = Tensor(np.hstack([np.ones((n_cap, cfg.n_queries)),
+                                 np.tril(np.ones((n_cap, n_cap)))]))
 
-    masks = [tc.ones((n_patches,))]
-    probs: list[Tensor] = []
+    masks = [tc.ones((batch, n_patches))]
     for i in range(cfg.n_layers):
         if i in cfg.sgs_layers:
-            stage_rng = rng.split(f"sgs{i}") if rng is not None else None
-            new_mask, p = sgs_update_mask(
+            stage_rngs = None if rngs is None else [r.split(f"sgs{i}") for r in rngs]
+            masks.append(sgs_update_mask(
                 masks[-1], pf, params[f"sgs{i}_w"], params[f"sgs{i}_b"],
-                cfg.tau, hard, stage_rng,
-            )
-            masks.append(new_mask)
-            probs.append(p)
+                cfg.tau, hard, stage_rngs,
+            ))
         # shared self-attention block (queries see queries; captions see
         # queries plus earlier captions)
         h_q = norm(params, f"layer{i}.ln1", xq)
         xq = tc.add(xq, mha(params, f"layer{i}.sa_", h_q, h_q, cfg.n_heads, None))
         if n_cap:
             h_c = norm(params, f"layer{i}.ln1", xc)
-            keys = tc.concat([h_q, h_c], axis=0)
+            keys = tc.concat([h_q, h_c], axis=-2)
             xc = tc.add(xc, mha(params, f"layer{i}.sa_", h_c, keys,
                                 cfg.n_heads, cap_mask))
-        # cross-attention from queries to patches gated by the current mask
+        # cross-attention from queries to patches gated by each example's mask
         cross = mha(params, f"layer{i}.ca_",
                     norm(params, f"layer{i}.ln2", xq), pf,
-                    cfg.n_heads, masks[-1])
+                    cfg.n_heads, tc.reshape(masks[-1], (batch, 1, 1, n_patches)))
         xq = tc.add(xq, cross)
         xq = tc.add(xq, ffn(params, f"layer{i}.ffn", norm(params, f"layer{i}.ln3", xq)))
         if n_cap:
             xc = tc.add(xc, ffn(params, f"layer{i}.ffn", norm(params, f"layer{i}.ln3", xc)))
 
     f_g = norm(params, "ln_out", xq)
-    if n_cap:
-        cap_states = norm(params, "ln_out", xc)
-        caption_logits = tc.add(
-            tc.matmul(cap_states, tc.transpose(params["tok_emb"])),
-            params["cap_head_b"],
-        )
-        text_cls = tc.mean_pool(cap_states, axis=0)
-    else:
-        caption_logits = None
-        text_cls = None
-    return AlignedFeatures(f_g, text_cls), SGSState(masks, probs), caption_logits
+    if not n_cap:
+        return AlignedFeatures(f_g, None), SGSState(masks), None
+    cap_states = norm(params, "ln_out", xc)
+    caption_logits = tc.add(
+        tc.matmul(cap_states, tc.transpose(params["tok_emb"])),
+        params["cap_head_b"],
+    )
+    # length-masked mean: pads get weight 0
+    live = np.arange(n_cap) < lengths[:, None]
+    text_cls = tc.tsum(tc.mul(cap_states, Tensor((live / lengths[:, None])[..., None])),
+                       axis=-2)
+    return AlignedFeatures(f_g, text_cls), SGSState(masks), caption_logits
 
 
 def sparsification_loss(state: SGSState) -> Tensor:
-    """Mean L1 of every mask entry across all stages; 1.0 iff all kept."""
+    """Mean L1 of every mask entry over stages and examples; 1.0 iff all kept."""
     total = tc.tsum(tc.absval(state.masks[0]))
     for m in state.masks[1:]:
         total = tc.add(total, tc.tsum(tc.absval(m)))
-    return tc.mul(total, Tensor(1.0 / (state.n_stages * state.n_patches)))
+    return tc.mul(total, Tensor(1.0 / (state.n_stages * state.masks[0].data.size)))
 
 
 def alignment_loss(
-    features: list[AlignedFeatures],
-    caption_logits: list[Tensor],
-    caption_targets: list[Sequence[int]],
+    features: AlignedFeatures,
+    caption_logits: Tensor,
+    captions: Sequence[Sequence[int]],
     cfg: GSFormerConfig,
     params: dict[str, Tensor],
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """(contrast, match, caption) losses over an aligned batch.
+    """(contrast, match, caption) losses over an aligned batch: features and
+    (B, L, V) caption logits of one batched forward and its captions.
 
     Contrast: symmetric in-batch InfoNCE between pooled query features and
     text features, with a learnable temperature.  Match: binary CE on a fusion
     head, positives on-diagonal, negatives by +1 rotation.  Caption: mean
-    next-token cross entropy of the caption logits.
+    next-token cross entropy over every caption token after the first.
     """
-    batch = len(features)
+    batch = features.f_g.shape[0]
     if batch < 2:
         raise BatchTooSmallError(batch)
-    if any(f.text_cls is None for f in features):
+    if features.text_cls is None:
         raise ValueError("alignment batch requires captions")
-    pooled = tc.stack_rows([tc.mean_pool(f.f_g, axis=0) for f in features])
-    text = tc.stack_rows([f.text_cls for f in features])
+    pooled = tc.mean_pool(features.f_g, axis=-2)
+    text = features.text_cls
 
     g_mat = tc.l2_normalize(linear(params, "vis_proj", pooled))
     t_mat = tc.l2_normalize(linear(params, "txt_proj", text))
@@ -395,54 +403,38 @@ def alignment_loss(
     labels = [1] * batch + [0] * batch
     l_match = tc.cross_entropy(match_logits, labels)
 
-    rows = []
-    targets: list[int] = []
-    for logits, ids in zip(caption_logits, caption_targets):
-        ids = list(ids)
-        if len(ids) < 2:
-            raise ValueError("caption needs >= 2 tokens for next-token loss")
-        rows.append(tc.narrow(logits, 0, 0, len(ids) - 1))
-        targets.extend(ids[1:])
-    l_caption = tc.cross_entropy(tc.concat(rows, axis=0), targets)
+    if any(len(ids) < 2 for ids in captions):
+        raise ValueError("caption needs >= 2 tokens for next-token loss")
+    # position t predicts token t + 1; each caption's pad positions weigh 0
+    targets, n_targets = pad_ids([ids[1:] for ids in captions])
+    width = targets.shape[1]
+    l_caption = tc.cross_entropy(tc.narrow(caption_logits, 1, 0, width), targets,
+                                 np.arange(width) < n_targets[:, None])
     return l_contrast, l_match, l_caption
 
 
 def pretrain_loss(
-    batch: list[tuple[Tensor, Sequence[int]]],
+    patches: Tensor,
+    captions: Sequence[Sequence[int]],
     cfg: GSFormerConfig,
     params: dict[str, Tensor],
     rng: Rng | None,
     hard: bool = False,
 ) -> LossBreakdown:
-    """Compose forward, alignment, and sparsification into the total loss."""
-    features: list[AlignedFeatures] = []
-    logits_list: list[Tensor] = []
-    targets_list: list[Sequence[int]] = []
-    spr_terms: list[Tensor] = []
-    states: list[SGSState] = []
-    for index, (patches, ids) in enumerate(batch):
-        sample_rng = rng.split(f"sample{index}") if rng is not None else None
-        feats, state, cap_logits = gs_former_forward(
-            patches, ids, cfg, params, sample_rng, hard
-        )
-        features.append(feats)
-        logits_list.append(cap_logits)
-        targets_list.append(ids)
-        spr_terms.append(sparsification_loss(state))
-        states.append(state)
-
+    """Compose forward, alignment, and sparsification into the total loss of
+    a (B, N, d_in) batch; example i draws its noise from rng/sample{i}."""
+    rngs = None if rng is None else [rng.split(f"sample{i}") for i in range(len(captions))]
+    feats, state, cap_logits = gs_former_forward(patches, captions, cfg, params,
+                                                 rngs, hard)
     l_contrast, l_match, l_caption = alignment_loss(
-        features, logits_list, targets_list, cfg, params
+        feats, cap_logits, captions, cfg, params
     )
     w_c, w_m, w_cap = cfg.align_weights
     l_align = tc.add(
         tc.add(tc.mul(l_contrast, Tensor(w_c)), tc.mul(l_match, Tensor(w_m))),
         tc.mul(l_caption, Tensor(w_cap)),
     )
-    l_spr = spr_terms[0]
-    for term in spr_terms[1:]:
-        l_spr = tc.add(l_spr, term)
-    l_spr = tc.mul(l_spr, Tensor(1.0 / len(spr_terms)))
+    l_spr = sparsification_loss(state)
     l_total = tc.add(l_align, tc.mul(l_spr, Tensor(cfg.lam)))
     return LossBreakdown(
         l_contrast=l_contrast.item(),
@@ -451,19 +443,6 @@ def pretrain_loss(
         l_align=l_align.item(),
         l_spr=l_spr.item(),
         l_total=l_total.item(),
-        keep_rates=mean_keep_rates(states),
+        keep_rates=[float(m.data.mean()) for m in state.masks],
         tensor=l_total,
     )
-
-
-def mean_keep_rates(states: list[SGSState]) -> list[float]:
-    """Per-stage mean keep rate across a batch of forward states."""
-    if not states:
-        return []
-    stages = states[0].n_stages
-    rates = []
-    for stage in range(stages):
-        rates.append(
-            float(np.mean([s.masks[stage].data.mean() for s in states]))
-        )
-    return rates

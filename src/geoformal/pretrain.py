@@ -4,11 +4,21 @@ Stage 1 objectives: masked patch reconstruction (MSE on masked positions
 only) and autoregressive language modeling.  Stage 3: a projection head maps
 query features into the decoder embedding space as visual tokens, the
 instruction loss is the plain sum of target-position negative log-likelihoods,
-and decoding is length-normalized beam search.  Decoding is KV-cached: each
-layer's keys/values live in one (2, beam, n_prefix + max_len, d) buffer whose
-beam rows start with a copy of the prefix rows, computed once; generated rows
-follow and are reordered by parent index.  Attention splits heads as
-(..., h, n, d/h) and attends over that one block (gsformer.mha).
+and decoding is length-normalized beam search.
+
+Batch layout: every loss takes a whole batch.  MAE patches stack to
+(B, N, d).  Token sequences are right-padded with gsformer.PAD_ID to the
+longest sequence in the batch (`pad_ids`) and run through `decoder_forward`
+as one (B, T) block; the causal mask it builds already hides each row's
+trailing pads from every real query, and per-position loss weights (0 at the
+pads) drop them from the loss, so neither the loss nor the gradients depend
+on what the pads hold.
+
+Decoding is KV-cached: each layer's keys/values live in one
+(2, beam, n_prefix + max_len, d) buffer whose beam rows start with a copy of
+the prefix rows, computed once; generated rows follow and are reordered by
+parent index.  Attention splits heads as (..., h, n, d/h) and attends over
+that one block (gsformer.mha).
 
 The decoder is a 2-layer pre-LN causal transformer with a tied embedding /
 output head; anything with the same prefix-conditioned interface would do.
@@ -22,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensorcore as tc
-from .gsformer import INIT_STD, _linear_init, _ln_init, ffn, linear, mha, norm
+from .gsformer import INIT_STD, _linear_init, _ln_init, ffn, linear, mha, norm, pad_ids
 from .tensorcore import Rng, Tensor
 
 
@@ -85,38 +95,31 @@ class MAEConfig:
 
 @dataclass
 class MAEBatch:
+    """(..., N, d) patches and their (..., N, 1) row mask, 1.0 where a patch
+    is masked; leading axes are a batch."""
     patches: Tensor
-    mask_indices: frozenset[int]
-    ratio: float
-
-    @property
-    def n_patches(self) -> int:
-        return self.patches.shape[0]
-
-    def row_mask(self) -> np.ndarray:
-        mask = np.zeros((self.n_patches, 1))
-        mask[sorted(self.mask_indices)] = 1.0
-        return mask
+    masked: np.ndarray
 
 
 def mae_mask(patches: Tensor, ratio: float, rng: Rng) -> MAEBatch:
-    """Uniformly mask exactly round(ratio * N) patch positions."""
+    """Uniformly mask exactly round(ratio * N) positions of one (N, d) diagram."""
     n = patches.shape[0]
     n_masked = round(ratio * n)
     if n_masked <= 0 or n_masked >= n:
         raise DegenerateRatioError(ratio, n)
-    order = rng.permutation(n)
-    return MAEBatch(patches, frozenset(int(i) for i in order[:n_masked]), ratio)
+    masked = np.zeros((n, 1))
+    masked[rng.permutation(n)[:n_masked]] = 1.0
+    return MAEBatch(patches, masked)
 
 
 def mae_loss(reconstructed: Tensor, original: Tensor, batch: MAEBatch) -> Tensor:
-    """Mean squared error over masked positions only."""
+    """Mean squared error over masked positions only; over a batch, the mean
+    of the per-diagram losses (every diagram masks as many patches)."""
     if reconstructed.shape != original.shape:
         raise tc.ShapeMismatchError("mae_loss", reconstructed.shape, original.shape)
-    row_mask = Tensor(batch.row_mask())
     diff = tc.sub(reconstructed, original)
-    masked_sq = tc.mul(tc.mul(diff, diff), row_mask)
-    denom = len(batch.mask_indices) * reconstructed.shape[1]
+    masked_sq = tc.mul(tc.mul(diff, diff), Tensor(batch.masked))
+    denom = batch.masked.sum() * reconstructed.shape[-1]
     return tc.mul(tc.tsum(masked_sq), Tensor(1.0 / denom))
 
 
@@ -144,12 +147,11 @@ def mae_forward(
     params: dict[str, Tensor], cfg: MAEConfig, batch: MAEBatch
 ) -> Tensor:
     """Reconstruct all patches: masked rows enter as a learned mask token."""
-    n = batch.n_patches
-    visible = Tensor(1.0 - batch.row_mask())
-    masked = Tensor(batch.row_mask())
+    n = batch.patches.shape[-2]
     emb = linear(params, "embed", batch.patches)
     token_row = tc.reshape(params["mask_token"], (1, cfg.d_model))
-    x = tc.add(tc.mul(emb, visible), tc.mul(token_row, masked))
+    x = tc.add(tc.mul(emb, Tensor(1.0 - batch.masked)),
+               tc.mul(token_row, Tensor(batch.masked)))
     x = tc.add(x, tc.narrow(params["pos"], 0, 0, n))
     for i in range(cfg.n_layers):
         x = block(params, f"enc{i}", x, cfg.n_heads, None)
@@ -206,13 +208,13 @@ class KVCache:
         self.n_prefix = self.n = 0  # n: filled rows per hypothesis
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Store k, v (first the (n_prefix, d) prefix, then one (B, 1, d) row
+        """Store k, v (first a (1, n_prefix, d) prefix, then one (B, 1, d) row
         per live hypothesis); return the keys and values to attend over."""
         if self.rows is None:
             beam, steps = self.size
-            self.n_prefix = self.n = k.shape[0]
-            self.rows = np.empty((2, beam, self.n + steps, k.shape[1]))
-            self.rows[:, :, :self.n] = np.stack((k.data, v.data))[:, None]
+            self.n_prefix = self.n = k.shape[1]
+            self.rows = np.empty((2, beam, self.n + steps, k.shape[2]))
+            self.rows[:, :, :self.n] = np.stack((k.data[0], v.data[0]))[:, None]
             return k, v
         live = k.shape[0]
         self.rows[:, :live, self.n] = k.data[:, 0], v.data[:, 0]
@@ -228,30 +230,24 @@ class KVCache:
 def decoder_forward(
     params: dict[str, Tensor],
     cfg: DecoderConfig,
-    token_ids: Sequence[int],
+    token_ids,
     prefix_embeds: Tensor | None = None,
     cache: list[KVCache] | None = None,
 ) -> Tensor:
-    """Causal forward over [prefix_embeds || embedded token_ids]; returns
-    next-token logits for every position (tied output head).  With `cache`
-    (one KVCache per layer) the first call encodes the prefix; later calls
-    take one token id per hypothesis and return (B, 1, V) logits."""
-    parts: list[Tensor] = []
+    """Causal forward over [prefix_embeds || embedded token_ids] for (B, T)
+    ids and an optional (B, P, d) prefix; returns (B, P + T, V) next-token
+    logits (tied output head).  With `cache` (one KVCache per layer) the
+    first call encodes a batch-of-one prefix; later calls take one (B, 1)
+    token id per hypothesis."""
+    x = tc.embedding_lookup(params["tok_emb"], token_ids)
     if prefix_embeds is not None:
-        if prefix_embeds.ndim != 2 or prefix_embeds.shape[1] != cfg.d_lm:
-            raise tc.ShapeMismatchError("decoder prefix", prefix_embeds.shape,
-                                        (-1, cfg.d_lm))
-        parts.append(prefix_embeds)
-    ids = list(token_ids)
-    if ids:
-        parts.append(tc.embedding_lookup(params["tok_emb"], ids))
-    if not parts:
-        raise tc.ShapeMismatchError("decoder needs input", (0,))
-    x = tc.concat(parts, axis=0) if len(parts) > 1 else parts[0]
+        if prefix_embeds.shape[::2] != x.shape[::2]:  # (B, d) of (B, n, d)
+            raise tc.ShapeMismatchError("decoder prefix", prefix_embeds.shape, x.shape)
+        x = tc.concat([prefix_embeds, x], axis=1)
+    if x.ndim != 3 or not x.shape[1]:
+        raise tc.ShapeMismatchError("decoder input (B, T, d)", x.shape)
     start = 0 if cache is None else cache[0].n
-    if start:
-        x = tc.reshape(x, (len(ids), 1, cfg.d_lm))
-    total = start + x.shape[-2]
+    total = start + x.shape[1]
     if total > cfg.max_len:
         raise tc.ShapeMismatchError("sequence too long", (total,), (cfg.max_len,))
     x = tc.add(x, tc.narrow(params["pos_emb"], 0, start, total - start))
@@ -264,14 +260,18 @@ def decoder_forward(
 
 
 def lm_loss(
-    params: dict[str, Tensor], cfg: DecoderConfig, token_ids: Sequence[int]
+    params: dict[str, Tensor], cfg: DecoderConfig,
+    sequences: Sequence[Sequence[int]],
 ) -> Tensor:
-    """Mean next-token cross entropy with causal masking."""
-    ids = list(token_ids)
-    if len(ids) < 2:
-        raise SequenceTooShortError(len(ids))
-    logits = decoder_forward(params, cfg, ids[:-1])
-    return tc.cross_entropy(logits, ids[1:], reduction="mean")
+    """Next-token cross entropy with causal masking: the mean over the batch
+    of each sequence's mean."""
+    if min(len(seq) for seq in sequences) < 2:
+        raise SequenceTooShortError(min(len(seq) for seq in sequences))
+    ids, n = pad_ids([seq[:-1] for seq in sequences])
+    targets, _ = pad_ids([seq[1:] for seq in sequences])
+    weights = (np.arange(ids.shape[1]) < n[:, None]) / (len(sequences) * n[:, None])
+    return tc.cross_entropy(decoder_forward(params, cfg, ids), targets, weights,
+                            reduction="sum")
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +279,9 @@ def lm_loss(
 # ---------------------------------------------------------------------------
 
 def project_visual(f_g: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of query features into the decoder embedding space."""
-    if f_g.ndim != 2 or f_g.shape[1] != w.shape[0]:
+    """Affine map of (..., n, d) query features into the decoder embedding
+    space."""
+    if f_g.ndim < 2 or f_g.shape[-1] != w.shape[0]:
         raise tc.ShapeMismatchError("project_visual", f_g.shape, w.shape)
     return tc.add(tc.matmul(f_g, w), b)
 
@@ -289,30 +290,28 @@ def instruction_loss(
     params: dict[str, Tensor],
     cfg: DecoderConfig,
     t_g: Tensor,
-    t_p: Sequence[int],
-    s: Sequence[int],
+    t_p: Sequence[Sequence[int]],
+    s: Sequence[Sequence[int]],
 ) -> Tensor:
-    """Sum of negative log-likelihoods over target positions only.
+    """Sum over the batch of negative log-likelihoods at target positions.
 
-    The visual tokens t_g and instruction tokens t_p are non-predicted prefix
-    positions; position (|t_g| + |t_p| - 1 + l) predicts s[l].
+    For example b, the (B, P, d) visual tokens t_g[b] and instruction tokens
+    t_p[b] are non-predicted prefix positions; position (P + |t_p[b]| - 1 + l)
+    predicts s[b][l].
     """
-    target = list(s)
-    if not target:
+    n_visual = t_g.shape[1]
+    if not all(s) or n_visual + min(len(instr) for instr in t_p) < 1:
         raise EmptyTargetError()
-    instr = list(t_p)
-    n_prefix = t_g.shape[0] + len(instr)
-    if n_prefix < 1:
-        raise EmptyTargetError()
-    logits = decoder_forward(params, cfg, instr + target[:-1], prefix_embeds=t_g)
-    total = logits.shape[0]
-    targets_full = [0] * total
-    ignore = [True] * total
-    for offset, tok in enumerate(target):
-        position = n_prefix - 1 + offset
-        targets_full[position] = tok
-        ignore[position] = False
-    return tc.cross_entropy(logits, targets_full, ignore, reduction="sum")
+    ids, _ = pad_ids([list(instr) + list(target)[:-1]
+                      for instr, target in zip(t_p, s)])
+    logits = decoder_forward(params, cfg, ids, prefix_embeds=t_g)
+    targets = np.zeros(logits.shape[:-1], dtype=np.int64)
+    weights = np.zeros(logits.shape[:-1])
+    for row, (instr, target) in enumerate(zip(t_p, s)):
+        start = n_visual + len(instr) - 1
+        targets[row, start:start + len(target)] = target
+        weights[row, start:start + len(target)] = 1.0
+    return tc.cross_entropy(logits, targets, weights, reduction="sum")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +334,8 @@ def beam_decode(
     max_len: int = 24,
     eos_id: int = 2,
 ) -> list[BeamHypothesis]:
-    """Length-normalized beam search; rng-free and deterministic.
+    """Length-normalized beam search for one problem: (1, P, d) visual
+    tokens t_g (or None) and instruction ids t_p; rng-free and deterministic.
 
     Candidates are ranked by log-prob divided by token count, ties broken by
     generation order.  Returns at most `beam` hypotheses; sequences that never
@@ -356,9 +356,9 @@ def beam_decode(
             if not live:
                 break
             if step == 0:
-                logits = decoder_forward(params, cfg, t_p, t_g, cache).data[-1:]
+                logits = decoder_forward(params, cfg, [list(t_p)], t_g, cache).data[0, -1:]
             else:
-                last = [tokens[-1] for tokens, _ in live]
+                last = [[tokens[-1]] for tokens, _ in live]
                 logits = decoder_forward(params, cfg, last, cache=cache).data[:, -1]
             logp = logits - logits.max(axis=1, keepdims=True)
             logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))

@@ -231,7 +231,7 @@ def _check_sgs_laws(rng: Rng) -> tuple[bool, str]:
         prev = Tensor((r.uniform((8,)) > 0.3).astype(float))
         w = Tensor(r.normal((4, 2), std=0.5))
         b = Tensor(r.normal((2,), std=0.5))
-        mask, _ = gsf.sgs_update_mask(
+        mask = gsf.sgs_update_mask(
             prev, Tensor(r.normal((8, 4))), w, b, 1.0, True, r.split("g")
         )
         if not np.all(np.isin(mask.data, (0.0, 1.0))):
@@ -261,23 +261,24 @@ def _tiny_cfg() -> gsf.GSFormerConfig:
 
 
 def _tiny_batch(cfg, rng, size=2):
-    batch = []
+    """(B, N, d_in) patches and captions of different lengths (4, 5, ...)."""
+    patches, captions = [], []
     for i in range(size):
         r = rng.split(str(i))
-        patches = Tensor(r.normal((cfg.n_patches, cfg.d_in)))
-        ids = [fl.BOS_ID] + [int(t) for t in r.integers(4, cfg.vocab_size, (3,))]
-        batch.append((patches, ids))
-    return batch
+        patches.append(r.normal((cfg.n_patches, cfg.d_in)))
+        captions.append([fl.BOS_ID]
+                        + [int(t) for t in r.integers(4, cfg.vocab_size, (3 + i,))])
+    return Tensor(np.stack(patches)), captions
 
 
 def _check_lambda_linearity(rng: Rng) -> tuple[bool, str]:
     cfg = _tiny_cfg()
     params = gsf.init_params(cfg, rng.split("p"))
-    batch = _tiny_batch(cfg, rng.split("b"))
+    patches, captions = _tiny_batch(cfg, rng.split("b"))
     for i in range(10):
         lam = float(rng.split(f"l{i}").uniform(())) * 3.0
         cfg.lam = lam
-        out = gsf.pretrain_loss(batch, cfg, params, Rng(7))
+        out = gsf.pretrain_loss(patches, captions, cfg, params, Rng(7))
         if out.l_total != out.l_align + lam * out.l_spr:
             return False, f"linearity broke at lambda={lam}"
     return True, "10 random lambdas exact"
@@ -296,14 +297,11 @@ def _check_mae_contract(rng: Rng) -> tuple[bool, str]:
     patches = Tensor(rng.normal((8, 4)))
     batch = pt.mae_mask(patches, 0.5, rng.split("m"))
     again = pt.mae_mask(patches, 0.5, rng.split("m"))
-    if batch.mask_indices != again.mask_indices:
+    if not np.array_equal(batch.masked, again.masked):
         return False, "mask not deterministic under seed"
     recon = Tensor(rng.normal((8, 4)))
     base = pt.mae_loss(recon, patches, batch).item()
-    noisy = recon.data.copy()
-    for i in range(8):
-        if i not in batch.mask_indices:
-            noisy[i] += 5.0
+    noisy = recon.data + 5.0 * (1.0 - batch.masked)
     if pt.mae_loss(Tensor(noisy), patches, batch).item() != base:
         return False, "visible perturbation changed the loss"
     return True, "deterministic mask; visible-only perturbation invisible"
@@ -317,8 +315,8 @@ def _check_beam_greedy(rng: Rng) -> tuple[bool, str]:
     greedy: list[int] = []
     with tc.no_grad():
         for _ in range(6):
-            logits = pt.decoder_forward(params, cfg, t_p + greedy)
-            nxt = int(np.argmax(logits.data[-1]))
+            logits = pt.decoder_forward(params, cfg, [t_p + greedy])
+            nxt = int(np.argmax(logits.data[0, -1]))
             greedy.append(nxt)
             if nxt == fl.EOS_ID:
                 break
@@ -518,11 +516,17 @@ def _op_cases(rng: Rng):
          lambda t: tc.tsum(tc.power(tc.layer_norm(other, t, bias), 2.0))),
         ("embedding_lookup", lambda r: normal(r, (5, 3)),
          lambda t: tc.tsum(tc.power(tc.embedding_lookup(t, [0, 3, 3, 1]), 2.0))),
+        ("embedding_lookup_2d", lambda r: normal(r, (5, 3)),
+         lambda t: tc.tsum(tc.power(
+             tc.embedding_lookup(t, [[0, 3, 3], [4, 1, 3]]), 2.0))),
         ("cross_entropy_mean", lambda r: normal(r, (5, 4)),
-         lambda t: tc.cross_entropy(t, [1, 0, 3, 2, 1],
-                                    [False, True, False, False, False])),
+         lambda t: tc.cross_entropy(t, [1, 0, 3, 2, 1], [1, 0, 1, 1, 1])),
         ("cross_entropy_sum", lambda r: normal(r, (5, 4)),
          lambda t: tc.cross_entropy(t, [1, 0, 3, 2, 1], reduction="sum")),
+        ("cross_entropy_weighted_3d", lambda r: normal(r, (2, 3, 4)),
+         lambda t: tc.cross_entropy(t, [[1, 0, 3], [2, 1, 0]],
+                                    [[0.5, 0.5, 0.0], [0.25, 0.0, 0.0]],
+                                    reduction="sum")),
         ("gumbel_soft_frozen", lambda r: normal(r, (6, 2)),
          lambda t: tc.tsum(tc.mul(
              tc.gumbel_softmax(t, 0.8, False, Rng(777)),
@@ -600,30 +604,28 @@ def gradcheck(seed: int = 1, points: int = 50) -> dict:
 
     cfg = _tiny_cfg()
     params = gsf.init_params(cfg, rng.split("pretrain_params"))
-    batch = _tiny_batch(cfg, rng.split("pretrain_batch"))
+    patches, captions = _tiny_batch(cfg, rng.split("pretrain_batch"))
     pretrain = _coord_audit(
-        params, lambda: gsf.pretrain_loss(batch, cfg, params, Rng(99)).tensor,
+        params,
+        lambda: gsf.pretrain_loss(patches, captions, cfg, params, Rng(99)).tensor,
         rng.split("coords"), points)
 
-    # encoder -> projection -> decoder; captions stand in for t_p and s
+    # encoder -> projection -> decoder through the training stage's loss;
+    # captions stand in for questions and targets of different lengths
     dec_cfg = pt.DecoderConfig(n_layers=1, d_lm=8, n_heads=2, vocab_size=20,
                                max_len=16)
     dec = pt.init_decoder_params(dec_cfg, rng.split("sft_params"))
     proj_w = Tensor(rng.split("sft_proj").normal((cfg.d_model, dec_cfg.d_lm)),
                     requires_grad=True)
     proj_b = tc.zeros((dec_cfg.d_lm,), requires_grad=True)
-
-    def sft_loss() -> Tensor:
-        losses = []
-        for index, (patches, ids) in enumerate(batch):
-            feats, _, _ = gsf.gs_former_forward(
-                patches, [], cfg, params, Rng(99).split(f"sample{index}"))
-            t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
-            losses.append(pt.instruction_loss(dec, dec_cfg, t_g, ids[:2], ids[2:]))
-        return tr._mean(losses)
-
-    sft = _coord_audit(tr._join_sft_params(params, dec, proj_w, proj_b),
-                       sft_loss, rng.split("sft_coords"), points)
+    joined = tr._join_sft_params(params, dec, proj_w, proj_b)
+    questions = [captions[0][:1], captions[1][:3]]
+    targets = [captions[0][1:], captions[1][3:]]
+    rngs = [Rng(99).split(f"sample{i}") for i in range(len(targets))]
+    sft = _coord_audit(
+        joined,
+        lambda: tr.sft_loss(joined, cfg, dec_cfg, patches, questions, targets, rngs),
+        rng.split("sft_coords"), points)
     overall_ok &= pretrain["ok"] and sft["ok"]
     return {
         "ops": op_results,

@@ -294,16 +294,7 @@ class ProblemRecord:
     diagram: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "numbers": self.numbers,
-            "choices": self.choices,
-            "answer": self.answer,
-            "gt_program": self.gt_program,
-            "caption": self.caption,
-            "question_tokens": self.question_tokens,
-            "diagram": self.diagram,
-        }
+        return self.__dict__.copy()
 
     @classmethod
     def from_json(cls, rec: dict) -> "ProblemRecord":
@@ -331,4 +322,4 @@ def load_problems(path: str | Path) -> list[ProblemRecord]:
 def save_problems(records: Iterable[ProblemRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+            fh.write(json.dumps(rec.to_json(), sort_keys=True, allow_nan=False) + "\n")

@@ -97,9 +97,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     if not (_grad_enabled and any(p.requires_grad for p in parents)):
@@ -232,16 +229,27 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-approximation GELU with its exact derivative."""
+    """Tanh-approximation GELU with its exact derivative, in place where it
+    can be: each fresh temporary of a batch's activations costs page faults."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    t = x * x  # tanh(C (x + 0.044715 x^3)), then 0.5 x (1 + t)
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = t + 1.0
+    data *= x
+    data *= 0.5
 
     def backward(go):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
-        _accumulate(a, go * local)
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)
+        local = (1.0 - t * t) * (_GELU_C * (1.0 + 3 * 0.044715 * (x * x)))
+        local *= x
+        local += 1.0 + t
+        local *= 0.5
+        local *= go
+        _accumulate(a, local)
 
     return _node(data, (a,), backward)
 
@@ -312,11 +320,6 @@ def mean_pool(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Ten
     return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a 2-D tensor (len, dim)."""
-    return concat([reshape(t, (1, t.shape[0])) for t in tensors], axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra and normalization
 # ---------------------------------------------------------------------------
@@ -325,23 +328,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product over the last two axes; leading batch axes broadcast."""
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
-    if a.ndim > 2 and b.ndim == 2:  # one BLAS product, not a loop over the batch
-        data = a.data.reshape(-1, a.shape[-1]) @ b.data
-        data = data.reshape(a.shape[:-1] + b.shape[-1:])
-    else:
-        data = a.data @ b.data
+    if a.ndim > 2 and b.ndim == 2:
+        # a stacked left operand times a weight: one folded BLAS product each
+        # way, not a loop over the batch (np.matmul loops over broadcast axes)
+        k, m = b.shape
+        rows = a.data.reshape(-1, k)
+        data = (rows @ b.data).reshape(a.shape[:-1] + (m,))
+
+        def backward(go):
+            go_rows = go.reshape(-1, m)
+            _accumulate(a, (go_rows @ b.data.T).reshape(a.shape))
+            _accumulate(b, rows.T @ go_rows)
+
+        return _node(data, (a, b), backward)
 
     def backward(go):
         _accumulate(a, _unbroadcast(go @ b.data.swapaxes(-1, -2), a.shape))
         _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ go, b.shape))
 
-    return _node(data, (a, b), backward)
+    return _node(a.data @ b.data, (a, b), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def backward(go):
         dot = (go * data).sum(axis=axis, keepdims=True)
@@ -411,17 +422,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(data, (x, gain, bias), backward)
 
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
+def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Rows of a (V, d) table for integer ids of any shape: ids.shape + (d,)."""
     ids_arr = np.asarray(ids, dtype=np.int64)
-    if ids_arr.ndim != 1:
-        raise ShapeMismatchError("embedding_lookup (1-D ids)", ids_arr.shape)
     if ids_arr.size and (ids_arr.min() < 0 or ids_arr.max() >= table.shape[0]):
         raise ShapeMismatchError("embedding_lookup (id out of range)", table.shape)
     data = table.data[ids_arr]
 
     def backward(go):
         d_table = np.zeros_like(table.data)
-        np.add.at(d_table, ids_arr, go)
+        np.add.at(d_table, ids_arr.reshape(-1), go.reshape(-1, table.shape[-1]))
         _accumulate(table, d_table)
 
     return _node(data, (table,), backward)
@@ -438,16 +448,15 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: Tensor | None = None) -> Tensor:
-    """Scaled dot-product attention (q, d) x (n, d) x (n, d_v) -> (q, d_v).
+    """Scaled dot-product attention (..., q, d) x (..., n, d) x (..., n, d_v)
+    -> (..., q, d_v); leading batch axes broadcast.
 
     key_mask broadcasts over query rows; fully-masked inputs yield zero rows
     (see masked_softmax).
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeMismatchError("attention (2-D only)", q.shape, k.shape, v.shape)
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeMismatchError("attention", q.shape, k.shape, v.shape)
-    logits = mul(matmul(q, transpose(k)), Tensor(1.0 / math.sqrt(q.shape[1])))
+    logits = mul(matmul(q, transpose(k)), Tensor(1.0 / math.sqrt(q.shape[-1])))
     if key_mask is None:
         probs = softmax(logits, axis=-1)
     else:
@@ -461,46 +470,45 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: Tensor | None = None) -
 
 def cross_entropy(
     logits: Tensor,
-    targets: Sequence[int],
-    ignore_mask: Sequence[bool] | None = None,
+    targets,
+    weights=None,
     reduction: str = "mean",
 ) -> Tensor:
-    """Cross entropy of (L, V) logits against L integer targets.
+    """Cross entropy of (..., V) logits against integer targets of shape (...).
 
-    ignore_mask marks positions excluded from the loss.  reduction "mean"
-    averages over included positions; "sum" matches a plain sum of negative
-    log-likelihoods.
+    weights (shape (...), default all ones) scale each position's negative
+    log-likelihood; weight 0 drops a position.  reduction "sum" returns the
+    weighted sum; "mean" divides it by the sum of the weights.
     """
-    if logits.ndim != 2:
-        raise ShapeMismatchError("cross_entropy", logits.shape)
-    n, vocab = logits.shape
+    vocab = logits.shape[-1]
     t = np.asarray(targets, dtype=np.int64)
-    if t.shape != (n,):
+    if t.shape != logits.shape[:-1]:
         raise ShapeMismatchError("cross_entropy targets", logits.shape, t.shape)
     if t.size and (t.min() < 0 or t.max() >= vocab):
         raise ValueError(f"target id out of range for vocab {vocab}")
-    include = np.ones(n, dtype=bool)
-    if ignore_mask is not None:
-        include = ~np.asarray(ignore_mask, dtype=bool)
-    count = int(include.sum())
-    if count == 0:
+    w = np.ones(t.shape) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != t.shape:
+        raise ShapeMismatchError("cross_entropy weights", t.shape, w.shape)
+    if not w.any():
         raise EmptyAfterMaskError()
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    t, w = t.reshape(-1), w.reshape(-1)
+    rows = np.arange(t.size)
+    x = logits.data.reshape(-1, vocab)
+    shifted = x - x.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
-    picked = log_probs[np.arange(n), t]
-    total = -(picked * include).sum()
-    scale = 1.0 / count if reduction == "mean" else 1.0
+    total = -(log_probs[rows, t] * w).sum()
+    scale = 1.0 / w.sum() if reduction == "mean" else 1.0
     data = np.asarray(total * scale)
 
     def backward(go):
         probs = np.exp(log_probs)
-        probs[np.arange(n), t] -= 1.0
-        probs *= include[:, None]
-        _accumulate(logits, probs * (float(go) * scale))
+        probs[rows, t] -= 1.0
+        probs *= w[:, None]
+        _accumulate(logits, (probs * (float(go) * scale)).reshape(logits.shape))
 
     return _node(data, (logits,), backward)
 
@@ -511,17 +519,23 @@ def gumbel_noise(rng: "Rng", shape: tuple[int, ...]) -> np.ndarray:
 
 
 def gumbel_softmax(
-    logits: Tensor, tau: float, hard: bool, rng: "Rng | None"
+    logits: Tensor, tau: float, hard: bool, rng: "Rng | Sequence[Rng] | None"
 ) -> Tensor:
     """Per-row Gumbel-Softmax sample; hard mode is one-hot with a
     straight-through gradient (the gradient of the soft sample).
 
     rng=None draws no noise (deterministic evaluation mode: plain softmax,
-    or argmax one-hot when hard).
+    or argmax one-hot when hard).  A sequence of Rngs holds one stream per
+    index of the leading (batch) axis; each draws its own example's noise.
     """
     if tau <= 0.0:
         raise NonPositiveTemperatureError(tau)
-    noise = 0.0 if rng is None else gumbel_noise(rng, logits.shape)
+    if rng is None:
+        noise = 0.0
+    elif isinstance(rng, Rng):
+        noise = gumbel_noise(rng, logits.shape)
+    else:
+        noise = np.stack([gumbel_noise(r, logits.shape[1:]) for r in rng])
     scores = (logits.data + noise) / tau
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -676,7 +690,8 @@ def save_params(params: dict[str, Tensor], prefix: str | Path) -> None:
             offset += arr.nbytes
     sidecar = {"schema": 1, "params": index}
     checkpoint_path(prefix, ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 

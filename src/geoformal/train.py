@@ -7,9 +7,17 @@ binaries with a JSON sidecar (tensorcore.save_params).
 
 All four stages share one loop, `_run_loop`: it owns the optimizer, the
 per-step Rng split `step{n}`, zero_grad/backward/step, the step log, the
-checkpoint and the snapshot.  A stage supplies only its initial parameters,
-its prepared data and a `step_loss(step, step_rng)` closure that draws the
-step's batch and returns the loss with the fields to log.
+checkpoint and the snapshot, and it stops the run on a non-finite loss.  A
+stage supplies only its initial parameters, its prepared data and a
+`step_loss(step, step_rng)` closure that draws the step's batch and returns
+the loss with the fields to log.
+
+Each step runs its whole batch as one tape: the drawn diagrams stack to
+(B, N, d) patches, and token sequences are right-padded to the longest one
+in the batch, never to a configured maximum.  The causal masks hide the
+trailing pads from every real position, and per-position loss weights give
+the pads weight 0 (see `pretrain` and `gsformer`).  Only the Gumbel noise is
+drawn per example, each from its own Rng label.
 
 The instruction stage trains the patch encoder, the projection head, and the
 decoder end to end by default; --freeze-encoder leaves the encoder fixed.
@@ -21,9 +29,10 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from . import diagram_synth as ds
 from . import eval_harness as eh
@@ -35,6 +44,11 @@ from . import tensorcore as tc
 from .tensorcore import Adam, Rng, Tensor
 
 STAGES = ("mae", "lm", "align", "sft")
+
+
+class NonFiniteLossError(ValueError):
+    def __init__(self, stage: str, step: int, value: float):
+        super().__init__(f"stage {stage}: loss is {value} at step {step}")
 
 
 @dataclass
@@ -185,10 +199,6 @@ def _sample_indices(rng: Rng, n: int, batch: int) -> list[int]:
     return [int(i) for i in rng.integers(0, n, (min(batch, n),))]
 
 
-def _mean(losses: list[Tensor]) -> Tensor:
-    return tc.mul(reduce(tc.add, losses), Tensor(1.0 / len(losses)))
-
-
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -208,7 +218,9 @@ def _run_loop(
     logged for that step; step_rng is Rng(seed).split(f"step{step}").  Writes
     the step log, the checkpoint of `saved` (default: `trainable`) and the
     config snapshot, and returns the last step's logged fields ({} when the
-    stage runs no steps).
+    stage runs no steps).  A non-finite loss raises NonFiniteLossError before
+    its backward pass; the log then holds only the steps before it and no
+    checkpoint is written.
     """
     settings = config.stages[stage]
     rng = Rng(seed)
@@ -219,15 +231,19 @@ def _run_loop(
         for step in range(settings.steps):
             opt.zero_grad()
             loss, last = step_loss(step, rng.split(f"step{step}"))
+            if not math.isfinite(loss.item()):
+                raise NonFiniteLossError(stage, step, loss.item())
             loss.backward()
             opt.step()
-            log.write(json.dumps({"step": step, **last}, sort_keys=True) + "\n")
+            log.write(json.dumps({"step": step, **last}, sort_keys=True,
+                                 allow_nan=False) + "\n")
             # free this step's tape before the next step builds its own
             del loss
     tc.save_params(trainable if saved is None else saved, out_prefix)
     snapshot = {**config.to_json(), "seed": seed, "stage": stage}
     tc.checkpoint_path(out_prefix, ".config.json").write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(snapshot, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
     return last
 
@@ -241,24 +257,29 @@ def train_mae_stage(
     rng = Rng(seed)
     params = pt.init_mae_params(config.mae, rng.split("init"))
     order = sorted(data.patches)
-    masked = {
-        pid: pt.mae_mask(data.patches[pid], config.mae.mask_ratio,
-                         rng.split(f"mask/{pid}"))
+    patches = np.stack([data.patches[pid].data for pid in order])
+    masked = np.stack([
+        pt.mae_mask(data.patches[pid], config.mae.mask_ratio,
+                    rng.split(f"mask/{pid}")).masked
         for pid in order
-    }
+    ])
 
-    def loss_of(pid: str) -> Tensor:
-        return pt.mae_loss(pt.mae_forward(params, config.mae, masked[pid]),
-                           data.patches[pid], masked[pid])
+    def loss_of(rows) -> Tensor:
+        batch = pt.MAEBatch(Tensor(patches[rows]), masked[rows])
+        return pt.mae_loss(pt.mae_forward(params, config.mae, batch),
+                           batch.patches, batch)
 
     def dataset_loss() -> float:
+        # batches of the stage's size bound the memory of the no-grad pass
+        chunks = np.array_split(np.arange(len(order)),
+                                math.ceil(len(order) / stage.batch))
         with tc.no_grad():
-            values = [loss_of(pid).item() for pid in order]
-        return sum(values) / len(values)
+            total = sum(loss_of(rows).item() * len(rows) for rows in chunks)
+        return total / len(order)
 
     def step_loss(step: int, step_rng: Rng):
-        picks = _sample_indices(step_rng.split("batch"), len(order), stage.batch)
-        loss = _mean([loss_of(order[i]) for i in picks])
+        loss = loss_of(_sample_indices(step_rng.split("batch"), len(order),
+                                       stage.batch))
         return loss, {"loss": loss.item()}
 
     init_loss = dataset_loss()
@@ -280,8 +301,7 @@ def train_lm_stage(
     def step_loss(step: int, step_rng: Rng):
         # lm draws its batch from the step stream itself, not step{n}/batch
         picks = _sample_indices(step_rng, len(sequences), stage.batch)
-        loss = _mean([pt.lm_loss(params, config.decoder, sequences[i])
-                      for i in picks])
+        loss = pt.lm_loss(params, config.decoder, [sequences[i] for i in picks])
         return loss, {"loss": loss.item()}
 
     last = _run_loop("lm", config, seed, out_prefix, params, step_loss)
@@ -293,21 +313,14 @@ def train_align_stage(
 ) -> dict:
     stage = config.stages["align"]
     params = gsf.init_params(config.gsformer, Rng(seed).split("init"))
-    pairs = [
-        (data.patches[rec.id], _caption_ids(rec, data.vocab))
-        for rec in data.problems
-    ]
+    patches = np.stack([data.patches[rec.id].data for rec in data.problems])
+    captions = [_caption_ids(rec, data.vocab) for rec in data.problems]
 
     def step_loss(step: int, step_rng: Rng):
-        picks = _sample_indices(step_rng.split("batch"), len(pairs), stage.batch)
-        step_cfg = replace(
-            config.gsformer,
-            tau=config.gsformer.tau_at(step, stage.steps),
-        )
-        out = gsf.pretrain_loss(
-            [pairs[i] for i in picks], step_cfg, params,
-            step_rng.split("noise"), hard=False,
-        )
+        picks = _sample_indices(step_rng.split("batch"), len(captions), stage.batch)
+        step_cfg = replace(config.gsformer, tau=config.gsformer.tau_at(step, stage.steps))
+        out = gsf.pretrain_loss(Tensor(patches[picks]), [captions[i] for i in picks],
+                                step_cfg, params, step_rng.split("noise"), hard=False)
         return out.tensor, {"tau": step_cfg.tau, **out.to_json()}
 
     last = _run_loop("align", config, seed, out_prefix, params, step_loss)
@@ -327,6 +340,29 @@ def split_sft_params(joined: dict[str, Tensor]):
     gs = {k[3:]: v for k, v in joined.items() if k.startswith("gs.")}
     dec = {k[4:]: v for k, v in joined.items() if k.startswith("dec.")}
     return gs, dec, joined["proj_w"], joined["proj_b"]
+
+
+def sft_loss(
+    params: dict[str, Tensor],
+    gs_cfg: gsf.GSFormerConfig,
+    dec_cfg: pt.DecoderConfig,
+    patches: Tensor,
+    questions: Sequence[Sequence[int]],
+    targets: Sequence[Sequence[int]],
+    rngs: Sequence[Rng] | None,
+    frozen_encoder: bool = False,
+) -> Tensor:
+    """Summed target negative log-likelihood of one instruction batch:
+    (B, N, d_in) patches through the caption-free encoder, `project_visual`,
+    the decoder and `instruction_loss`.  params are joined as by
+    `_join_sft_params`; example i draws its noise from rngs[i]."""
+    gs, dec, proj_w, proj_b = split_sft_params(params)
+    # a frozen encoder builds no tape: its gradients would go unused
+    with tc.no_grad() if frozen_encoder else nullcontext():
+        feats, _, _ = gsf.gs_former_forward(patches, [[]] * len(targets), gs_cfg,
+                                            gs, rngs)
+    t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
+    return pt.instruction_loss(dec, dec_cfg, t_g, questions, targets)
 
 
 def train_sft_stage(
@@ -351,36 +387,28 @@ def train_sft_stage(
         requires_grad=True,
     )
     proj_b = tc.zeros((config.decoder.d_lm,), requires_grad=True)
-    examples = [
-        (data.patches[rec.id], rec.question_tokens,
-         _program_ids(rec, data.vocab))
-        for rec in data.problems
-    ]
+    patches = np.stack([data.patches[rec.id].data for rec in data.problems])
+    questions = [rec.question_tokens for rec in data.problems]
+    programs = [_program_ids(rec, data.vocab) for rec in data.problems]
+    saved = _join_sft_params(gs_params, dec_params, proj_w, proj_b)
 
     def step_loss(step: int, step_rng: Rng):
-        picks = _sample_indices(step_rng.split("batch"), len(examples), stage.batch)
-        losses = []
-        n_targets = 0
-        for slot, index in enumerate(picks):
-            patches, t_p, s = examples[index]
-            # a frozen encoder builds no tape: its gradients would go unused
-            with tc.no_grad() if stage.freeze_encoder else nullcontext():
-                feats, _, _ = gsf.gs_former_forward(
-                    patches, [], config.gsformer, gs_params,
-                    step_rng.split(f"noise{slot}"), hard=False,
-                )
-            t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
-            losses.append(pt.instruction_loss(dec_params, config.decoder, t_g, t_p, s))
-            n_targets += len(s)
-        total = reduce(tc.add, losses)
-        mean = tc.mul(total, Tensor(1.0 / n_targets))
+        picks = _sample_indices(step_rng.split("batch"), len(programs), stage.batch)
+        targets = [programs[i] for i in picks]
+        total = sft_loss(
+            saved, config.gsformer, config.decoder, Tensor(patches[picks]),
+            [questions[i] for i in picks], targets,
+            [step_rng.split(f"noise{slot}") for slot in range(len(picks))],
+            stage.freeze_encoder,
+        )
+        mean = tc.mul(total, Tensor(1.0 / sum(len(s) for s in targets)))
         return mean, {"loss_sum": total.item(), "loss_mean": mean.item()}
 
     trainable = _join_sft_params(
         {} if stage.freeze_encoder else gs_params, dec_params, proj_w, proj_b
     )
     last = _run_loop("sft", config, seed, out_prefix, trainable, step_loss,
-                     saved=_join_sft_params(gs_params, dec_params, proj_w, proj_b))
+                     saved=saved)
     return {"stage": "sft", "steps": stage.steps,
             "final_loss_sum": last.get("loss_sum"),
             "final_loss_mean": last.get("loss_mean")}
@@ -435,8 +463,10 @@ def decode_problems(
     results = []
     with tc.no_grad():
         for rec in data.problems:
+            patches = data.patches[rec.id]
             feats, _, _ = gsf.gs_former_forward(
-                data.patches[rec.id], [], gs_cfg, gs_params, None, hard=True
+                tc.reshape(patches, (1,) + patches.shape), [[]], gs_cfg,
+                gs_params, None, hard=True,
             )
             t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
             hyps = pt.beam_decode(

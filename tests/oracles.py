@@ -6,8 +6,10 @@ share no code path with the package they check.  `reference_beam_decode` is
 the uncached beam search: it re-runs the full decoder for every hypothesis at
 every step and pins the KV-cached `pretrain.beam_decode`.  `reference_mha`
 attends one head at a time and `reference_alignment_loss` projects and fuses
-one example at a time; they pin the head-batched `gsformer.mha` and the
-batched `gsformer.alignment_loss`.
+one example at a time from batch-of-one forwards; they pin the head-batched
+`gsformer.mha` and the padded, batched `gsformer.alignment_loss`.  The
+batched losses of every stage are pinned against sums of batch-of-one calls
+with `summed_loss_and_grads` and `assert_grads_close`.
 """
 
 from __future__ import annotations
@@ -175,9 +177,9 @@ def reference_beam_decode(params, cfg, t_g, t_p, beam=10, max_len=24, eos_id=2):
                 break
             expansions: list[tuple[list[int], float]] = []
             for tokens, score in live:
-                logits = pt.decoder_forward(params, cfg, instr + tokens,
+                logits = pt.decoder_forward(params, cfg, [instr + tokens],
                                             prefix_embeds=t_g)
-                row = logits.data[-1]
+                row = logits.data[0, -1]
                 shifted = row - row.max()
                 logp = shifted - np.log(np.exp(shifted).sum())
                 top = np.argsort(-logp, kind="stable")[:beam]
@@ -235,18 +237,23 @@ def reference_mha(params, prefix, x_q, x_kv, n_heads, mask):
 
 
 def reference_alignment_loss(features, caption_logits, caption_targets, params):
-    """(contrast, match, caption) with every projection, normalization and
-    fused match row built from one example's 1-D rows."""
+    """(contrast, match, caption) from per-example batch-of-one forwards:
+    every projection, normalization and fused match row is built from one
+    example's 1-D rows, and each caption's loss rows are cut from its own
+    unpadded (1, L_i, V) logits."""
     batch = len(features)
-    pooled = [tc.mean_pool(f.f_g, axis=0) for f in features]
-    text = [f.text_cls for f in features]
+    pooled = [tc.reshape(tc.mean_pool(f.f_g, axis=-2), (-1,)) for f in features]
+    text = [tc.reshape(f.text_cls, (-1,)) for f in features]
+
+    def stack(rows):
+        return tc.concat([tc.reshape(row, (1, -1)) for row in rows], axis=0)
 
     def project(name, rows):
         out = []
         for row in rows:
             flat = tc.reshape(gsf.linear(params, name, tc.reshape(row, (1, -1))), (-1,))
             out.append(tc.l2_normalize(flat))
-        return tc.stack_rows(out)
+        return stack(out)
 
     g_mat = project("vis_proj", pooled)
     t_mat = project("txt_proj", text)
@@ -258,12 +265,74 @@ def reference_alignment_loss(features, caption_logits, caption_targets, params):
     fused = [tc.concat([pooled[i], text[i]], axis=0) for i in range(batch)]
     fused += [tc.concat([pooled[i], text[(i + 1) % batch]], axis=0)
               for i in range(batch)]
-    hidden = tc.gelu(gsf.linear(params, "match1", tc.stack_rows(fused)))
+    hidden = tc.gelu(gsf.linear(params, "match1", stack(fused)))
     l_match = tc.cross_entropy(gsf.linear(params, "match2", hidden),
                                [1] * batch + [0] * batch)
     rows, targets = [], []
     for logits, ids in zip(caption_logits, caption_targets):
-        rows.append(tc.narrow(logits, 0, 0, len(ids) - 1))
+        flat = tc.reshape(logits, logits.shape[1:])
+        rows.append(tc.narrow(flat, 0, 0, len(ids) - 1))
         targets.extend(ids[1:])
     l_caption = tc.cross_entropy(tc.concat(rows, axis=0), targets)
     return l_contrast, l_match, l_caption
+
+
+# ---------------------------------------------------------------------------
+# Batched losses against batch-of-one calls
+# ---------------------------------------------------------------------------
+
+def loss_and_grads(params, loss_fn):
+    """(loss value, {name: gradient}) of one backward pass of `loss_fn()`."""
+    for p in params.values():
+        p.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), {k: p.grad.copy() for k, p in params.items()
+                         if p.grad is not None}
+
+
+def summed_loss_and_grads(params, loss_fns, scale=1.0):
+    """Loss and gradients of `scale * sum(fn() for fn in loss_fns)`, each
+    term backpropagated on its own."""
+    total, grads = 0.0, {}
+    for fn in loss_fns:
+        value, part = loss_and_grads(params, fn)
+        total += value * scale
+        for name, g in part.items():
+            grads[name] = grads.get(name, 0.0) + g * scale
+    return total, grads
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    """Same parameters receive a gradient; every difference is within `rel`
+    of the largest gradient entry of the model.  (Entries whose true value is
+    0, such as attention key biases, carry rounding noise only, so an
+    element-wise relative check would be meaningless there.)"""
+    assert got.keys() == want.keys()
+    scale = max(float(np.abs(g).max()) for g in want.values())
+    for name in want:
+        assert np.abs(got[name] - want[name]).max() <= rel * scale, name
+
+
+def reference_pretrain_loss(patches, captions, cfg, params, rng):
+    """`gsformer.pretrain_loss` with one forward per example (a batch of one,
+    its own `sample{i}` noise), per-row alignment losses and the mean of the
+    per-example sparsification losses; returns the total loss tensor."""
+    feats, logits = [], []
+    spr = []
+    for i, ids in enumerate(captions):
+        f, state, cap_logits = gsf.gs_former_forward(
+            tc.narrow(patches, 0, i, 1), [ids], cfg, params,
+            [rng.split(f"sample{i}")])
+        feats.append(f)
+        logits.append(cap_logits)
+        spr.append(gsf.sparsification_loss(state))
+    l_contrast, l_match, l_caption = reference_alignment_loss(
+        feats, logits, captions, params)
+    w_c, w_m, w_cap = cfg.align_weights
+    l_align = tc.add(
+        tc.add(tc.mul(l_contrast, Tensor(w_c)), tc.mul(l_match, Tensor(w_m))),
+        tc.mul(l_caption, Tensor(w_cap)))
+    l_spr = tc.mul(tc.tsum(tc.concat([tc.reshape(t, (1,)) for t in spr])),
+                   Tensor(1.0 / len(spr)))
+    return tc.add(l_align, tc.mul(l_spr, Tensor(cfg.lam)))

@@ -158,17 +158,16 @@ def test_criterion_3_total_loss_exactness():
     )
     cfg.validate()
     params = gsf.init_params(cfg, Rng(0))
-    batch = []
+    patches, captions = [], []
     for i in range(2):
         r = Rng(100 + i)
-        batch.append((
-            Tensor(r.normal((cfg.n_patches, cfg.d_in))),
-            [fl.BOS_ID] + [int(t) for t in r.integers(4, cfg.vocab_size, (3,))],
-        ))
+        patches.append(r.normal((cfg.n_patches, cfg.d_in)))
+        captions.append([fl.BOS_ID] + [int(t) for t in r.integers(4, cfg.vocab_size, (3,))])
+    patches = Tensor(np.stack(patches))
     lam_rng = Rng(33)
     for _ in range(100):
         cfg.lam = float(lam_rng.uniform(())) * 5.0
-        out = gsf.pretrain_loss(batch, cfg, params, Rng(7))
+        out = gsf.pretrain_loss(patches, captions, cfg, params, Rng(7))
         assert out.l_total == out.l_align + cfg.lam * out.l_spr
     report(3, "sparsification fixtures exact; 100 random lambdas at machine "
               "precision")
@@ -186,7 +185,7 @@ def test_criterion_4_mask_laws():
         prev = Tensor((r.uniform((n,)) > 0.3).astype(float))
         w = Tensor(r.normal((d, 2), std=0.5))
         b = Tensor(r.normal((2,), std=0.5))
-        mask, _ = gsf.sgs_update_mask(
+        mask = gsf.sgs_update_mask(
             prev, Tensor(r.normal((n, d))), w, b, 1.0, True, r.split("g")
         )
         assert np.all(np.isin(mask.data, (0.0, 1.0)))
@@ -199,13 +198,13 @@ def test_criterion_4_mask_laws():
     cfg.validate()
     params = gsf.init_params(cfg, Rng(1))
     for seed in range(3):
-        patches = Tensor(Rng(seed).normal((cfg.n_patches, cfg.d_in)))
+        patches = Tensor(Rng(seed).normal((1, cfg.n_patches, cfg.d_in)))
         _, state, _ = gsf.gs_former_forward(
-            patches, [1, 5], cfg, params, Rng(seed), hard=True
+            patches, [[1, 5]], cfg, params, [Rng(seed)], hard=True
         )
         assert np.all(state.masks[0].data == 1.0)
 
-    saturated, _ = gsf.sgs_update_mask(
+    saturated = gsf.sgs_update_mask(
         tc.ones((64,)), Tensor(Rng(2).normal((64, 4))),
         tc.zeros((4, 2)), Tensor([40.0, -40.0]), 1.0, True, Rng(3),
     )
@@ -245,27 +244,27 @@ def test_criterion_6_instruction_loss_conformance():
     cfg = pt.DecoderConfig(n_layers=1, d_lm=32, n_heads=2, vocab_size=24,
                            max_len=40)
     params = pt.init_decoder_params(cfg, Rng(0))
-    t_g = Tensor(Rng(1).normal((2, cfg.d_lm), std=0.02))
+    t_g = Tensor(Rng(1).normal((1, 2, cfg.d_lm), std=0.02))
     t_p = [5, 6, 7]
     target = [9, 10, 11, 2]
-    loss = pt.instruction_loss(params, cfg, t_g, t_p, target)
+    loss = pt.instruction_loss(params, cfg, t_g, [t_p], [target])
 
-    logits = pt.decoder_forward(params, cfg, t_p + target[:-1], prefix_embeds=t_g)
+    logits = pt.decoder_forward(params, cfg, [t_p + target[:-1]], prefix_embeds=t_g)
     n_prefix = 2 + len(t_p)
-    tail = tc.narrow(logits, 0, n_prefix - 1, len(target))
-    composed = tc.cross_entropy(tail, target, reduction="sum")
+    tail = tc.narrow(logits, 1, n_prefix - 1, len(target))
+    composed = tc.cross_entropy(tail, [target], reduction="sum")
     assert abs(loss.item() - composed.item()) <= 1e-12
 
     perturbed = logits.data.copy()
-    perturbed[: n_prefix - 1] += Rng(2).normal(
-        perturbed[: n_prefix - 1].shape, std=9.0
+    perturbed[0, : n_prefix - 1] += Rng(2).normal(
+        perturbed[0, : n_prefix - 1].shape, std=9.0
     )
-    targets_full = [0] * logits.shape[0]
-    ignore = [True] * logits.shape[0]
+    targets_full = [0] * logits.shape[1]
+    weights = [0.0] * logits.shape[1]
     for offset, tok in enumerate(target):
         targets_full[n_prefix - 1 + offset] = tok
-        ignore[n_prefix - 1 + offset] = False
-    again = tc.cross_entropy(Tensor(perturbed), targets_full, ignore,
+        weights[n_prefix - 1 + offset] = 1.0
+    again = tc.cross_entropy(Tensor(perturbed), [targets_full], [weights],
                              reduction="sum")
     assert abs(again.item() - loss.item()) <= 1e-12
     report(6, "sum-reduction composition equal to 1e-12; prefix positions "
@@ -359,7 +358,7 @@ def test_criterion_9_mae_contract(tmp_path):
     base = pt.mae_loss(recon, patches, batch).item()
     noisy = recon.data.copy()
     for i in range(16):
-        if i not in batch.mask_indices:
+        if not batch.masked[i, 0]:
             noisy[i] += rng.normal((9,), std=20.0)
     assert pt.mae_loss(Tensor(noisy), patches, batch).item() == base
 
@@ -413,9 +412,10 @@ def test_cached_decode_matches_uncached_on_the_pipeline_checkpoint(pipeline):
         tr.load_sft_checkpoint(pipeline.ckpt)
     for rec in pipeline.data.problems[:8]:
         with tc.no_grad():
+            patches = pipeline.data.patches[rec.id]
             feats, _, _ = gsf.gs_former_forward(
-                pipeline.data.patches[rec.id], [], gs_cfg, gs_params, None,
-                hard=True)
+                tc.reshape(patches, (1,) + patches.shape), [[]], gs_cfg,
+                gs_params, None, hard=True)
             t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
         args = (dec_params, dec_cfg, t_g, rec.question_tokens)
         cached = pt.beam_decode(*args, beam=10, max_len=24, eos_id=fl.EOS_ID)

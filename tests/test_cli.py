@@ -195,6 +195,20 @@ def test_train_rejects_malformed_config_file(dataset, tmp_path, capsys, config,
     assert not (tmp_path / "x.log.jsonl").exists()
 
 
+def test_train_stops_on_a_non_finite_loss(dataset, tmp_path, capsys):
+    # lr 1e300 makes the first update overflow, so step 1's loss is NaN
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "lm", "--data", str(dataset),
+        "--lr", "1e300", "--steps", "3", "--out", str(tmp_path / "x"),
+    )
+    assert "stage lm: loss is nan at step 1" in err
+    log = (tmp_path / "x.log.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in log] == [0]
+    assert "NaN" not in log[0]
+    assert not (tmp_path / "x.bin").exists()
+    assert not (tmp_path / "x.config.json").exists()
+
+
 def test_train_on_empty_dataset_is_data_error(tmp_path, capsys):
     data = tmp_path / "empty"
     code, payload = run_cli(capsys, "gen-data", "--n", "0", "--out", str(data))

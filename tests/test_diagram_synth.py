@@ -20,7 +20,6 @@ from geoformal.diagram_synth import (
     rasterize,
     read_pgm,
     sample_scene,
-    unpatchify,
     write_pgm,
 )
 from geoformal.solver import Bindings, execute_program
@@ -144,7 +143,9 @@ def test_patchify_shape_and_inverse():
     pixels = rng.uniform((64, 64))
     patches = patchify(Diagram(pixels, 8))
     assert patches.shape == (64, 64)
-    assert np.array_equal(unpatchify(patches.data, 64, 64, 8), pixels)
+    # inverse: patch (row, col) back to its 8 x 8 block of the image
+    grid = patches.data.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3).reshape(64, 64)
+    assert np.array_equal(grid, pixels)
 
 
 def test_patchify_zero_image():

@@ -21,7 +21,13 @@ from geoformal.gsformer import (
 )
 from geoformal.tensorcore import Rng, Tensor
 
-from oracles import reference_alignment_loss, reference_mha
+from oracles import (
+    assert_grads_close,
+    loss_and_grads,
+    reference_alignment_loss,
+    reference_mha,
+    reference_pretrain_loss,
+)
 
 
 def tiny_config(**overrides) -> GSFormerConfig:
@@ -37,12 +43,18 @@ def tiny_config(**overrides) -> GSFormerConfig:
 
 
 def random_batch(cfg, rng, size, cap_len=5):
-    batch = []
-    for _ in range(size):
-        patches = Tensor(rng.normal((cfg.n_patches, cfg.d_in)))
-        ids = [1] + list(rng.integers(4, cfg.vocab_size, (cap_len - 1,)))
-        batch.append((patches, [int(t) for t in ids]))
-    return batch
+    """(B, N, d_in) patches and captions of cap_len and cap_len - 1 tokens in
+    turn, so every batch of two or more is padded."""
+    patches, captions = [], []
+    for i in range(size):
+        patches.append(rng.normal((cfg.n_patches, cfg.d_in)))
+        ids = [1] + list(rng.integers(4, cfg.vocab_size, (cap_len - 1 - i % 2,)))
+        captions.append([int(t) for t in ids])
+    return Tensor(np.stack(patches)), captions
+
+
+def one_diagram(cfg, seed):
+    return Tensor(Rng(seed).normal((1, cfg.n_patches, cfg.d_in)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +140,7 @@ def test_gqg_gradient_reaches_queries_and_projection():
 def test_sgs_zero_prev_mask_absorbs():
     cfg = tiny_config()
     params = init_params(cfg, Rng(0))
-    new_mask, _ = sgs_update_mask(
+    new_mask = sgs_update_mask(
         tc.zeros((cfg.n_patches,)), Tensor(Rng(1).normal((cfg.n_patches, cfg.d_model))),
         params["sgs1_w"], params["sgs1_b"], 1.0, True, Rng(2),
     )
@@ -139,11 +151,15 @@ def test_sgs_saturated_keep_logits_keep_everything():
     n, d = 6, 4
     w = tc.zeros((d, 2))
     b = Tensor([40.0, -40.0])
-    new_mask, probs = sgs_update_mask(
+    new_mask = sgs_update_mask(
         tc.ones((n,)), Tensor(Rng(3).normal((n, d))), w, b, 1.0, True, Rng(4),
     )
     assert np.all(new_mask.data == 1.0)
-    assert np.all(probs.data > 0.999)
+    # the soft sample keeps every patch with probability ~1 despite the noise
+    soft = sgs_update_mask(
+        tc.ones((n,)), Tensor(Rng(3).normal((n, d))), w, b, 1.0, False, Rng(4),
+    )
+    assert np.all(soft.data > 0.999)
 
 
 def test_sgs_hard_mode_mask_laws_over_random_states():
@@ -154,7 +170,7 @@ def test_sgs_hard_mode_mask_laws_over_random_states():
         prev = Tensor((rng.uniform((n,)) > 0.3).astype(float))
         w = Tensor(rng.normal((d, 2), std=0.5))
         b = Tensor(rng.normal((2,), std=0.5))
-        new_mask, _ = sgs_update_mask(
+        new_mask = sgs_update_mask(
             prev, Tensor(rng.normal((n, d))), w, b, 1.0, True, noise.split(str(_)),
         )
         assert np.all(np.isin(new_mask.data, (0.0, 1.0)))
@@ -168,8 +184,8 @@ def test_sgs_hard_mode_mask_laws_over_random_states():
 def test_forward_without_sgs_keeps_all_ones_mask():
     cfg = tiny_config(sgs_layers=())
     params = init_params(cfg, Rng(0))
-    patches = Tensor(Rng(1).normal((cfg.n_patches, cfg.d_in)))
-    _, state, _ = gs_former_forward(patches, [1, 5, 6], cfg, params, Rng(2))
+    _, state, _ = gs_former_forward(one_diagram(cfg, 1), [[1, 5, 6]], cfg, params,
+                                    [Rng(2)])
     assert state.n_stages == 1
     assert np.all(state.masks[0].data == 1.0)
 
@@ -179,20 +195,21 @@ def test_forward_output_shapes_default_queries():
                          n_heads=2, max_caption_len=10)
     cfg.validate()
     params = init_params(cfg, Rng(0))
-    patches = Tensor(Rng(1).normal((cfg.n_patches, cfg.d_in)))
-    feats, state, logits = gs_former_forward(patches, [1, 5, 6, 2], cfg, params, Rng(2))
-    assert feats.f_g.shape == (8, cfg.d_model)
-    assert feats.text_cls.shape == (cfg.d_model,)
-    assert logits.shape == (4, cfg.vocab_size)
-    assert state.masks[0].data.tolist() == [1.0] * cfg.n_patches
+    patches = Tensor(Rng(1).normal((2, cfg.n_patches, cfg.d_in)))
+    feats, state, logits = gs_former_forward(patches, [[1, 5, 6, 2], [1, 7, 2]],
+                                             cfg, params, [Rng(2), Rng(3)])
+    assert feats.f_g.shape == (2, 8, cfg.d_model)
+    assert feats.text_cls.shape == (2, cfg.d_model)
+    assert logits.shape == (2, 4, cfg.vocab_size)  # padded to the longest caption
+    assert state.masks[0].data.tolist() == [[1.0] * cfg.n_patches] * 2
 
 
 def test_forward_stage_zero_mask_always_all_ones():
     cfg = tiny_config()
     params = init_params(cfg, Rng(0))
     for seed in range(5):
-        patches = Tensor(Rng(seed).normal((cfg.n_patches, cfg.d_in)))
-        _, state, _ = gs_former_forward(patches, [1, 4], cfg, params, Rng(seed), hard=True)
+        _, state, _ = gs_former_forward(one_diagram(cfg, seed), [[1, 4]], cfg, params,
+                                        [Rng(seed)], hard=True)
         assert np.all(state.masks[0].data == 1.0)
         assert state.n_stages == 3
 
@@ -200,11 +217,11 @@ def test_forward_stage_zero_mask_always_all_ones():
 def test_forward_masking_changes_queries():
     cfg = tiny_config(sgs_layers=(1,))
     params = init_params(cfg, Rng(0))
-    patches = Tensor(Rng(1).normal((cfg.n_patches, cfg.d_in)))
-    baseline, _, _ = gs_former_forward(patches, [], tiny_config(sgs_layers=()),
+    patches = one_diagram(cfg, 1)
+    baseline, _, _ = gs_former_forward(patches, [[]], tiny_config(sgs_layers=()),
                                        params, None, hard=True)
     params["sgs1_b"] = Tensor([-40.0, 40.0], requires_grad=True)  # drop every patch
-    dropped, state, _ = gs_former_forward(patches, [], cfg, params, None, hard=True)
+    dropped, state, _ = gs_former_forward(patches, [[]], cfg, params, None, hard=True)
     assert np.all(state.masks[-1].data == 0.0)
     assert not np.allclose(baseline.f_g.data, dropped.f_g.data)
     assert np.all(np.isfinite(dropped.f_g.data))
@@ -213,9 +230,9 @@ def test_forward_masking_changes_queries():
 def test_forward_queries_independent_of_caption():
     cfg = tiny_config()
     params = init_params(cfg, Rng(0))
-    patches = Tensor(Rng(1).normal((cfg.n_patches, cfg.d_in)))
-    with_caption, _, _ = gs_former_forward(patches, [1, 7, 9, 2], cfg, params, Rng(3))
-    without, _, _ = gs_former_forward(patches, [], cfg, params, Rng(3))
+    patches = one_diagram(cfg, 1)
+    with_caption, _, _ = gs_former_forward(patches, [[1, 7, 9, 2]], cfg, params, [Rng(3)])
+    without, _, _ = gs_former_forward(patches, [[]], cfg, params, [Rng(3)])
     assert np.array_equal(with_caption.f_g.data, without.f_g.data)
     assert without.text_cls is None
 
@@ -223,9 +240,9 @@ def test_forward_queries_independent_of_caption():
 def test_forward_bit_identical_with_fixed_seed():
     cfg = tiny_config()
     params = init_params(cfg, Rng(0))
-    patches = Tensor(Rng(1).normal((cfg.n_patches, cfg.d_in)))
-    a, _, la = gs_former_forward(patches, [1, 5], cfg, params, Rng(7))
-    b, _, lb = gs_former_forward(patches, [1, 5], cfg, params, Rng(7))
+    patches = one_diagram(cfg, 1)
+    a, _, la = gs_former_forward(patches, [[1, 5]], cfg, params, [Rng(7)])
+    b, _, lb = gs_former_forward(patches, [[1, 5]], cfg, params, [Rng(7)])
     assert np.array_equal(a.f_g.data, b.f_g.data)
     assert np.array_equal(la.data, lb.data)
 
@@ -233,9 +250,16 @@ def test_forward_bit_identical_with_fixed_seed():
 def test_forward_rejects_out_of_vocab_ids():
     cfg = tiny_config()
     params = init_params(cfg, Rng(0))
-    patches = Tensor(Rng(1).normal((cfg.n_patches, cfg.d_in)))
     with pytest.raises(OutOfVocabError):
-        gs_former_forward(patches, [cfg.vocab_size], cfg, params, Rng(2))
+        gs_former_forward(one_diagram(cfg, 1), [[cfg.vocab_size]], cfg, params, [Rng(2)])
+
+
+def test_forward_rejects_a_batch_that_mixes_captioned_and_caption_free():
+    cfg = tiny_config()
+    params = init_params(cfg, Rng(0))
+    patches = Tensor(Rng(1).normal((2, cfg.n_patches, cfg.d_in)))
+    with pytest.raises(ValueError, match="mixes"):
+        gs_former_forward(patches, [[1, 5], []], cfg, params, None)
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +343,30 @@ def test_mha_matches_per_head_reference(lead, mask_kind):
 # ---------------------------------------------------------------------------
 
 def _forward_batch(cfg, params, batch, rng):
-    feats, logits, targets = [], [], []
-    for i, (patches, ids) in enumerate(batch):
-        f, _, cap_logits = gs_former_forward(
-            patches, ids, cfg, params, rng.split(str(i))
-        )
-        feats.append(f)
-        logits.append(cap_logits)
-        targets.append(ids)
-    return feats, logits, targets
+    patches, captions = batch
+    rngs = [rng.split(str(i)) for i in range(len(captions))]
+    feats, _, logits = gs_former_forward(patches, captions, cfg, params, rngs)
+    return feats, logits, captions
+
+
+def _stacked(rows):
+    return AlignedFeatures(f_g=Tensor(np.stack([r[0] for r in rows])),
+                           text_cls=Tensor(np.stack([r[1] for r in rows])))
+
+
+def _permuted(feats, logits, targets, perm):
+    return (AlignedFeatures(Tensor(feats.f_g.data[perm]), Tensor(feats.text_cls.data[perm])),
+            Tensor(logits.data[perm]), [targets[i] for i in perm])
 
 
 def test_contrast_identical_aligned_pairs_is_log_batch():
     cfg = tiny_config()
     params = init_params(cfg, Rng(0))
-    f = AlignedFeatures(
-        f_g=Tensor(Rng(1).normal((cfg.n_queries, cfg.d_model))),
-        text_cls=Tensor(Rng(2).normal((cfg.d_model,))),
-    )
-    logits = Tensor(Rng(3).normal((3, cfg.vocab_size)))
+    row = (Rng(1).normal((cfg.n_queries, cfg.d_model)), Rng(2).normal((cfg.d_model,)))
+    logits = Rng(3).normal((3, cfg.vocab_size))
     l_contrast, _, _ = alignment_loss(
-        [f, f], [logits, logits], [[1, 5, 6], [1, 5, 6]], cfg, params
+        _stacked([row, row]), Tensor(np.stack([logits, logits])),
+        [[1, 5, 6], [1, 5, 6]], cfg, params
     )
     assert l_contrast.item() == pytest.approx(math.log(2), abs=1e-9)
 
@@ -357,13 +384,13 @@ def test_contrast_matches_numpy_infonce_at_batch_two():
         return v / math.sqrt(float(v @ v) + 1e-12)
 
     g = np.stack([
-        project(f.f_g.data.mean(axis=0), params["vis_proj_w"].data,
+        project(f_g.mean(axis=0), params["vis_proj_w"].data,
                 params["vis_proj_b"].data)
-        for f in feats
+        for f_g in feats.f_g.data
     ])
     t = np.stack([
-        project(f.text_cls.data, params["txt_proj_w"].data, params["txt_proj_b"].data)
-        for f in feats
+        project(text, params["txt_proj_w"].data, params["txt_proj_b"].data)
+        for text in feats.text_cls.data
     ])
     sim = (g @ t.T) * math.exp(params["log_scale"].item())
 
@@ -383,16 +410,12 @@ def test_caption_loss_one_hot_correct_is_zero():
     hot = np.full((4, cfg.vocab_size), -40.0)
     for pos, nxt in enumerate(ids[1:]):
         hot[pos, nxt] = 40.0
-    f = AlignedFeatures(
-        f_g=Tensor(Rng(1).normal((cfg.n_queries, cfg.d_model))),
-        text_cls=Tensor(Rng(2).normal((cfg.d_model,))),
-    )
-    g = AlignedFeatures(
-        f_g=Tensor(Rng(3).normal((cfg.n_queries, cfg.d_model))),
-        text_cls=Tensor(Rng(4).normal((cfg.d_model,))),
-    )
+    feats = _stacked([
+        (Rng(1).normal((cfg.n_queries, cfg.d_model)), Rng(2).normal((cfg.d_model,))),
+        (Rng(3).normal((cfg.n_queries, cfg.d_model)), Rng(4).normal((cfg.d_model,))),
+    ])
     _, _, l_caption = alignment_loss(
-        [f, g], [Tensor(hot), Tensor(hot)], [ids, ids], cfg, params
+        feats, Tensor(np.stack([hot, hot])), [ids, ids], cfg, params
     )
     assert l_caption.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -403,7 +426,7 @@ def test_losses_invariant_under_batch_swap():
     batch = random_batch(cfg, Rng(1), 2)
     feats, logits, targets = _forward_batch(cfg, params, batch, Rng(2))
     fwd = alignment_loss(feats, logits, targets, cfg, params)
-    rev = alignment_loss(feats[::-1], logits[::-1], targets[::-1], cfg, params)
+    rev = alignment_loss(*_permuted(feats, logits, targets, [1, 0]), cfg, params)
     for a, b in zip(fwd, rev):
         assert a.item() == pytest.approx(b.item(), rel=1e-12)
 
@@ -414,13 +437,21 @@ def test_contrast_and_caption_invariant_under_any_permutation():
     batch = random_batch(cfg, Rng(1), 4)
     feats, logits, targets = _forward_batch(cfg, params, batch, Rng(2))
     base = alignment_loss(feats, logits, targets, cfg, params)
-    perm = [2, 0, 3, 1]
-    mixed = alignment_loss(
-        [feats[i] for i in perm], [logits[i] for i in perm],
-        [targets[i] for i in perm], cfg, params,
-    )
+    mixed = alignment_loss(*_permuted(feats, logits, targets, [2, 0, 3, 1]),
+                           cfg, params)
     assert mixed[0].item() == pytest.approx(base[0].item(), rel=1e-12)
     assert mixed[2].item() == pytest.approx(base[2].item(), rel=1e-12)
+
+
+def _forward_one_by_one(cfg, params, batch, rng):
+    patches, captions = batch
+    feats, logits = [], []
+    for i, ids in enumerate(captions):
+        f, _, cap_logits = gs_former_forward(
+            tc.narrow(patches, 0, i, 1), [ids], cfg, params, [rng.split(str(i))])
+        feats.append(f)
+        logits.append(cap_logits)
+    return feats, logits, captions
 
 
 @pytest.mark.parametrize("size", [2, 5])
@@ -429,21 +460,32 @@ def test_batched_alignment_loss_matches_per_row_reference(size):
     params = init_params(cfg, Rng(0))
     batch = random_batch(cfg, Rng(1), size)
 
-    def loss(losses, index):
-        feats, logits, targets = _forward_batch(cfg, params, batch, Rng(2))
-        return losses(feats, logits, targets)[index]
-
     for index in range(3):
         got, got_grads = _grads_of(
-            lambda: loss(lambda *fwd: alignment_loss(*fwd, cfg, params), index),
+            lambda: alignment_loss(*_forward_batch(cfg, params, batch, Rng(2)),
+                                   cfg, params)[index],
             params, Tensor(1.0))
         want, want_grads = _grads_of(
-            lambda: loss(lambda *fwd: reference_alignment_loss(*fwd, params), index),
+            lambda: reference_alignment_loss(
+                *_forward_one_by_one(cfg, params, batch, Rng(2)), params)[index],
             params, Tensor(1.0))
         _assert_close(got, want)
         assert got_grads.keys() == want_grads.keys()
         for name in want_grads:
             _assert_close(got_grads[name], want_grads[name])
+
+
+@pytest.mark.parametrize("size", [2, 5])
+def test_pretrain_loss_matches_batch_of_one_forwards(size):
+    cfg = tiny_config()
+    params = init_params(cfg, Rng(0))
+    patches, captions = random_batch(cfg, Rng(1), size)
+    got, got_grads = loss_and_grads(
+        params, lambda: pretrain_loss(patches, captions, cfg, params, Rng(2)).tensor)
+    want, want_grads = loss_and_grads(
+        params, lambda: reference_pretrain_loss(patches, captions, cfg, params, Rng(2)))
+    assert got == pytest.approx(want, rel=1e-12)
+    assert_grads_close(got_grads, want_grads)
 
 
 def test_alignment_rejects_batch_of_one():
@@ -462,7 +504,7 @@ def test_alignment_rejects_batch_of_one():
 def test_pretrain_loss_lambda_zero_total_equals_align():
     cfg = tiny_config(lam=0.0)
     params = init_params(cfg, Rng(0))
-    out = pretrain_loss(random_batch(cfg, Rng(1), 2), cfg, params, Rng(2))
+    out = pretrain_loss(*random_batch(cfg, Rng(1), 2), cfg, params, Rng(2))
     assert out.l_total == out.l_align
 
 
@@ -472,14 +514,14 @@ def test_pretrain_loss_lambda_linearity_exact():
     for _ in range(20):
         lam = float(rng.uniform(()) * 4.0)
         cfg = tiny_config(lam=lam)
-        out = pretrain_loss(random_batch(cfg, Rng(1), 2), cfg, params, Rng(2))
+        out = pretrain_loss(*random_batch(cfg, Rng(1), 2), cfg, params, Rng(2))
         assert out.l_total == out.l_align + lam * out.l_spr
 
 
 def test_pretrain_loss_components_finite_and_nonnegative():
     cfg = tiny_config()
     params = init_params(cfg, Rng(0))
-    out = pretrain_loss(random_batch(cfg, Rng(1), 3), cfg, params, Rng(2))
+    out = pretrain_loss(*random_batch(cfg, Rng(1), 3), cfg, params, Rng(2))
     for value in (out.l_contrast, out.l_match, out.l_caption,
                   out.l_align, out.l_spr, out.l_total):
         assert math.isfinite(value)
@@ -494,9 +536,9 @@ def test_pretrain_loss_gradient_spot_check_vs_finite_differences():
     batch = random_batch(cfg, Rng(1), 2, cap_len=4)
 
     def loss_value() -> float:
-        return pretrain_loss(batch, cfg, params, Rng(5), hard=False).l_total
+        return pretrain_loss(*batch, cfg, params, Rng(5), hard=False).l_total
 
-    out = pretrain_loss(batch, cfg, params, Rng(5), hard=False)
+    out = pretrain_loss(*batch, cfg, params, Rng(5), hard=False)
     out.tensor.backward()
     rng = Rng(6)
     names = sorted(params)
@@ -520,7 +562,7 @@ def test_pretrain_training_sanity_moving_average_decreases():
     losses = []
     for step in range(120):
         opt.zero_grad()
-        out = pretrain_loss(batch, cfg, params, Rng(1000 + step))
+        out = pretrain_loss(*batch, cfg, params, Rng(1000 + step))
         out.tensor.backward()
         opt.step()
         losses.append(out.l_total)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geoformal import gsformer as gsf
 from geoformal import pretrain as pt
 from geoformal import tensorcore as tc
 from geoformal.pretrain import (
@@ -24,7 +25,13 @@ from geoformal.pretrain import (
 )
 from geoformal.tensorcore import Adam, Rng, Tensor
 
-from oracles import assert_same_beams, reference_beam_decode
+from oracles import (
+    assert_grads_close,
+    assert_same_beams,
+    loss_and_grads,
+    reference_beam_decode,
+    summed_loss_and_grads,
+)
 
 
 def small_decoder(vocab=24, d=32, max_len=40):
@@ -40,14 +47,15 @@ def small_decoder(vocab=24, d=32, max_len=40):
 def test_mae_mask_count():
     patches = Tensor(Rng(0).normal((64, 16)))
     batch = mae_mask(patches, 0.75, Rng(1))
-    assert len(batch.mask_indices) == 48
+    assert batch.masked.shape == (64, 1)
+    assert batch.masked.sum() == 48
 
 
 def test_mae_mask_deterministic_under_seed():
     patches = Tensor(Rng(0).normal((16, 4)))
     a = mae_mask(patches, 0.5, Rng(7))
     b = mae_mask(patches, 0.5, Rng(7))
-    assert a.mask_indices == b.mask_indices
+    assert np.array_equal(a.masked, b.masked)
 
 
 def test_mae_mask_degenerate_ratio():
@@ -72,7 +80,7 @@ def test_mae_loss_ignores_visible_positions_exactly():
     base = mae_loss(recon, patches, batch).item()
     perturbed = recon.data.copy()
     for i in range(8):
-        if i not in batch.mask_indices:
+        if not batch.masked[i, 0]:
             perturbed[i] += rng.normal((4,), std=10.0)
     assert mae_loss(Tensor(perturbed), patches, batch).item() == base
 
@@ -112,30 +120,82 @@ def test_mae_forward_shape_and_training_reduces_loss():
     assert last < first / 3
 
 
+def test_mae_batch_equals_mean_of_batch_of_one_calls():
+    cfg = MAEConfig(patch_dim=9, n_patches=16, d_model=16, n_heads=2, n_layers=2)
+    params = init_mae_params(cfg, Rng(0))
+    ones = [mae_mask(Tensor(Rng(100 + i).uniform((16, 9))), 0.75, Rng(i))
+            for i in range(3)]
+    batch = pt.MAEBatch(Tensor(np.stack([b.patches.data for b in ones])),
+                        np.stack([b.masked for b in ones]))
+
+    def loss_of(b):
+        return lambda: mae_loss(mae_forward(params, cfg, b), b.patches, b)
+
+    got, got_grads = loss_and_grads(params, loss_of(batch))
+    want, want_grads = summed_loss_and_grads(
+        params, [loss_of(pt.MAEBatch(tc.reshape(b.patches, (1, 16, 9)), b.masked[None]))
+                 for b in ones], scale=1.0 / len(ones))
+    assert got == pytest.approx(want, rel=1e-12)
+    assert_grads_close(got_grads, want_grads)
+
+
 # ---------------------------------------------------------------------------
 # Language modeling
 # ---------------------------------------------------------------------------
 
+LM_BATCH = [[1, 5, 9, 13, 2], [1, 7, 2], [1, 4, 4, 8, 11, 15, 2], [3, 6]]
+
+
+def test_lm_batch_equals_mean_of_batch_of_one_calls():
+    cfg, params = small_decoder()
+    got, got_grads = loss_and_grads(params, lambda: lm_loss(params, cfg, LM_BATCH))
+    want, want_grads = summed_loss_and_grads(
+        params, [lambda seq=seq: lm_loss(params, cfg, [seq]) for seq in LM_BATCH],
+        scale=1.0 / len(LM_BATCH))
+    assert got == pytest.approx(want, rel=1e-12)
+    assert_grads_close(got_grads, want_grads)
+
+
+def test_padding_is_invisible_to_the_loss_and_the_gradients(monkeypatch):
+    cfg, params = small_decoder()
+    t_g = Tensor(Rng(1).normal((3, 2, cfg.d_lm), std=0.5), requires_grad=True)
+    leaves = {**params, "t_g": t_g}
+    questions, targets = [[5, 6, 7], [8], [9, 10]], [[11, 2], [12, 13, 14, 2], [2]]
+    runs = []
+    for pad in (0, 17):
+        monkeypatch.setattr(gsf, "PAD_ID", pad)
+        runs.append((
+            loss_and_grads(params, lambda: lm_loss(params, cfg, LM_BATCH)),
+            loss_and_grads(leaves, lambda: instruction_loss(
+                params, cfg, t_g, questions, targets)),
+        ))
+    for (loss_a, grads_a), (loss_b, grads_b) in zip(*runs):
+        assert loss_a == loss_b
+        assert grads_a.keys() == grads_b.keys()
+        for name in grads_a:
+            assert np.array_equal(grads_a[name], grads_b[name]), name
+
+
 def test_lm_loss_untrained_is_log_vocab():
     cfg, params = small_decoder(vocab=64)
     ids = list(Rng(1).integers(0, 64, (12,)))
-    loss = lm_loss(params, cfg, [int(t) for t in ids])
+    loss = lm_loss(params, cfg, [[int(t) for t in ids]])
     assert loss.item() == pytest.approx(math.log(64), abs=0.05)
 
 
 def test_lm_loss_rejects_short_sequences():
     cfg, params = small_decoder()
     with pytest.raises(SequenceTooShortError):
-        lm_loss(params, cfg, [5])
+        lm_loss(params, cfg, [[5, 6], [5]])
 
 
 def test_lm_loss_target_alignment_hand_walk():
     # three-token toy: positions predict ids[1] then ids[2]
     cfg, params = small_decoder()
     ids = [4, 9, 17]
-    loss = lm_loss(params, cfg, ids)
-    logits = decoder_forward(params, cfg, ids[:2])
-    expected = tc.cross_entropy(logits, ids[1:], reduction="mean")
+    loss = lm_loss(params, cfg, [ids])
+    logits = decoder_forward(params, cfg, [ids[:2]])
+    expected = tc.cross_entropy(logits, [ids[1:]], reduction="mean")
     assert loss.item() == pytest.approx(expected.item(), rel=1e-12)
 
 
@@ -145,10 +205,10 @@ def test_lm_memorizes_one_sequence():
     opt = Adam(params, lr=1e-2)
     for _ in range(500):
         opt.zero_grad()
-        loss = lm_loss(params, cfg, seq)
+        loss = lm_loss(params, cfg, [seq])
         loss.backward()
         opt.step()
-    assert lm_loss(params, cfg, seq).item() < 0.1
+    assert lm_loss(params, cfg, [seq]).item() < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -177,50 +237,66 @@ def test_instruction_loss_saturated_correct_logit_is_zero():
     bias = np.full(cfg.vocab_size, -40.0)
     bias[7] = 40.0
     params["head_b"] = Tensor(bias, requires_grad=True)
-    t_g = Tensor(Rng(1).normal((2, cfg.d_lm), std=0.02))
-    loss = instruction_loss(params, cfg, t_g, [5, 6], [7])
+    t_g = Tensor(Rng(1).normal((1, 2, cfg.d_lm), std=0.02))
+    loss = instruction_loss(params, cfg, t_g, [[5, 6]], [[7]])
     assert loss.item() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_instruction_loss_matches_independent_composition():
     cfg, params = small_decoder()
-    t_g = Tensor(Rng(1).normal((2, cfg.d_lm), std=0.02))
+    t_g = Tensor(Rng(1).normal((1, 2, cfg.d_lm), std=0.02))
     t_p = [5, 6, 7]
     s = [9, 10, 11, 2]
-    loss = instruction_loss(params, cfg, t_g, t_p, s)
+    loss = instruction_loss(params, cfg, t_g, [t_p], [s])
 
-    logits = decoder_forward(params, cfg, t_p + s[:-1], prefix_embeds=t_g)
+    logits = decoder_forward(params, cfg, [t_p + s[:-1]], prefix_embeds=t_g)
     n_prefix = 2 + len(t_p)
-    tail = tc.narrow(logits, 0, n_prefix - 1, len(s))
-    expected = tc.cross_entropy(tail, s, reduction="sum")
+    tail = tc.narrow(logits, 1, n_prefix - 1, len(s))
+    expected = tc.cross_entropy(tail, [s], reduction="sum")
     assert loss.item() == pytest.approx(expected.item(), abs=1e-12)
 
 
 def test_instruction_loss_prefix_positions_contribute_nothing():
     cfg, params = small_decoder()
-    t_g = Tensor(Rng(1).normal((2, cfg.d_lm), std=0.02))
+    t_g = Tensor(Rng(1).normal((1, 2, cfg.d_lm), std=0.02))
     t_p = [5, 6, 7]
     s = [9, 10, 2]
-    loss = instruction_loss(params, cfg, t_g, t_p, s)
+    loss = instruction_loss(params, cfg, t_g, [t_p], [s])
 
-    logits = decoder_forward(params, cfg, t_p + s[:-1], prefix_embeds=t_g)
+    logits = decoder_forward(params, cfg, [t_p + s[:-1]], prefix_embeds=t_g)
     n_prefix = 2 + len(t_p)
     perturbed = logits.data.copy()
-    perturbed[: n_prefix - 1] += Rng(2).normal(perturbed[: n_prefix - 1].shape, std=9.0)
-    targets_full = [0] * logits.shape[0]
-    ignore = [True] * logits.shape[0]
+    perturbed[0, : n_prefix - 1] += Rng(2).normal(perturbed[0, : n_prefix - 1].shape,
+                                                  std=9.0)
+    targets_full = [0] * logits.shape[1]
+    weights = [0.0] * logits.shape[1]
     for offset, tok in enumerate(s):
         targets_full[n_prefix - 1 + offset] = tok
-        ignore[n_prefix - 1 + offset] = False
-    recomputed = tc.cross_entropy(Tensor(perturbed), targets_full, ignore,
+        weights[n_prefix - 1 + offset] = 1.0
+    recomputed = tc.cross_entropy(Tensor(perturbed), [targets_full], [weights],
                                   reduction="sum")
     assert recomputed.item() == pytest.approx(loss.item(), abs=1e-12)
+
+
+def test_instruction_batch_equals_sum_of_batch_of_one_calls():
+    cfg, params = small_decoder()
+    t_g = Tensor(Rng(1).normal((3, 2, cfg.d_lm), std=0.5), requires_grad=True)
+    leaves = {**params, "t_g": t_g}
+    questions, targets = [[5, 6, 7], [8], [9, 10]], [[11, 2], [12, 13, 14, 2], [2]]
+    got, got_grads = loss_and_grads(
+        leaves, lambda: instruction_loss(params, cfg, t_g, questions, targets))
+    want, want_grads = summed_loss_and_grads(leaves, [
+        lambda i=i: instruction_loss(params, cfg, tc.narrow(t_g, 0, i, 1),
+                                     [questions[i]], [targets[i]])
+        for i in range(3)])
+    assert got == pytest.approx(want, rel=1e-12)
+    assert_grads_close(got_grads, want_grads)
 
 
 def test_instruction_loss_empty_target():
     cfg, params = small_decoder()
     with pytest.raises(EmptyTargetError):
-        instruction_loss(params, cfg, Tensor(np.zeros((2, cfg.d_lm))), [5], [])
+        instruction_loss(params, cfg, Tensor(np.zeros((1, 2, cfg.d_lm))), [[5]], [[]])
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +307,8 @@ def greedy_decode(params, cfg, t_g, t_p, max_len, eos_id=2):
     tokens = []
     with tc.no_grad():
         for _ in range(max_len):
-            logits = decoder_forward(params, cfg, list(t_p) + tokens, prefix_embeds=t_g)
-            nxt = int(np.argmax(logits.data[-1]))
+            logits = decoder_forward(params, cfg, [list(t_p) + tokens], prefix_embeds=t_g)
+            nxt = int(np.argmax(logits.data[0, -1]))
             tokens.append(nxt)
             if nxt == eos_id:
                 break
@@ -241,7 +317,7 @@ def greedy_decode(params, cfg, t_g, t_p, max_len, eos_id=2):
 
 def test_beam_one_equals_greedy():
     cfg, params = small_decoder()
-    t_g = Tensor(Rng(3).normal((2, cfg.d_lm), std=0.02))
+    t_g = Tensor(Rng(3).normal((1, 2, cfg.d_lm), std=0.02))
     for seed in range(3):
         t_p = [int(x) for x in Rng(seed).integers(4, cfg.vocab_size, (4,))]
         greedy = greedy_decode(params, cfg, t_g, t_p, max_len=8)
@@ -251,7 +327,7 @@ def test_beam_one_equals_greedy():
 
 def test_beam_candidate_count_and_ranking():
     cfg, params = small_decoder()
-    t_g = Tensor(Rng(4).normal((2, cfg.d_lm), std=0.02))
+    t_g = Tensor(Rng(4).normal((1, 2, cfg.d_lm), std=0.02))
     hyps = beam_decode(params, cfg, t_g, [5, 6], beam=5, max_len=6)
     assert 1 <= len(hyps) <= 5
     scores = [h.normalized for h in hyps]
@@ -260,7 +336,7 @@ def test_beam_candidate_count_and_ranking():
 
 def test_beam_decode_deterministic():
     cfg, params = small_decoder()
-    t_g = Tensor(Rng(5).normal((2, cfg.d_lm), std=0.02))
+    t_g = Tensor(Rng(5).normal((1, 2, cfg.d_lm), std=0.02))
     a = beam_decode(params, cfg, t_g, [5, 6, 7], beam=4, max_len=6)
     b = beam_decode(params, cfg, t_g, [5, 6, 7], beam=4, max_len=6)
     assert a == b
@@ -277,10 +353,10 @@ def test_overfit_decoder_ranks_memorized_sequence_first():
     t_p = [4, 7]
     target = [11, 15, 19, 2]
     opt = Adam(params, lr=1e-2)
-    t_g = Tensor(Rng(6).normal((2, cfg.d_lm), std=0.02))
+    t_g = Tensor(Rng(6).normal((1, 2, cfg.d_lm), std=0.02))
     for _ in range(300):
         opt.zero_grad()
-        loss = instruction_loss(params, cfg, t_g, t_p, target)
+        loss = instruction_loss(params, cfg, t_g, [t_p], [target])
         loss.backward()
         opt.step()
     hyps = beam_decode(params, cfg, t_g, t_p, beam=3, max_len=8)
@@ -305,7 +381,7 @@ def cache_decoder(seed, max_len=40):
 @pytest.mark.parametrize("seed", range(5))
 def test_cached_beam_decode_matches_uncached_reference(seed, beam, with_t_g):
     cfg, params = cache_decoder(seed)
-    t_g = (Tensor(Rng(seed + 10).normal((3, cfg.d_lm), std=0.5))
+    t_g = (Tensor(Rng(seed + 10).normal((1, 3, cfg.d_lm), std=0.5))
            if with_t_g else None)
     t_p = [int(x) for x in Rng(seed).integers(3, cfg.vocab_size, (4,))]
     cached = beam_decode(params, cfg, t_g, t_p, beam=beam, max_len=12)
@@ -317,7 +393,7 @@ def test_cached_beam_decode_matches_uncached_reference(seed, beam, with_t_g):
 def test_cached_beam_decode_matches_reference_when_eos_comes_early():
     cfg, params = cache_decoder(7)
     params["head_b"].data[2] += 4.0  # make EOS a likely continuation
-    t_g = Tensor(Rng(8).normal((2, cfg.d_lm), std=0.5))
+    t_g = Tensor(Rng(8).normal((1, 2, cfg.d_lm), std=0.5))
     cached = beam_decode(params, cfg, t_g, [5, 9], beam=4, max_len=10)
     assert_same_beams(cached, reference_beam_decode(params, cfg, t_g, [5, 9],
                                                     beam=4, max_len=10))
@@ -327,7 +403,7 @@ def test_cached_beam_decode_matches_reference_when_eos_comes_early():
 def test_cached_beam_decode_hits_the_length_limit_at_the_same_step():
     # prefix 2 + 4 = 6 rows; the step that would hold 11 rows passes max_len 10
     cfg, params = cache_decoder(9, max_len=10)
-    t_g = Tensor(Rng(9).normal((2, cfg.d_lm), std=0.5))
+    t_g = Tensor(Rng(9).normal((1, 2, cfg.d_lm), std=0.5))
     t_p = [4, 5, 6, 7]
     assert_same_beams(
         beam_decode(params, cfg, t_g, t_p, beam=3, max_len=5),
@@ -344,7 +420,7 @@ def test_cache_filled_to_the_decoder_limit_fails_at_the_reference_step(beam, n_v
     # the decoder has, then the next step must fail where the reference fails
     cfg, params = cache_decoder(11, max_len=12)
     params["head_b"].data[2] -= 50.0  # no hypothesis ends before the limit
-    t_g = Tensor(Rng(12).normal((n_visual, cfg.d_lm), std=0.5)) if n_visual else None
+    t_g = Tensor(Rng(12).normal((1, n_visual, cfg.d_lm), std=0.5)) if n_visual else None
     t_p = [4, 5, 6]
     fill = cfg.max_len - n_visual - len(t_p) + 1  # steps that fit exactly
     assert_same_beams(

@@ -87,6 +87,18 @@ def test_embedding_lookup_rows():
     assert np.allclose(table.grad, [[1, 1, 1], [0, 0, 0], [2, 2, 2], [0, 0, 0]])
 
 
+def test_embedding_lookup_takes_ids_of_any_shape():
+    table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    out = tc.embedding_lookup(table, [[2, 0], [3, 2]])
+    assert out.shape == (2, 2, 3)
+    assert np.array_equal(out.data[1, 0], [9, 10, 11])
+    tc.tsum(out).backward()
+    assert np.array_equal(table.grad, [[1, 1, 1], [0, 0, 0], [2, 2, 2], [1, 1, 1]])
+    assert_grad_matches(
+        lambda t: tc.tsum(tc.power(tc.embedding_lookup(t, [[0, 3, 3], [1, 0, 2]]), 2.0)),
+        rand(Rng(20), (4, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Gradient audit, op by op
 # ---------------------------------------------------------------------------
@@ -175,6 +187,37 @@ def test_batched_matmul_and_transpose_grads():
     assert_grad_matches(
         lambda t: tc.tsum(tc.power(tc.matmul(tc.transpose(t), right), 2.0)),
         rand(rng, (3, 5, 2)))
+
+
+def test_matmul_folds_a_stacked_left_operand_in_both_directions():
+    rng = Rng(21)
+    a = Tensor(rng.normal((3, 4, 5)), requires_grad=True)
+    w = Tensor(rng.normal((5, 2)), requires_grad=True)
+    go = rng.normal((3, 4, 2))
+    tc.tsum(tc.mul(tc.matmul(a, w), Tensor(go))).backward()
+    rows, go_rows = a.data.reshape(12, 5), go.reshape(12, 2)
+    assert np.array_equal(a.grad, (go_rows @ w.data.T).reshape(3, 4, 5))
+    assert np.array_equal(w.grad, rows.T @ go_rows)
+    want = sum(a.data[i].T @ go[i] for i in range(3))
+    assert np.abs(w.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_attention_takes_leading_batch_axes():
+    rng = Rng(22)
+    q = Tensor(rng.normal((2, 4)))
+    k = Tensor(rng.normal((3, 5, 4)))
+    v = Tensor(rng.normal((3, 5, 2)))
+    mask = Tensor(0.3 + 0.7 * rng.uniform((3, 1, 5)))
+    out = tc.attention(q, k, v, mask)
+    assert out.shape == (3, 2, 2)
+    for i in range(3):
+        one = tc.attention(q, Tensor(k.data[i]), Tensor(v.data[i]),
+                           Tensor(mask.data[i, 0]))
+        assert np.allclose(out.data[i], one.data, rtol=0.0, atol=1e-12)
+    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.attention(q, t, v, mask), 2.0)),
+                        rand(rng, (3, 5, 4)))
+    with pytest.raises(ShapeMismatchError):
+        tc.attention(q, Tensor(rng.normal((3, 5, 3))), v)
 
 
 def test_transpose_swaps_any_two_axes():
@@ -278,13 +321,42 @@ def test_grad_embedding_lookup():
 def test_grad_cross_entropy():
     rng = Rng(8)
     targets = [1, 0, 3, 2, 1]
-    ignore = [False, True, False, False, True]
+    weights = [1, 0, 1, 1, 0]
     for reduction in ("mean", "sum"):
         assert_grad_matches(
-            lambda t, r=reduction: tc.cross_entropy(t, targets, ignore, reduction=r),
+            lambda t, r=reduction: tc.cross_entropy(t, targets, weights, reduction=r),
             rand(rng, (5, 4), lo=-2.0, hi=2.0),
             h=1e-4,
         )
+
+
+def test_cross_entropy_on_stacked_logits_matches_the_flat_rows():
+    rng = Rng(19)
+    logits = rand(rng, (2, 3, 5), lo=-2.0, hi=2.0)
+    targets = [[1, 4, 0], [2, 2, 3]]
+    weights = [[0.5, 0.25, 0.0], [1.0, 0.0, 2.0]]
+    flat = Tensor(logits.data.reshape(6, 5), requires_grad=True)
+    for reduction in ("mean", "sum"):
+        logits.grad = flat.grad = None
+        stacked = tc.cross_entropy(logits, targets, weights, reduction=reduction)
+        rows = tc.cross_entropy(flat, np.ravel(targets), np.ravel(weights),
+                                reduction=reduction)
+        stacked.backward()
+        rows.backward()
+        assert stacked.item() == rows.item()
+        assert np.array_equal(logits.grad.reshape(6, 5), flat.grad)
+    # weights are per-position multipliers: "mean" divides by their sum
+    nll = -np.log(np.exp(logits.data) / np.exp(logits.data).sum(-1, keepdims=True))
+    picked = np.take_along_axis(nll, np.array(targets)[..., None], -1)[..., 0]
+    want = (picked * weights).sum() / np.sum(weights)
+    assert tc.cross_entropy(logits, targets, weights).item() == pytest.approx(want, rel=1e-12)
+    assert_grad_matches(
+        lambda t: tc.cross_entropy(t, targets, weights, reduction="sum"),
+        rand(rng, (2, 3, 5)), h=1e-4)
+    with pytest.raises(ShapeMismatchError):
+        tc.cross_entropy(logits, [1, 2, 3])
+    with pytest.raises(ShapeMismatchError):
+        tc.cross_entropy(logits, targets, [1.0, 1.0])
 
 
 def test_grad_attention_all_inputs():
@@ -381,6 +453,16 @@ def test_gumbel_rng_none_is_noise_free():
     assert np.array_equal(hard.data, [[1.0, 0.0], [0.0, 1.0]])
 
 
+def test_gumbel_draws_each_example_from_its_own_stream():
+    logits = Tensor(Rng(23).normal((3, 4, 2)))
+    streams = [Rng(5).split(f"sample{i}") for i in range(3)]
+    batched = tc.gumbel_softmax(logits, 0.9, False, streams)
+    for i in range(3):
+        one = tc.gumbel_softmax(Tensor(logits.data[i]), 0.9, False,
+                                Rng(5).split(f"sample{i}"))
+        assert np.array_equal(batched.data[i], one.data)
+
+
 def test_gumbel_rejects_bad_temperature():
     with pytest.raises(NonPositiveTemperatureError):
         tc.gumbel_softmax(tc.zeros((2, 2)), 0.0, False, Rng(0))
@@ -404,7 +486,7 @@ def test_cross_entropy_confident_correct():
 
 def test_cross_entropy_empty_after_mask():
     with pytest.raises(EmptyAfterMaskError):
-        tc.cross_entropy(tc.zeros((2, 3)), [0, 1], ignore_mask=[True, True])
+        tc.cross_entropy(tc.zeros((2, 3)), [0, 1], weights=[0.0, 0.0])
 
 
 def test_cross_entropy_sum_is_count_times_mean():

@@ -14,6 +14,13 @@ from geoformal import tensorcore as tc
 from geoformal import train as tr
 from geoformal.tensorcore import Rng, Tensor
 
+from oracles import (
+    assert_grads_close,
+    loss_and_grads,
+    reference_pretrain_loss,
+    summed_loss_and_grads,
+)
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -156,6 +163,11 @@ def draw(rng: Rng, n: int, batch: int) -> list[int]:
     return [int(i) for i in rng.integers(0, n, (min(batch, n),))]
 
 
+def one(patches: Tensor) -> Tensor:
+    """One diagram as a batch of one."""
+    return tc.reshape(patches, (1,) + patches.shape)
+
+
 def test_mae_step0_loss_matches_oracle(dataset, tmp_path):
     config, seed = small_config(dataset), 7
     tr.train_mae_stage(dataset, config, seed, tmp_path / "mae")
@@ -167,9 +179,10 @@ def test_mae_step0_loss_matches_oracle(dataset, tmp_path):
     losses = []
     with tc.no_grad():
         for i in picks:
-            patches = dataset.patches[order[i]]
-            batch = pt.mae_mask(patches, config.mae.mask_ratio,
-                                rng.split(f"mask/{order[i]}"))
+            patches = one(dataset.patches[order[i]])
+            masked = pt.mae_mask(dataset.patches[order[i]], config.mae.mask_ratio,
+                                 rng.split(f"mask/{order[i]}")).masked
+            batch = pt.MAEBatch(patches, masked[None])
             recon = pt.mae_forward(params, config.mae, batch)
             losses.append(pt.mae_loss(recon, patches, batch).item())
     expected = sum(losses) / len(losses)
@@ -189,7 +202,7 @@ def test_lm_step0_loss_matches_oracle(dataset, tmp_path):
     # lm draws from step0 itself, not step0/batch
     picks = draw(Rng(seed).split("step0"), len(sequences), config.stages["lm"].batch)
     with tc.no_grad():
-        losses = [pt.lm_loss(params, config.decoder, sequences[i]).item()
+        losses = [pt.lm_loss(params, config.decoder, [sequences[i]]).item()
                   for i in picks]
     expected = sum(losses) / len(losses)
     assert first_logged(tmp_path / "lm")["loss"] == pytest.approx(expected, rel=1e-12)
@@ -202,18 +215,22 @@ def test_align_step0_loss_matches_oracle(dataset, tmp_path):
     step_rng = Rng(seed).split("step0")
     picks = draw(step_rng.split("batch"), len(dataset.problems),
                  config.stages["align"].batch)
-    batch = []
+    captions = []
     for i in picks:
         rec = dataset.problems[i]
         caption = fl.tokenize(" ".join(rec.caption.split()), dataset.vocab)
-        batch.append((dataset.patches[rec.id], [fl.BOS_ID] + caption + [fl.EOS_ID]))
+        captions.append([fl.BOS_ID] + caption + [fl.EOS_ID])
+    patches = Tensor(np.stack([dataset.patches[dataset.problems[i].id].data
+                               for i in picks]))
     cfg = replace(config.gsformer,
                   tau=config.gsformer.tau_at(0, config.stages["align"].steps))
     with tc.no_grad():
-        out = gsf.pretrain_loss(batch, cfg, params, step_rng.split("noise"))
+        # one forward per example, each a batch of one with its own noise
+        total = reference_pretrain_loss(patches, captions, cfg, params,
+                                        step_rng.split("noise"))
     first = first_logged(tmp_path / "align")
     assert first["tau"] == cfg.tau
-    assert first["l_total"] == pytest.approx(out.l_total, rel=1e-12)
+    assert first["l_total"] == pytest.approx(total.item(), rel=1e-12)
 
 
 def test_sft_step0_loss_matches_oracle(dataset, tmp_path):
@@ -234,15 +251,43 @@ def test_sft_step0_loss_matches_oracle(dataset, tmp_path):
             rec = dataset.problems[i]
             target = fl.tokenize(rec.gt_program, dataset.vocab) + [fl.EOS_ID]
             feats, _, _ = gsf.gs_former_forward(
-                dataset.patches[rec.id], [], config.gsformer, gs,
-                step_rng.split(f"noise{slot}"), hard=False)
+                one(dataset.patches[rec.id]), [[]], config.gsformer, gs,
+                [step_rng.split(f"noise{slot}")], hard=False)
             t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
             total += pt.instruction_loss(dec, config.decoder, t_g,
-                                         rec.question_tokens, target).item()
+                                         [rec.question_tokens], [target]).item()
             n_targets += len(target)
     first = first_logged(tmp_path / "sft")
     assert first["loss_sum"] == pytest.approx(total, rel=1e-12)
     assert first["loss_mean"] == pytest.approx(total / n_targets, rel=1e-12)
+
+
+def test_sft_batch_equals_sum_of_batch_of_one_calls(dataset):
+    config = small_config(dataset)
+    rng = Rng(11)
+    joined = tr._join_sft_params(
+        gsf.init_params(config.gsformer, rng.split("gs")),
+        pt.init_decoder_params(config.decoder, rng.split("dec")),
+        Tensor(rng.split("proj").normal((config.gsformer.d_model, config.decoder.d_lm),
+                                        std=0.1), requires_grad=True),
+        tc.zeros((config.decoder.d_lm,), requires_grad=True))
+    recs = dataset.problems[2:6]  # questions of 18 and 20, programs of 3 to 11 tokens
+    questions = [rec.question_tokens for rec in recs]
+    targets = [fl.tokenize(rec.gt_program, dataset.vocab) + [fl.EOS_ID] for rec in recs]
+    assert len({len(q) for q in questions}) > 1 and len({len(t) for t in targets}) > 1
+    patches = Tensor(np.stack([dataset.patches[rec.id].data for rec in recs]))
+    noise = Rng(12)
+
+    def loss(rows):
+        return lambda: tr.sft_loss(
+            joined, config.gsformer, config.decoder,
+            Tensor(patches.data[rows]), [questions[i] for i in rows],
+            [targets[i] for i in rows], [noise.split(f"noise{i}") for i in rows])
+
+    got, got_grads = loss_and_grads(joined, loss(list(range(4))))
+    want, want_grads = summed_loss_and_grads(joined, [loss([i]) for i in range(4)])
+    assert got == pytest.approx(want, rel=1e-12)
+    assert_grads_close(got_grads, want_grads)
 
 
 # ---------------------------------------------------------------------------
