@@ -207,8 +207,8 @@ def norm(params, name, x: Tensor) -> Tensor:
 def mha(params, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
          mask: Tensor | None, cache=None) -> Tensor:
     """Multi-head attention over the last axis (leading axes batch).  Heads
-    are split once to (..., h, n, d/h), so all of them share one matmul, one
-    softmax and one matmul.  mask is None or broadcasts against the
+    are split once to (..., h, n, d/h), so all of them share one
+    `tc.attention` call.  mask is None or broadcasts against the
     (..., h, n_q, n_keys) logits: a (n_keys,) key mask, a (n_q, n_keys)
     allowed matrix, or a (B, 1, 1, n_keys) per-example key mask.  With a
     `cache` (pretrain.KVCache) the keys and values are the cache's rows."""
@@ -222,13 +222,7 @@ def mha(params, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
     def heads(x: Tensor) -> Tensor:
         return tc.transpose(tc.reshape(x, x.shape[:-1] + (n_heads, dh)), -2, -3)
 
-    logits = tc.mul(tc.matmul(heads(q), tc.transpose(heads(k))),
-                    Tensor(1.0 / math.sqrt(dh)))
-    if mask is None:
-        probs = tc.softmax(logits, axis=-1)
-    else:
-        probs = tc.masked_softmax(logits, mask)
-    out = tc.transpose(tc.matmul(probs, heads(v)), -2, -3)
+    out = tc.transpose(tc.attention(heads(q), heads(k), heads(v), mask), -2, -3)
     return linear(params, f"{prefix}o", tc.reshape(out, q.shape))
 
 

@@ -1,8 +1,12 @@
 """Minimal dense tensor kernel with reverse-mode differentiation.
 
-Tensors wrap 64-bit numpy arrays.  Every op builds a fresh tape node with a
-hand-written backward; `Tensor.backward()` walks the graph once in reverse
-topological order.  Ops never mutate their inputs; only the Adam optimizer
+Tensors wrap 64-bit numpy arrays.  Every op states one derivative rule per
+input, `go -> gradient of that input`, and `_node` keeps only the rules
+whose input requires a gradient: constants (input batches, masks, scalar
+factors) are never on the tape and never get a `.grad`.  `Tensor.backward()`
+walks the graph once in reverse topological order and is the one place that
+runs the rules, sums broadcast axes back to each input's shape and adds the
+result into `.grad`.  Ops never mutate their inputs; only the Adam optimizer
 writes parameter data in place.  Wrap inference code in `no_grad()` to skip
 tape construction entirely.
 """
@@ -50,15 +54,18 @@ def no_grad():
         _grad_enabled = saved
 
 
+Rule = Callable[[np.ndarray], np.ndarray]
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        # (input, rule) pairs of a tape node; empty for leaves and constants
+        self._parents: tuple[tuple[Tensor, Rule], ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -71,10 +78,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self) -> None:
+        """Run every node's rules in reverse topological order, summing each
+        gradient back to its input's shape and adding it into `.grad`."""
         if self.data.size != 1:
             raise ShapeMismatchError("backward (scalar required)", self.shape)
         topo: list[Tensor] = []
@@ -89,29 +95,29 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent, _ in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            for parent, rule in node._parents:
+                g = _unbroadcast(rule(node.grad), parent.shape)
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    if not (_grad_enabled and any(p.requires_grad for p in parents)):
+def _node(data: np.ndarray, *inputs: tuple[Tensor, Rule]) -> Tensor:
+    """The op's output; a tape node over the (input, rule) pairs whose input
+    requires a gradient, or a constant when none does (or under no_grad)."""
+    kept = _grad_enabled and tuple(pair for pair in inputs if pair[0].requires_grad)
+    if not kept:
         return Tensor(data)
     out = Tensor(data, requires_grad=True)
-    out._parents = tuple(parents)
-    out._backward = backward
+    out._parents = kept
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g if t.grad is None else t.grad + g
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum the axes numpy broadcast g over back down to `shape`."""
     if g.shape == shape:
         return g
     while g.ndim > len(shape):
@@ -120,6 +126,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if want == 1 and have != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g.reshape(shape)
+
+
+def _broadcasting(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
+    """fn(a.data, b.data) under numpy broadcasting, naming op on a mismatch."""
+    try:
+        return fn(a.data, b.data)
+    except ValueError:
+        raise ShapeMismatchError(op, a.shape, b.shape) from None
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
@@ -135,94 +149,46 @@ def ones(shape, requires_grad: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeMismatchError("add", a.shape, b.shape) from None
-
-    def backward(go):
-        _accumulate(a, _unbroadcast(go, a.shape))
-        _accumulate(b, _unbroadcast(go, b.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(_broadcasting("add", np.add, a, b),
+                 (a, lambda go: go), (b, lambda go: go))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeMismatchError("sub", a.shape, b.shape) from None
-
-    def backward(go):
-        _accumulate(a, _unbroadcast(go, a.shape))
-        _accumulate(b, _unbroadcast(-go, b.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(_broadcasting("sub", np.subtract, a, b),
+                 (a, lambda go: go), (b, lambda go: -go))
 
 
 def neg(a: Tensor) -> Tensor:
-    def backward(go):
-        _accumulate(a, -go)
-
-    return _node(-a.data, (a,), backward)
+    return _node(-a.data, (a, lambda go: -go))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeMismatchError("mul", a.shape, b.shape) from None
-
-    def backward(go):
-        _accumulate(a, _unbroadcast(go * b.data, a.shape))
-        _accumulate(b, _unbroadcast(go * a.data, b.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(_broadcasting("mul", np.multiply, a, b),
+                 (a, lambda go: go * b.data), (b, lambda go: go * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeMismatchError("div", a.shape, b.shape) from None
-
-    def backward(go):
-        _accumulate(a, _unbroadcast(go / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-go * a.data / (b.data * b.data), b.shape))
-
-    return _node(data, (a, b), backward)
+    return _node(_broadcasting("div", np.divide, a, b),
+                 (a, lambda go: go / b.data),
+                 (b, lambda go: -go * a.data / (b.data * b.data)))
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
-    data = a.data ** exponent
-
-    def backward(go):
-        _accumulate(a, go * exponent * a.data ** (exponent - 1.0))
-
-    return _node(data, (a,), backward)
+    return _node(a.data ** exponent,
+                 (a, lambda go: go * exponent * a.data ** (exponent - 1.0)))
 
 
 def log(a: Tensor) -> Tensor:
-    def backward(go):
-        _accumulate(a, go / a.data)
-
-    return _node(np.log(a.data), (a,), backward)
+    return _node(np.log(a.data), (a, lambda go: go / a.data))
 
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-
-    def backward(go):
-        _accumulate(a, go * data)
-
-    return _node(data, (a,), backward)
+    return _node(data, (a, lambda go: go * data))
 
 
 def absval(a: Tensor) -> Tensor:
-    def backward(go):
-        _accumulate(a, go * np.sign(a.data))
-
-    return _node(np.abs(a.data), (a,), backward)
+    return _node(np.abs(a.data), (a, lambda go: go * np.sign(a.data)))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -242,34 +208,28 @@ def gelu(a: Tensor) -> Tensor:
     data *= x
     data *= 0.5
 
-    def backward(go):
+    def d_a(go):
         # 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)
         local = (1.0 - t * t) * (_GELU_C * (1.0 + 3 * 0.044715 * (x * x)))
         local *= x
         local += 1.0 + t
         local *= 0.5
         local *= go
-        _accumulate(a, local)
+        return local
 
-    return _node(data, (a,), backward)
+    return _node(data, (a, d_a))
 
 
 def transpose(a: Tensor, axis1: int = -1, axis2: int = -2) -> Tensor:
     """Swap two axes, by default the last two (leading axes are a batch)."""
     if a.ndim < 2:
         raise ShapeMismatchError("transpose (needs >= 2-D)", a.shape)
-
-    def backward(go):
-        _accumulate(a, go.swapaxes(axis1, axis2))
-
-    return _node(a.data.swapaxes(axis1, axis2), (a,), backward)
+    return _node(a.data.swapaxes(axis1, axis2),
+                 (a, lambda go: go.swapaxes(axis1, axis2)))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def backward(go):
-        _accumulate(a, go.reshape(a.shape))
-
-    return _node(a.data.reshape(shape), (a,), backward)
+    return _node(a.data.reshape(shape), (a, lambda go: go.reshape(a.shape)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -277,17 +237,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeMismatchError("concat (empty)", ())
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def backward(go):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            index = [slice(None)] * go.ndim
-            index[axis] = slice(offset, offset + size)
-            _accumulate(t, go[tuple(index)])
-            offset += size
-
-    return _node(data, tensors, backward)
+    pieces, start = [], 0
+    for t in tensors:
+        index = [slice(None)] * data.ndim
+        index[axis] = slice(start, start + t.shape[axis])
+        pieces.append((t, lambda go, index=tuple(index): go[index]))
+        start += t.shape[axis]
+    return _node(data, *pieces)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -295,24 +251,21 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
 
-    def backward(go):
+    def d_a(go):
         full = np.zeros_like(a.data)
         full[index] = go
-        _accumulate(a, full)
+        return full
 
-    return _node(a.data[index].copy(), (a,), backward)
+    return _node(a.data[index].copy(), (a, d_a))
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(go):
-        g = go
+    def d_a(go):
         if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+            go = np.expand_dims(go, axis)
+        return np.broadcast_to(go, a.shape).copy()
 
-    return _node(data, (a,), backward)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a, d_a))
 
 
 def mean_pool(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -333,20 +286,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # way, not a loop over the batch (np.matmul loops over broadcast axes)
         k, m = b.shape
         rows = a.data.reshape(-1, k)
-        data = (rows @ b.data).reshape(a.shape[:-1] + (m,))
-
-        def backward(go):
-            go_rows = go.reshape(-1, m)
-            _accumulate(a, (go_rows @ b.data.T).reshape(a.shape))
-            _accumulate(b, rows.T @ go_rows)
-
-        return _node(data, (a, b), backward)
-
-    def backward(go):
-        _accumulate(a, _unbroadcast(go @ b.data.swapaxes(-1, -2), a.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ go, b.shape))
-
-    return _node(a.data @ b.data, (a, b), backward)
+        return _node(
+            (rows @ b.data).reshape(a.shape[:-1] + (m,)),
+            (a, lambda go: (go.reshape(-1, m) @ b.data.T).reshape(a.shape)),
+            (b, lambda go: rows.T @ go.reshape(-1, m)),
+        )
+    return _node(a.data @ b.data,
+                 (a, lambda go: go @ b.data.swapaxes(-1, -2)),
+                 (b, lambda go: a.data.swapaxes(-1, -2) @ go))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -354,15 +301,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     np.exp(data, out=data)
     data /= data.sum(axis=axis, keepdims=True)
 
-    def backward(go):
+    def d_a(go):
         dot = (go * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, data * (go - dot))
+        return data * (go - dot)
 
-    return _node(data, (a,), backward)
+    return _node(data, (a, d_a))
 
 
 _MASK_TINY = 1e-30
-_EXP_MAX = math.log(np.finfo(np.float64).max)
+_FLOAT_MAX = np.finfo(np.float64).max
+_EXP_MAX = math.log(_FLOAT_MAX)
 
 
 def masked_softmax(logits: Tensor, mask: Tensor) -> Tensor:
@@ -371,7 +319,8 @@ def masked_softmax(logits: Tensor, mask: Tensor) -> Tensor:
     For a {0,1} mask this equals softmax with -inf logits at masked keys; soft
     masks in (0,1] interpolate smoothly and receive gradients.  Rows whose mask
     is entirely zero produce an all-zero output row (defined degenerate case)
-    and contribute zero gradient.
+    and contribute zero gradient.  A masked key far above the live maximum
+    gets a mask gradient saturated at the float maximum, never an inf.
     """
     try:
         mask_b = np.broadcast_to(mask.data, logits.shape)
@@ -389,15 +338,18 @@ def masked_softmax(logits: Tensor, mask: Tensor) -> Tensor:
     z_safe = np.where(safe, z, 1.0)
     data = np.where(safe, weighted / z_safe, 0.0)
 
-    def backward(go):
-        dot = (go * data).sum(axis=-1, keepdims=True)
-        d_logits = data * (go - dot)
-        _accumulate(logits, d_logits)
-        if mask.requires_grad:
-            d_mask = np.where(safe, (e / z_safe) * (go - dot), 0.0)
-            _accumulate(mask, _unbroadcast(d_mask, mask.shape))
+    def d_logits(go):
+        return data * (go - (go * data).sum(axis=-1, keepdims=True))
 
-    return _node(data, (logits, mask), backward)
+    def d_mask(go):
+        centred = go - (go * data).sum(axis=-1, keepdims=True)
+        # clip the weight before the product, so a zero factor gives 0, not
+        # inf * 0 = NaN; then saturate the product
+        with np.errstate(over="ignore"):
+            d = np.minimum(e / z_safe, _FLOAT_MAX) * centred
+        return np.where(safe, np.clip(d, -_FLOAT_MAX, _FLOAT_MAX), 0.0)
+
+    return _node(data, (logits, d_logits), (mask, d_mask))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -409,17 +361,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     data = xhat * gain.data + bias.data
+    lead = tuple(range(x.ndim - 1))
 
-    def backward(go):
+    def d_x(go):
         d_xhat = go * gain.data
         term = d_xhat - d_xhat.mean(axis=-1, keepdims=True) \
             - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, term * inv)
-        lead = tuple(range(go.ndim - 1))
-        _accumulate(gain, (go * xhat).sum(axis=lead))
-        _accumulate(bias, go.sum(axis=lead))
+        return term * inv
 
-    return _node(data, (x, gain, bias), backward)
+    return _node(data, (x, d_x),
+                 (gain, lambda go: (go * xhat).sum(axis=lead)),
+                 (bias, lambda go: go.sum(axis=lead)))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -427,14 +379,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     ids_arr = np.asarray(ids, dtype=np.int64)
     if ids_arr.size and (ids_arr.min() < 0 or ids_arr.max() >= table.shape[0]):
         raise ShapeMismatchError("embedding_lookup (id out of range)", table.shape)
-    data = table.data[ids_arr]
 
-    def backward(go):
-        d_table = np.zeros_like(table.data)
-        np.add.at(d_table, ids_arr.reshape(-1), go.reshape(-1, table.shape[-1]))
-        _accumulate(table, d_table)
+    def d_table(go):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids_arr.reshape(-1), go.reshape(-1, table.shape[-1]))
+        return full
 
-    return _node(data, (table,), backward)
+    return _node(table.data[ids_arr], (table, d_table))
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -451,8 +402,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: Tensor | None = None) -
     """Scaled dot-product attention (..., q, d) x (..., n, d) x (..., n, d_v)
     -> (..., q, d_v); leading batch axes broadcast.
 
-    key_mask broadcasts over query rows; fully-masked inputs yield zero rows
-    (see masked_softmax).
+    key_mask broadcasts against the (..., q, n) logits; fully-masked rows
+    yield zero rows (see masked_softmax).
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeMismatchError("attention", q.shape, k.shape, v.shape)
@@ -504,13 +455,13 @@ def cross_entropy(
     scale = 1.0 / w.sum() if reduction == "mean" else 1.0
     data = np.asarray(total * scale)
 
-    def backward(go):
+    def d_logits(go):
         probs = np.exp(log_probs)
         probs[rows, t] -= 1.0
         probs *= w[:, None]
-        _accumulate(logits, (probs * (float(go) * scale)).reshape(logits.shape))
+        return (probs * (float(go) * scale)).reshape(logits.shape)
 
-    return _node(data, (logits,), backward)
+    return _node(data, (logits, d_logits))
 
 
 def gumbel_noise(rng: "Rng", shape: tuple[int, ...]) -> np.ndarray:
@@ -548,11 +499,11 @@ def gumbel_softmax(
     else:
         data = soft
 
-    def backward(go):
+    def d_logits(go):
         dot = (go * soft).sum(axis=-1, keepdims=True)
-        _accumulate(logits, soft * (go - dot) / tau)
+        return soft * (go - dot) / tau
 
-    return _node(data, (logits,), backward)
+    return _node(data, (logits, d_logits))
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,7 @@ def test_train_rejects_malformed_config_file(dataset, tmp_path, capsys, config,
     assert not (tmp_path / "x.log.jsonl").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_stops_on_a_non_finite_loss(dataset, tmp_path, capsys):
     # lr 1e300 makes the first update overflow, so step 1's loss is NaN
     err = assert_data_error(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,25 @@ def test_masked_softmax_ignores_a_masked_logit_far_above_the_live_ones():
         tc.tsum(tc.mul(out, Tensor([[1.0, 5.0, -2.0]]))).backward()
     live = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
     assert np.array_equal(out.data, [[live[0], 0.0, live[1]]])
+    assert np.all(np.isfinite(logits.grad)) and logits.grad[0, 1] == 0.0
+
+
+def test_masked_softmax_mask_gradient_saturates_instead_of_overflowing():
+    logits = Tensor([[0.0, 1000.0, 1.0]], requires_grad=True)
+    mask = Tensor([1.0, 0.0, 1.0], requires_grad=True)
+    go = np.array([[5.0, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tc.masked_softmax(logits, mask)
+        tc.tsum(tc.mul(out, Tensor(go))).backward()
+    top = np.finfo(np.float64).max
+    e = np.exp([0.0, 1.0])
+    dot = (go * out.data).sum()
+    # the masked key's weight e/z would be ~1.3e308; times (0 - dot) it
+    # saturates at -max, and the live keys keep the plain formula
+    assert mask.grad[1] == -top
+    assert mask.grad[0] == (e[0] / e.sum()) * (go[0, 0] - dot)
+    assert mask.grad[2] == (e[1] / e.sum()) * (go[0, 2] - dot)
     assert np.all(np.isfinite(logits.grad)) and logits.grad[0, 1] == 0.0
 
 
@@ -580,6 +600,22 @@ def test_no_grad_skips_tape():
         y = tc.tsum(tc.power(x, 2.0))
     assert not y.requires_grad
     assert y._parents == ()
+
+
+def test_constants_stay_off_the_tape():
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    const = Tensor([[3.0], [4.0]])
+    scale = Tensor(0.5)
+    y = tc.mul(tc.add(tc.matmul(const, x), const), scale)
+    # mul keeps its rule for add's output and drops the one for the scale
+    assert [p for p, _ in y._parents] == [y._parents[0][0]]
+    assert y._parents[0][0].requires_grad
+    tc.tsum(y).backward()
+    assert const.grad is None and scale.grad is None
+    assert np.array_equal(x.grad, [[3.5, 3.5]])
+    # an op whose inputs are all constants is a constant itself
+    z = tc.add(const, scale)
+    assert not z.requires_grad and z._parents == ()
 
 
 def test_forward_backward_reproducible_bitwise():

@@ -134,6 +134,42 @@ def test_frozen_encoder_builds_no_gradients(dataset, tmp_path, monkeypatch):
     assert seen["proj_w"].grad is not None
 
 
+@pytest.mark.parametrize("stage", ["mae", "align", "sft"])
+def test_a_training_step_gives_constants_no_gradient(dataset, tmp_path,
+                                                     monkeypatch, stage):
+    """Patch batches, MAE masked rows, causal and caption masks and scalar
+    factors are constants: after a step's backward none holds a `.grad`,
+    and every tape node lists only inputs that require a gradient."""
+    created = []
+    init = Tensor.__init__
+
+    def recording_init(self, data, requires_grad=False):
+        init(self, data, requires_grad)
+        created.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    config = small_config(dataset)
+    config.stages[stage].steps = 1
+    tr.run_stage(stage, dataset, config, 3, tmp_path / stage)
+    monkeypatch.undo()
+
+    constants = [t for t in created if not t.requires_grad]
+    batch = config.stages[stage].batch
+    patch_batch = (batch, dataset.n_patches, dataset.patch_dim)
+    is_mask = {
+        "mae": lambda s: s == (batch, dataset.n_patches, 1),  # masked rows
+        "align": lambda s: len(s) == 2 and s[1] == s[0] + config.gsformer.n_queries,
+        "sft": lambda s: len(s) == 2 and s[0] == s[1] > 1,  # causal
+    }[stage]
+    shapes = {t.shape for t in constants}
+    assert patch_batch in shapes and () in shapes
+    assert any(map(is_mask, shapes))
+    assert [t.shape for t in constants if t.grad is not None] == []
+    nodes = [t for t in created if t._parents]
+    assert nodes
+    assert all(p.requires_grad for t in nodes for p, _ in t._parents)
+
+
 def test_stage_runs_are_deterministic(dataset, tmp_path):
     config = small_config(dataset)
     tr.train_align_stage(dataset, config, 6, tmp_path / "a")
