@@ -197,7 +197,7 @@ def pad_ids(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def linear(params, name, x: Tensor) -> Tensor:
-    return tc.add(tc.matmul(x, params[f"{name}_w"]), params[f"{name}_b"])
+    return tc.linear(x, params[f"{name}_w"], params[f"{name}_b"])
 
 
 def norm(params, name, x: Tensor) -> Tensor:
@@ -206,9 +206,9 @@ def norm(params, name, x: Tensor) -> Tensor:
 
 def mha(params, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
          mask: Tensor | None, cache=None) -> Tensor:
-    """Multi-head attention over the last axis (leading axes batch).  Heads
-    are split once to (..., h, n, d/h), so all of them share one
-    `tc.attention` call.  mask is None or broadcasts against the
+    """Multi-head attention over the last axis (leading axes batch): the
+    q/k/v projections, one `tc.attention` node over all heads, the output
+    projection.  mask is None or broadcasts against the
     (..., h, n_q, n_keys) logits: a (n_keys,) key mask, a (n_q, n_keys)
     allowed matrix, or a (B, 1, 1, n_keys) per-example key mask.  With a
     `cache` (pretrain.KVCache) the keys and values are the cache's rows."""
@@ -217,13 +217,7 @@ def mha(params, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
     v = linear(params, f"{prefix}v", x_kv)
     if cache is not None:
         k, v = cache.extend(k, v)
-    dh = q.shape[-1] // n_heads
-
-    def heads(x: Tensor) -> Tensor:
-        return tc.transpose(tc.reshape(x, x.shape[:-1] + (n_heads, dh)), -2, -3)
-
-    out = tc.transpose(tc.attention(heads(q), heads(k), heads(v), mask), -2, -3)
-    return linear(params, f"{prefix}o", tc.reshape(out, q.shape))
+    return linear(params, f"{prefix}o", tc.attention(q, k, v, mask, heads=n_heads))
 
 
 def ffn(params, prefix: str, x: Tensor) -> Tensor:
@@ -258,7 +252,7 @@ def sgs_update_mask(
     """One sampler stage: keep/drop logits from a linear layer, Gumbel-Softmax
     sample, Hadamard product with the previous (..., N) mask.  rng is one
     stream, one per example of a (B, N) batch, or None."""
-    logits = tc.add(tc.matmul(patch_feats, w), b)
+    logits = tc.linear(patch_feats, w, b)
     sample = tc.gumbel_softmax(logits, tau, hard, rng)
     keep = tc.reshape(tc.narrow(sample, -1, 0, 1), prev_mask.shape)
     return tc.mul(prev_mask, keep)
@@ -336,10 +330,8 @@ def gs_former_forward(
     if not n_cap:
         return AlignedFeatures(f_g, None), SGSState(masks), None
     cap_states = norm(params, "ln_out", xc)
-    caption_logits = tc.add(
-        tc.matmul(cap_states, tc.transpose(params["tok_emb"])),
-        params["cap_head_b"],
-    )
+    caption_logits = tc.linear(cap_states, tc.transpose(params["tok_emb"]),
+                               params["cap_head_b"])
     # length-masked mean: pads get weight 0
     live = np.arange(n_cap) < lengths[:, None]
     text_cls = tc.tsum(tc.mul(cap_states, Tensor((live / lengths[:, None])[..., None])),

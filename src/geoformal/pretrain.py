@@ -17,8 +17,12 @@ on what the pads hold.
 Decoding is KV-cached: each layer's keys/values live in one
 (2, beam, n_prefix + max_len, d) buffer whose beam rows start with a copy of
 the prefix rows, computed once; generated rows follow and are reordered by
-parent index.  Attention splits heads as (..., h, n, d/h) and attends over
-that one block (gsformer.mha).
+parent index.  Attention over all heads is one `tc.attention` call on that
+block (gsformer.mha).
+
+Every affine map (`linear`, `project_visual`, the tied output head),
+attention and layer norm is one tape node (tensorcore's fused ops), so a
+decoder layer adds twelve nodes to the tape.
 
 The decoder is a 2-layer pre-LN causal transformer with a tied embedding /
 output head; anything with the same prefix-conditioned interface would do.
@@ -256,7 +260,7 @@ def decoder_forward(
         x = block(params, f"dec{i}", x, cfg.n_heads, causal,
                   None if cache is None else cache[i])
     x = norm(params, "ln_f", x)
-    return tc.add(tc.matmul(x, tc.transpose(params["tok_emb"])), params["head_b"])
+    return tc.linear(x, tc.transpose(params["tok_emb"]), params["head_b"])
 
 
 def lm_loss(
@@ -281,9 +285,7 @@ def lm_loss(
 def project_visual(f_g: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map of (..., n, d) query features into the decoder embedding
     space."""
-    if f_g.ndim < 2 or f_g.shape[-1] != w.shape[0]:
-        raise tc.ShapeMismatchError("project_visual", f_g.shape, w.shape)
-    return tc.add(tc.matmul(f_g, w), b)
+    return tc.linear(f_g, w, b)
 
 
 def instruction_loss(

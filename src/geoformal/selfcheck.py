@@ -554,9 +554,33 @@ def _op_cases(rng: Rng):
          lambda t: tc.tsum(tc.power(tc.matmul(batch_left, t), 2.0))),
         ("transpose_batched", lambda r: normal(r, (2, 3, 4)),
          lambda t: tc.tsum(tc.power(tc.matmul(tc.transpose(t), other), 2.0))),
-        ("transpose_axes", lambda r: normal(r, (2, 3, 4)),
-         lambda t: tc.tsum(tc.power(
-             tc.matmul(tc.transpose(t, 0, 1), tc.transpose(other)), 2.0))),
+    ]
+    lin_x = Tensor(rng.normal((2, 3, 4)))
+    lin_w = Tensor(rng.normal((4, 5)))
+    lin_b = Tensor(rng.normal((5,)))
+    cases += [
+        ("linear_x", lambda r: normal(r, (2, 3, 4)),
+         lambda t: tc.tsum(tc.power(tc.linear(t, lin_w, lin_b), 2.0))),
+        ("linear_w", lambda r: normal(r, (4, 5)),
+         lambda t: tc.tsum(tc.power(tc.linear(lin_x, t, lin_b), 2.0))),
+        ("linear_b", lambda r: normal(r, (5,)),
+         lambda t: tc.tsum(tc.power(tc.linear(lin_x, lin_w, t), 2.0))),
+    ]
+    # four heads; a soft (B, 1, 1, n) key mask
+    hq = Tensor(rng.normal((2, 3, 8)))
+    hk = Tensor(rng.normal((2, 5, 8)))
+    hv = Tensor(rng.normal((2, 5, 4)))
+    h_mask = Tensor(0.3 + 0.7 * rng.uniform((2, 1, 1, 5)))
+    cases += [
+        ("attention_heads_q", lambda r: normal(r, (2, 3, 8)),
+         lambda t: tc.tsum(tc.power(tc.attention(t, hk, hv, h_mask, heads=4), 2.0))),
+        ("attention_heads_k", lambda r: normal(r, (2, 5, 8)),
+         lambda t: tc.tsum(tc.power(tc.attention(hq, t, hv, h_mask, heads=4), 2.0))),
+        ("attention_heads_v", lambda r: normal(r, (2, 5, 4)),
+         lambda t: tc.tsum(tc.power(tc.attention(hq, hk, t, h_mask, heads=4), 2.0))),
+        ("attention_heads_mask",
+         lambda r: Tensor(0.3 + 0.7 * r.uniform((2, 1, 1, 5)), requires_grad=True),
+         lambda t: tc.tsum(tc.power(tc.attention(hq, hk, hv, t, heads=4), 2.0))),
     ]
     return cases
 

@@ -9,6 +9,12 @@ runs the rules, sums broadcast axes back to each input's shape and adds the
 result into `.grad`.  Ops never mutate their inputs; only the Adam optimizer
 writes parameter data in place.  Wrap inference code in `no_grad()` to skip
 tape construction entirely.
+
+The model's layers are fused ops, one node each with a hand-written
+backward: `linear` (x @ w + b), `attention` (head split, scaled scores,
+softmax or masked softmax, weighted sum and head merge) and `layer_norm`.
+Their arithmetic is that of the composed primitives, so results do not
+depend on which form built the tape.
 """
 
 from __future__ import annotations
@@ -220,12 +226,11 @@ def gelu(a: Tensor) -> Tensor:
     return _node(data, (a, d_a))
 
 
-def transpose(a: Tensor, axis1: int = -1, axis2: int = -2) -> Tensor:
-    """Swap two axes, by default the last two (leading axes are a batch)."""
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes (leading axes are a batch)."""
     if a.ndim < 2:
         raise ShapeMismatchError("transpose (needs >= 2-D)", a.shape)
-    return _node(a.data.swapaxes(axis1, axis2),
-                 (a, lambda go: go.swapaxes(axis1, axis2)))
+    return _node(a.data.swapaxes(-1, -2), (a, lambda go: go.swapaxes(-1, -2)))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -277,40 +282,108 @@ def mean_pool(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Ten
 # Linear algebra and normalization
 # ---------------------------------------------------------------------------
 
+def _folded(a: Tensor, w: Tensor) -> tuple[np.ndarray, Rule, Rule]:
+    """a @ w for a 2-D w as one BLAS product each way, a's leading axes folded
+    into its rows (np.matmul would loop over them): (product, d_a, d_w)."""
+    k, m = w.shape
+    rows = a.data.reshape(-1, k)
+    return ((rows @ w.data).reshape(a.shape[:-1] + (m,)),
+            lambda go: (go.reshape(-1, m) @ w.data.T).reshape(a.shape),
+            lambda go: rows.T @ go.reshape(-1, m))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product over the last two axes; leading batch axes broadcast."""
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     if a.ndim > 2 and b.ndim == 2:
-        # a stacked left operand times a weight: one folded BLAS product each
-        # way, not a loop over the batch (np.matmul loops over broadcast axes)
-        k, m = b.shape
-        rows = a.data.reshape(-1, k)
-        return _node(
-            (rows @ b.data).reshape(a.shape[:-1] + (m,)),
-            (a, lambda go: (go.reshape(-1, m) @ b.data.T).reshape(a.shape)),
-            (b, lambda go: rows.T @ go.reshape(-1, m)),
-        )
+        data, d_a, d_b = _folded(a, b)
+        return _node(data, (a, d_a), (b, d_b))
     return _node(a.data @ b.data,
                  (a, lambda go: go @ b.data.swapaxes(-1, -2)),
                  (b, lambda go: a.data.swapaxes(-1, -2) @ go))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    data = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
-
-    def d_a(go):
-        dot = (go * data).sum(axis=axis, keepdims=True)
-        return data * (go - dot)
-
-    return _node(data, (a, d_a))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: (..., k) x (k, m) + (m,), leading axes of x a
+    batch.  The bias is added in place into the folded product; its rule
+    passes the gradient on unchanged and `backward` sums it over the batch."""
+    if (x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeMismatchError("linear", x.shape, w.shape, b.shape)
+    data, d_x, d_w = _folded(x, w)
+    data += b.data
+    return _node(data, (x, d_x), (w, d_w), (b, lambda go: go))
 
 
 _MASK_TINY = 1e-30
 _FLOAT_MAX = np.finfo(np.float64).max
 _EXP_MAX = math.log(_FLOAT_MAX)
+
+
+def _softmax(op: str, x: np.ndarray, mask: Tensor | None = None, axis: int = -1):
+    """Softmax of x along `axis` or, with a mask, over the last axis with the
+    mask's multiplicative key weights (see masked_softmax).
+
+    Returns (probs, centre, d_mask).  For the gradient go of probs,
+    `c = centre(go)` gives x's gradient `probs * c` and the mask's
+    `d_mask(c)`, summed down to the mask's shape; d_mask is None without a
+    mask.
+    """
+    if mask is None:
+        probs = x - x.max(axis=axis, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=axis, keepdims=True)
+        d_mask = None
+    else:
+        try:
+            mask_b = np.broadcast_to(mask.data, x.shape)
+        except ValueError:
+            raise ShapeMismatchError(op, x.shape, mask.shape) from None
+        live = mask_b > 0.0
+        row_max = np.where(live, x, -np.inf).max(axis=-1, keepdims=True)
+        row_max = np.where(np.isfinite(row_max), row_max, 0.0)
+        # cap masked keys far above the live maximum: a finite weight times 0 is 0
+        e = x - row_max
+        np.exp(np.minimum(e, _EXP_MAX, out=e), out=e)
+        weighted = e * mask_b
+        z = weighted.sum(axis=-1, keepdims=True)
+        safe = z > _MASK_TINY
+        z_safe = np.where(safe, z, 1.0)
+        probs = np.where(safe, weighted / z_safe, 0.0)
+
+        def d_mask(c):
+            # clip the weight before the product, so a zero factor gives 0,
+            # not inf * 0 = NaN; saturate the product and, after summing it
+            # over the axes the mask was broadcast along, the sum
+            with np.errstate(over="ignore"):
+                d = np.minimum(e / z_safe, _FLOAT_MAX) * c
+                d = np.where(safe, np.clip(d, -_FLOAT_MAX, _FLOAT_MAX), 0.0)
+                d = _unbroadcast(d, mask.shape)
+            return np.clip(d, -_FLOAT_MAX, _FLOAT_MAX)
+
+    def centre(go):
+        return go - (go * probs).sum(axis=axis, keepdims=True)
+
+    return probs, centre, d_mask
+
+
+def _per_go(fn: Rule) -> Rule:
+    """fn, computed once per gradient array: `backward` hands every rule of
+    a node the same go, so rules that share work call this."""
+    last: list = [None, None]
+
+    def once(go):
+        if last[0] is not go:
+            last[:] = go, fn(go)
+        return last[1]
+
+    return once
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    probs, centre, _ = _softmax("softmax", a.data, axis=axis)
+    return _node(probs, (a, lambda go: probs * centre(go)))
 
 
 def masked_softmax(logits: Tensor, mask: Tensor) -> Tensor:
@@ -320,54 +393,37 @@ def masked_softmax(logits: Tensor, mask: Tensor) -> Tensor:
     masks in (0,1] interpolate smoothly and receive gradients.  Rows whose mask
     is entirely zero produce an all-zero output row (defined degenerate case)
     and contribute zero gradient.  A masked key far above the live maximum
-    gets a mask gradient saturated at the float maximum, never an inf.
+    gets a mask gradient saturated at the float maximum, never an inf, also
+    after summing over the axes a broadcast mask spans.
     """
-    try:
-        mask_b = np.broadcast_to(mask.data, logits.shape)
-    except ValueError:
-        raise ShapeMismatchError("masked_softmax", logits.shape, mask.shape) from None
-    live = mask_b > 0.0
-    shifted_src = np.where(live, logits.data, -np.inf)
-    row_max = shifted_src.max(axis=-1, keepdims=True)
-    row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    # cap masked keys far above the live maximum: a finite weight times 0 is 0
-    e = np.exp(np.minimum(logits.data - row_max, _EXP_MAX))
-    weighted = e * mask_b
-    z = weighted.sum(axis=-1, keepdims=True)
-    safe = z > _MASK_TINY
-    z_safe = np.where(safe, z, 1.0)
-    data = np.where(safe, weighted / z_safe, 0.0)
-
-    def d_logits(go):
-        return data * (go - (go * data).sum(axis=-1, keepdims=True))
-
-    def d_mask(go):
-        centred = go - (go * data).sum(axis=-1, keepdims=True)
-        # clip the weight before the product, so a zero factor gives 0, not
-        # inf * 0 = NaN; then saturate the product
-        with np.errstate(over="ignore"):
-            d = np.minimum(e / z_safe, _FLOAT_MAX) * centred
-        return np.where(safe, np.clip(d, -_FLOAT_MAX, _FLOAT_MAX), 0.0)
-
-    return _node(data, (logits, d_logits), (mask, d_mask))
+    probs, centre, d_mask = _softmax("masked_softmax", logits.data, mask)
+    centred = _per_go(centre)
+    return _node(probs, (logits, lambda go: probs * centred(go)),
+                 (mask, lambda go: d_mask(centred(go))))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis, then scale by gain and shift by bias.  Mean
+    and variance are summed and divided in np.mean's and np.var's order."""
     dim = x.shape[-1]
     if gain.shape != (dim,) or bias.shape != (dim,):
         raise ShapeMismatchError("layer_norm", x.shape, gain.shape, bias.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / dim
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / dim
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
     lead = tuple(range(x.ndim - 1))
 
     def d_x(go):
         d_xhat = go * gain.data
-        term = d_xhat - d_xhat.mean(axis=-1, keepdims=True) \
-            - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
-        return term * inv
+        mean = d_xhat.mean(axis=-1, keepdims=True)
+        proj = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+        d_xhat -= mean
+        d_xhat -= xhat * proj
+        d_xhat *= inv
+        return d_xhat
 
     return _node(data, (x, d_x),
                  (gain, lambda go: (go * xhat).sum(axis=lead)),
@@ -398,21 +454,63 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
 # Attention
 # ---------------------------------------------------------------------------
 
-def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: Tensor | None = None) -> Tensor:
-    """Scaled dot-product attention (..., q, d) x (..., n, d) x (..., n, d_v)
-    -> (..., q, d_v); leading batch axes broadcast.
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: Tensor | None = None,
+              heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention as one node:
+    (..., n_q, d) x (..., n, d) x (..., n, d_v) -> (..., n_q, d_v), leading
+    batch axes broadcast.
 
-    key_mask broadcasts against the (..., q, n) logits; fully-masked rows
-    yield zero rows (see masked_softmax).
+    Head j attends with its own d/heads columns of q and k and d_v/heads of
+    v: more than one head splits them to (..., heads, n, d/heads) views and
+    merges the heads' outputs back.  key_mask broadcasts against the logits,
+    (..., n_q, n) for one head and (..., heads, n_q, n) for more, and gates
+    them as masked_softmax does; fully-masked rows yield zero rows.  The q,
+    k and mask rules share one score gradient per backward pass.
     """
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+    d, dv = q.shape[-1], v.shape[-1]
+    if (min(q.ndim, k.ndim, v.ndim) < 2 or heads < 1 or k.shape[-1] != d
+            or k.shape[-2] != v.shape[-2] or d % heads or dv % heads):
         raise ShapeMismatchError("attention", q.shape, k.shape, v.shape)
-    logits = mul(matmul(q, transpose(k)), Tensor(1.0 / math.sqrt(q.shape[-1])))
-    if key_mask is None:
-        probs = softmax(logits, axis=-1)
-    else:
-        probs = masked_softmax(logits, key_mask)
-    return matmul(probs, v)
+
+    def split(x: np.ndarray) -> np.ndarray:  # (..., n, c) -> (..., h, n, c/h)
+        if heads == 1:
+            return x
+        return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # the inverse of split
+        if heads == 1:
+            return x
+        x = x.swapaxes(-2, -3)
+        return x.reshape(x.shape[:-2] + (-1,))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / math.sqrt(d // heads)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
+    probs, centre, d_mask = _softmax("attention", scores, key_mask)
+
+    @_per_go
+    def shared(go):
+        go_h = split(go)
+        centred = centre(go_h @ vh.swapaxes(-1, -2))
+        d_scores = probs * centred
+        d_scores *= scale
+        return go_h, centred, d_scores
+
+    def d_q(go):
+        return merge(_unbroadcast(shared(go)[2] @ kh, qh.shape))
+
+    def d_k(go):
+        d_kh = (qh.swapaxes(-1, -2) @ shared(go)[2]).swapaxes(-1, -2)
+        return merge(_unbroadcast(d_kh, kh.shape))
+
+    def d_v(go):
+        return merge(_unbroadcast(probs.swapaxes(-1, -2) @ shared(go)[0], vh.shape))
+
+    pairs = [(q, d_q), (k, d_k), (v, d_v)]
+    if key_mask is not None:
+        pairs.append((key_mask, lambda go: d_mask(shared(go)[1])))
+    return _node(merge(probs @ vh), *pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ The language oracles are deliberately written against the *text* of the two
 languages, with their own arity table and operator semantics, so that they
 share no code path with the package they check.  `reference_beam_decode` is
 the uncached beam search: it re-runs the full decoder for every hypothesis at
-every step and pins the KV-cached `pretrain.beam_decode`.  `reference_mha`
-attends one head at a time and `reference_alignment_loss` projects and fuses
-one example at a time from batch-of-one forwards; they pin the head-batched
-`gsformer.mha` and the padded, batched `gsformer.alignment_loss`.  The
+every step and pins the KV-cached `pretrain.beam_decode`.  The fused
+tensorcore ops are pinned against compositions of primitives:
+`reference_linear` (matmul, then add), `reference_attention` (one head at a
+time), `reference_mha` (built from those two) and `reference_layer_norm`
+(np.mean / np.var and the textbook backward).  `reference_alignment_loss`
+projects and fuses one example at a time from batch-of-one forwards and pins
+the padded, batched `gsformer.alignment_loss`.  The
 batched losses of every stage are pinned against sums of batch-of-one calls
 with `summed_loss_and_grads` and `assert_grads_close`.
 """
@@ -215,25 +218,57 @@ def assert_same_beams(cached, reference, tol: float = 1e-9) -> None:
 # Per-head attention and per-row alignment losses
 # ---------------------------------------------------------------------------
 
-def reference_mha(params, prefix, x_q, x_kv, n_heads, mask):
-    """Multi-head attention with one narrow of q, k and v per head; the head
-    outputs are concatenated before the output projection."""
-    q = gsf.linear(params, f"{prefix}q", x_q)
-    k = gsf.linear(params, f"{prefix}k", x_kv)
-    v = gsf.linear(params, f"{prefix}v", x_kv)
-    dh = q.shape[-1] // n_heads
-    heads = []
-    for h in range(n_heads):
-        cols = (-1, h * dh, dh)
+def reference_linear(params, name, x):
+    """x @ w + b composed from `tc.matmul` and `tc.add` (two tape nodes)."""
+    return tc.add(tc.matmul(x, params[f"{name}_w"]), params[f"{name}_b"])
+
+
+def reference_attention(q, k, v, mask=None, heads=1):
+    """Attention composed one head at a time from narrow, transpose, matmul,
+    scale, softmax or masked softmax and matmul; the heads' outputs are
+    concatenated.  With more than one head the mask is given against the
+    (..., heads, n_q, n) logits and each head takes its own slice of it."""
+    dh, dvh = q.shape[-1] // heads, v.shape[-1] // heads
+    outs = []
+    for h in range(heads):
         logits = tc.mul(
-            tc.matmul(tc.narrow(q, *cols), tc.transpose(tc.narrow(k, *cols))),
+            tc.matmul(tc.narrow(q, -1, h * dh, dh),
+                      tc.transpose(tc.narrow(k, -1, h * dh, dh))),
             Tensor(1.0 / math.sqrt(dh)))
+        head_mask = mask
+        if mask is not None and heads > 1 and mask.ndim >= 3:
+            if mask.shape[-3] > 1:
+                head_mask = tc.narrow(mask, -3, h, 1)
+            head_mask = tc.reshape(head_mask, mask.shape[:-3] + mask.shape[-2:])
         if mask is None:
             probs = tc.softmax(logits, axis=-1)
         else:
-            probs = tc.masked_softmax(logits, mask)
-        heads.append(tc.matmul(probs, tc.narrow(v, *cols)))
-    return gsf.linear(params, f"{prefix}o", tc.concat(heads, axis=-1))
+            probs = tc.masked_softmax(logits, head_mask)
+        outs.append(tc.matmul(probs, tc.narrow(v, -1, h * dvh, dvh)))
+    return tc.concat(outs, axis=-1)
+
+
+def reference_mha(params, prefix, x_q, x_kv, n_heads, mask):
+    """Multi-head attention from composed projections and the per-head
+    `reference_attention`."""
+    q = reference_linear(params, f"{prefix}q", x_q)
+    k = reference_linear(params, f"{prefix}k", x_kv)
+    v = reference_linear(params, f"{prefix}v", x_kv)
+    return reference_linear(params, f"{prefix}o",
+                            reference_attention(q, k, v, mask, n_heads))
+
+
+def reference_layer_norm(x, gain, bias, go, eps=1e-5):
+    """Layer norm's output and its (x, gain, bias) gradients for the output
+    gradient go, from np.mean / np.var and the textbook backward formula."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    lead = tuple(range(x.ndim - 1))
+    d_xhat = go * gain
+    d_x = (d_xhat - d_xhat.mean(axis=-1, keepdims=True)
+           - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)) * inv
+    return xhat * gain + bias, d_x, (go * xhat).sum(axis=lead), go.sum(axis=lead)
 
 
 def reference_alignment_loss(features, caption_logits, caption_targets, params):
@@ -251,7 +286,8 @@ def reference_alignment_loss(features, caption_logits, caption_targets, params):
     def project(name, rows):
         out = []
         for row in rows:
-            flat = tc.reshape(gsf.linear(params, name, tc.reshape(row, (1, -1))), (-1,))
+            flat = tc.reshape(
+                reference_linear(params, name, tc.reshape(row, (1, -1))), (-1,))
             out.append(tc.l2_normalize(flat))
         return stack(out)
 
@@ -265,8 +301,8 @@ def reference_alignment_loss(features, caption_logits, caption_targets, params):
     fused = [tc.concat([pooled[i], text[i]], axis=0) for i in range(batch)]
     fused += [tc.concat([pooled[i], text[(i + 1) % batch]], axis=0)
               for i in range(batch)]
-    hidden = tc.gelu(gsf.linear(params, "match1", stack(fused)))
-    l_match = tc.cross_entropy(gsf.linear(params, "match2", hidden),
+    hidden = tc.gelu(reference_linear(params, "match1", stack(fused)))
+    l_match = tc.cross_entropy(reference_linear(params, "match2", hidden),
                                [1] * batch + [0] * batch)
     rows, targets = [], []
     for logits, ids in zip(caption_logits, caption_targets):

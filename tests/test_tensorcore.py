@@ -14,6 +14,7 @@ from geoformal.tensorcore import (
     Tensor,
     finite_diff_grad,
 )
+from oracles import reference_attention, reference_layer_norm
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -221,18 +222,6 @@ def test_attention_takes_leading_batch_axes():
         tc.attention(q, Tensor(rng.normal((3, 5, 3))), v)
 
 
-def test_transpose_swaps_any_two_axes():
-    rng = Rng(17)
-    x = Tensor(rng.normal((2, 3, 4)))
-    assert np.array_equal(tc.transpose(x, 0, 1).data, x.data.swapaxes(0, 1))
-    assert np.array_equal(tc.transpose(x, -2, -3).data, x.data.swapaxes(1, 0))
-    assert np.array_equal(tc.transpose(x).data, x.data.swapaxes(-1, -2))
-    weight = Tensor(rng.normal((3, 2, 4)))
-    assert_grad_matches(
-        lambda t: tc.tsum(tc.power(tc.mul(tc.transpose(t, 0, 1), weight), 2.0)),
-        rand(rng, (2, 3, 4)))
-
-
 def test_two_d_matmul_and_transpose_are_bit_identical_to_plain_numpy():
     rng = Rng(16)
     a = Tensor(rng.normal((7, 9)), requires_grad=True)
@@ -328,6 +317,123 @@ def test_masked_softmax_matches_the_plain_formula_bit_for_bit():
         assert np.array_equal(out.data, want)
         assert np.array_equal(logits.grad, want * (go - dot))
         assert np.array_equal(mask.grad, ((e / z) * (go - dot)).sum(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# Fused ops against their compositions
+# ---------------------------------------------------------------------------
+
+def _out_and_grads(build, inputs, go):
+    """build(*inputs)'s output, then each input's gradient (None where the
+    input is a constant) for the output gradient go."""
+    for t in inputs:
+        t.grad = None
+    out = build(*inputs)
+    tc.tsum(tc.mul(out, Tensor(go))).backward()
+    return [out.data] + [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("x_shape,m", [((8, 64), 32), ((8, 20, 32), 128)],
+                         ids=["2d", "batched"])
+def test_linear_is_bit_identical_to_matmul_then_add(x_shape, m):
+    rng = Rng(30)
+    inputs = [Tensor(rng.normal(x_shape), requires_grad=True),
+              Tensor(rng.normal((x_shape[-1], m)), requires_grad=True),
+              Tensor(rng.normal((m,)), requires_grad=True)]
+    go = rng.normal(x_shape[:-1] + (m,))
+    fused = _out_and_grads(tc.linear, inputs, go)
+    composed = _out_and_grads(lambda x, w, b: tc.add(tc.matmul(x, w), b), inputs, go)
+    for got, want in zip(fused, composed):
+        assert np.array_equal(got, want)
+    with pytest.raises(ShapeMismatchError):
+        tc.linear(inputs[0], inputs[1], Tensor(np.zeros(m + 1)))
+
+
+@pytest.mark.parametrize("shape", [(8, 32), (8, 64, 32), (8, 20, 128)])
+def test_layer_norm_is_bit_identical_to_the_textbook_formula(shape):
+    rng = Rng(31)
+    x = Tensor(rng.normal(shape, std=3.0) + 1.0, requires_grad=True)
+    gain = Tensor(rng.normal(shape[-1:], std=0.5) + 1.0, requires_grad=True)
+    bias = Tensor(rng.normal(shape[-1:]), requires_grad=True)
+    go = rng.normal(shape)
+    got = _out_and_grads(tc.layer_norm, [x, gain, bias], go)
+    want = reference_layer_norm(x.data, gain.data, bias.data, go)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def _causal(n):
+    return Tensor(np.tril(np.ones((n, n))))
+
+
+ATTENTION_CASES = {
+    # name: (q, k, v shapes, heads, mask factory)
+    "broadcast_q": ((3, 8), (2, 5, 8), (2, 5, 6), 1, lambda rng: None),
+    "causal": ((2, 6, 8), (2, 6, 8), (2, 6, 8), 4, lambda rng: _causal(6)),
+    "batch_key_mask": ((2, 3, 8), (2, 5, 8), (2, 5, 4), 4,
+                       lambda rng: Tensor(0.2 + 0.8 * rng.uniform((2, 1, 1, 5)),
+                                          requires_grad=True)),
+    "fully_masked_rows": ((2, 3, 8), (2, 5, 8), (2, 5, 4), 2,
+                          lambda rng: Tensor(np.array([[1.0, 0.5, 0.0, 1.0, 0.7],
+                                                       [0.0] * 5]).reshape(2, 1, 1, 5),
+                                             requires_grad=True)),
+}
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_fused_attention_matches_the_per_head_composition(case):
+    q_shape, k_shape, v_shape, heads, make_mask = ATTENTION_CASES[case]
+    rng = Rng(32)
+    mask = make_mask(rng)
+    inputs = [Tensor(rng.normal(s), requires_grad=True) for s in (q_shape, k_shape, v_shape)]
+    if mask is not None:
+        inputs.append(mask)
+    out_shape = np.broadcast_shapes(q_shape[:-2], k_shape[:-2]) + (q_shape[-2], v_shape[-1])
+    go = rng.normal(out_shape)
+    fused = _out_and_grads(lambda *t: tc.attention(*t[:3], mask, heads=heads), inputs, go)
+    composed = _out_and_grads(lambda *t: reference_attention(*t[:3], mask, heads),
+                              inputs, go)
+    assert fused[0].shape == out_shape
+    for got, want in zip(fused, composed):
+        if want is None:  # a constant mask
+            assert got is None
+            continue
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    if case == "fully_masked_rows":
+        assert np.all(fused[0][1] == 0.0) and np.all(fused[4][1] == 0.0)
+
+
+def test_attention_rejects_heads_that_do_not_divide_the_width():
+    rng = Rng(33)
+    q = Tensor(rng.normal((2, 6)))
+    kv = Tensor(rng.normal((3, 6)))
+    with pytest.raises(ShapeMismatchError):
+        tc.attention(q, kv, kv, heads=4)
+
+
+def test_saturated_mask_gradient_summed_over_a_broadcast_stays_finite():
+    # the masked key's weight e/z is ~1.3e308, so each row's mask gradient
+    # saturates at -max there; summing the rows (masked_softmax) or the heads
+    # and queries of a (B, 1, 1, N) mask (attention) must not overflow
+    top = np.finfo(np.float64).max
+    logits = Tensor([[0.0, 1000.0, 1.0], [0.0, 1000.0, 1.0]], requires_grad=True)
+    mask = Tensor([1.0, 0.0, 1.0], requires_grad=True)
+    # attention: two one-column heads whose scores are those logits, and
+    # values whose products with an all-ones output gradient are [5, 0, 1]
+    q = Tensor(np.ones((2, 2, 2)), requires_grad=True)
+    k = Tensor(np.tile([[0.0], [1000.0], [1.0]], (2, 1, 2)), requires_grad=True)
+    v = Tensor(np.tile([[5.0], [0.0], [1.0]], (2, 1, 2)), requires_grad=True)
+    key_mask = Tensor(np.tile([1.0, 0.0, 1.0], (2, 1, 1, 1)), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tc.masked_softmax(logits, mask)
+        tc.tsum(tc.mul(out, Tensor([[5.0, 0.0, 1.0], [5.0, 0.0, 1.0]]))).backward()
+        tc.tsum(tc.attention(q, k, v, key_mask, heads=2)).backward()
+    assert mask.grad[1] == -top
+    assert key_mask.grad.shape == (2, 1, 1, 3)
+    assert np.all(key_mask.grad[..., 1] == -top)
+    for t in (logits, mask, q, k, v, key_mask):
+        assert np.all(np.isfinite(t.grad))
 
 
 def test_grad_embedding_lookup():
