@@ -56,13 +56,11 @@ def _emit(payload: dict) -> None:
 def _cmd_gen_data(args) -> int:
     seed = _default_seed(args.seed)
     out = Path(args.out)
-    cfg = ds.SynthConfig(
-        image_size=(args.image_size, args.image_size), patch=args.patch
-    )
+    cfg = ds.SynthConfig(image_size=(args.image_size, args.image_size))
     problems = ds.generate_dataset(args.n, seed, out, cfg)
     snapshot = {
         "schema": 1, "command": "gen-data", "n": args.n, "seed": seed,
-        "image_size": args.image_size, "patch": args.patch,
+        "image_size": args.image_size,
     }
     (out / "gen-config.json").write_text(
         json.dumps(snapshot, indent=2, sort_keys=True, allow_nan=False) + "\n",
@@ -208,7 +206,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--image-size", type=int, default=64)
-    p.add_argument("--patch", type=int, default=8)
     p.set_defaults(handler=_cmd_gen_data)
 
     p = sub.add_parser("train-toy", help="run one training stage")

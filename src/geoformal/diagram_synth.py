@@ -171,6 +171,8 @@ class Diagram:
     patch: int
 
     def __post_init__(self):
+        if self.patch < 1:
+            raise ValueError(f"patch must be >= 1, got {self.patch}")
         h, w = self.pixels.shape
         if h % self.patch or w % self.patch:
             raise ShapeMismatchError("diagram/patch", (h, w), (self.patch,))
@@ -428,6 +430,8 @@ def generate_dataset(
 
     Byte-for-byte reproducible from (n, seed, cfg).
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     cfg = cfg or SynthConfig()
     out = Path(out_dir)
     (out / "diagrams").mkdir(parents=True, exist_ok=True)

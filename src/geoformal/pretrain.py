@@ -1,10 +1,11 @@
 """Pretraining and instruction-tuning objectives around a toy causal decoder.
 
 Stage 1 objectives: masked patch reconstruction (MSE on masked positions
-only) and autoregressive language modeling.  Stage 3: a projection head maps
-query features into the decoder embedding space as visual tokens, the
-instruction loss is the plain sum of target-position negative log-likelihoods,
-and decoding is length-normalized beam search.
+only) and autoregressive language modeling.  Stage 3: the instruction loss
+is the plain sum of target-position negative log-likelihoods after a prefix
+of visual tokens (query features mapped into the decoder embedding space by
+the `proj` linear, train.visual_tokens), and decoding is length-normalized
+beam search.
 
 Batch layout: every loss takes a whole batch.  MAE patches stack to
 (B, N, d).  Token sequences are right-padded with gsformer.PAD_ID to the
@@ -20,9 +21,9 @@ the prefix rows, computed once; generated rows follow and are reordered by
 parent index.  Attention over all heads is one `tc.attention` call on that
 block (gsformer.mha).
 
-Every affine map (`linear`, `project_visual`, the tied output head),
-attention and layer norm is one tape node (tensorcore's fused ops), so a
-decoder layer adds twelve nodes to the tape.
+Every affine map (`linear`, the tied output head), attention and layer
+norm is one tape node (tensorcore's fused ops), so a decoder layer adds
+twelve nodes to the tape.
 
 The decoder is a 2-layer pre-LN causal transformer with a tied embedding /
 output head; anything with the same prefix-conditioned interface would do.
@@ -282,12 +283,6 @@ def lm_loss(
 # Instruction tuning
 # ---------------------------------------------------------------------------
 
-def project_visual(f_g: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of (..., n, d) query features into the decoder embedding
-    space."""
-    return tc.linear(f_g, w, b)
-
-
 def instruction_loss(
     params: dict[str, Tensor],
     cfg: DecoderConfig,
@@ -350,6 +345,8 @@ def beam_decode(
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     cache = [KVCache(beam, max_len) for _ in range(cfg.n_layers)]
     live: list[tuple[list[int], float]] = [([], 0.0)]
     finished: list[tuple[list[int], float]] = []
@@ -362,8 +359,7 @@ def beam_decode(
             else:
                 last = [[tokens[-1]] for tokens, _ in live]
                 logits = decoder_forward(params, cfg, last, cache=cache).data[:, -1]
-            logp = logits - logits.max(axis=1, keepdims=True)
-            logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+            logp = tc._log_softmax(logits)
             top = np.argsort(-logp, axis=1, kind="stable")[:, :beam]
             expansions = [
                 (tokens + [int(t)], score + float(logp[parent, t]), parent)

@@ -124,10 +124,6 @@ def operator_arities() -> Mapping[str, int]:
     return OPERATOR_ARITIES
 
 
-def lookup(name: str) -> OperatorSpec | None:
-    return _REGISTRY.get(name)
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------

@@ -164,10 +164,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
                  (a, lambda go: go), (b, lambda go: -go))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a, lambda go: -go))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(_broadcasting("mul", np.multiply, a, b),
                  (a, lambda go: go * b.data), (b, lambda go: go * a.data))
@@ -182,10 +178,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def power(a: Tensor, exponent: float) -> Tensor:
     return _node(a.data ** exponent,
                  (a, lambda go: go * exponent * a.data ** (exponent - 1.0)))
-
-
-def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a, lambda go: go / a.data))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -517,6 +509,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask: Tensor | None = None,
 # Losses and sampling
 # ---------------------------------------------------------------------------
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax of each row of a 2-D array, shifted by the row maximum."""
+    out = x - x.max(axis=1, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=1, keepdims=True))
+    return out
+
+
 def cross_entropy(
     logits: Tensor,
     targets,
@@ -545,10 +544,7 @@ def cross_entropy(
 
     t, w = t.reshape(-1), w.reshape(-1)
     rows = np.arange(t.size)
-    x = logits.data.reshape(-1, vocab)
-    shifted = x - x.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
+    log_probs = _log_softmax(logits.data.reshape(-1, vocab))
     total = -(log_probs[rows, t] * w).sum()
     scale = 1.0 / w.sum() if reduction == "mean" else 1.0
     data = np.asarray(total * scale)
@@ -585,10 +581,7 @@ def gumbel_softmax(
         noise = gumbel_noise(rng, logits.shape)
     else:
         noise = np.stack([gumbel_noise(r, logits.shape[1:]) for r in rng])
-    scores = (logits.data + noise) / tau
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    soft = e / e.sum(axis=-1, keepdims=True)
+    soft, centre, _ = _softmax("gumbel_softmax", (logits.data + noise) / tau)
     if hard:
         data = np.zeros_like(soft)
         np.put_along_axis(
@@ -596,12 +589,7 @@ def gumbel_softmax(
         )
     else:
         data = soft
-
-    def d_logits(go):
-        dot = (go * soft).sum(axis=-1, keepdims=True)
-        return soft * (go - dot) / tau
-
-    return _node(data, (logits, d_logits))
+    return _node(data, (logits, lambda go: soft * centre(go) / tau))
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,19 @@ trailing pads from every real position, and per-position loss weights give
 the pads weight 0 (see `pretrain` and `gsformer`).  Only the Gumbel noise is
 drawn per example, each from its own Rng label.
 
-The instruction stage trains the patch encoder, the projection head, and the
-decoder end to end by default; --freeze-encoder leaves the encoder fixed.
+The instruction stage's model is one parameter tree, saved as one
+checkpoint: the encoder under `gs.*`, the decoder under `dec.*` and the
+projection linear `proj_w`/`proj_b`.  `visual_tokens` is its one path from
+patches to the decoder's prefix, for training and for decoding alike.  It
+trains end to end by default; --freeze-encoder makes the encoder's
+parameters require no gradient, so the tape builds no node for them and
+Adam leaves them as loaded.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -208,23 +212,23 @@ def _run_loop(
     config: RunConfig,
     seed: int,
     out_prefix: str | Path,
-    trainable: dict[str, Tensor],
+    params: dict[str, Tensor],
     step_loss: Callable[[int, Rng], tuple[Tensor, dict]],
-    saved: dict[str, Tensor] | None = None,
 ) -> dict:
-    """Run Adam on `trainable` for the stage's steps and write its files.
+    """Run Adam on the `params` that require a gradient for the stage's
+    steps and write its files.
 
     `step_loss(step, step_rng)` returns the scalar to minimise and the fields
     logged for that step; step_rng is Rng(seed).split(f"step{step}").  Writes
-    the step log, the checkpoint of `saved` (default: `trainable`) and the
-    config snapshot, and returns the last step's logged fields ({} when the
-    stage runs no steps).  A non-finite loss raises NonFiniteLossError before
-    its backward pass; the log then holds only the steps before it and no
-    checkpoint is written.
+    the step log, the checkpoint of all of `params` and the config snapshot,
+    and returns the last step's logged fields ({} when the stage runs no
+    steps).  A non-finite loss raises NonFiniteLossError before its backward
+    pass; the log then holds only the steps before it and no checkpoint is
+    written.
     """
     settings = config.stages[stage]
     rng = Rng(seed)
-    opt = Adam(trainable, lr=settings.lr)
+    opt = Adam({k: p for k, p in params.items() if p.requires_grad}, lr=settings.lr)
     last: dict = {}
     log_path = tc.checkpoint_path(out_prefix, ".log.jsonl")
     with open(log_path, "w", encoding="utf-8") as log:
@@ -239,7 +243,7 @@ def _run_loop(
                                  allow_nan=False) + "\n")
             # free this step's tape before the next step builds its own
             del loss
-    tc.save_params(trainable if saved is None else saved, out_prefix)
+    tc.save_params(params, out_prefix)
     snapshot = {**config.to_json(), "seed": seed, "stage": stage}
     tc.checkpoint_path(out_prefix, ".config.json").write_text(
         json.dumps(snapshot, indent=2, sort_keys=True, allow_nan=False) + "\n",
@@ -328,18 +332,34 @@ def train_align_stage(
             "final_loss": last.get("l_total")}
 
 
-def _join_sft_params(gs, dec, proj_w, proj_b):
+def _join_sft_params(gs, dec):
     joined = {f"gs.{k}": v for k, v in gs.items()}
     joined.update({f"dec.{k}": v for k, v in dec.items()})
-    joined["proj_w"] = proj_w
-    joined["proj_b"] = proj_b
     return joined
 
 
 def split_sft_params(joined: dict[str, Tensor]):
+    """The encoder's and the decoder's parameters of a joined tree, (gs, dec);
+    `proj_w`/`proj_b` stay in `joined`."""
     gs = {k[3:]: v for k, v in joined.items() if k.startswith("gs.")}
     dec = {k[4:]: v for k, v in joined.items() if k.startswith("dec.")}
-    return gs, dec, joined["proj_w"], joined["proj_b"]
+    return gs, dec
+
+
+def visual_tokens(
+    params: dict[str, Tensor],
+    gs_cfg: gsf.GSFormerConfig,
+    patches: Tensor,
+    rngs: Sequence[Rng] | None,
+    hard: bool = False,
+) -> Tensor:
+    """(B, n_queries, d_lm) visual tokens of (B, N, d_in) patches: the
+    caption-free encoder, then the `proj` linear; params joined as by
+    `_join_sft_params`, with `proj_w`/`proj_b`."""
+    gs, _ = split_sft_params(params)
+    feats, _, _ = gsf.gs_former_forward(patches, [[]] * patches.shape[0], gs_cfg,
+                                        gs, rngs, hard)
+    return gsf.linear(params, "proj", feats.f_g)
 
 
 def sft_loss(
@@ -350,18 +370,12 @@ def sft_loss(
     questions: Sequence[Sequence[int]],
     targets: Sequence[Sequence[int]],
     rngs: Sequence[Rng] | None,
-    frozen_encoder: bool = False,
 ) -> Tensor:
     """Summed target negative log-likelihood of one instruction batch:
-    (B, N, d_in) patches through the caption-free encoder, `project_visual`,
-    the decoder and `instruction_loss`.  params are joined as by
-    `_join_sft_params`; example i draws its noise from rngs[i]."""
-    gs, dec, proj_w, proj_b = split_sft_params(params)
-    # a frozen encoder builds no tape: its gradients would go unused
-    with tc.no_grad() if frozen_encoder else nullcontext():
-        feats, _, _ = gsf.gs_former_forward(patches, [[]] * len(targets), gs_cfg,
-                                            gs, rngs)
-    t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
+    `visual_tokens` of the (B, N, d_in) patches, then the decoder and
+    `instruction_loss`; example i draws its noise from rngs[i]."""
+    _, dec = split_sft_params(params)
+    t_g = visual_tokens(params, gs_cfg, patches, rngs)
     return pt.instruction_loss(dec, dec_cfg, t_g, questions, targets)
 
 
@@ -372,43 +386,37 @@ def train_sft_stage(
     out_prefix: str | Path,
     encoder_ckpt: str | Path | None = None,
 ) -> dict:
-    """End-to-end instruction tuning: encoder -> projection -> decoder."""
+    """End-to-end instruction tuning: encoder -> projection -> decoder.  A
+    frozen encoder's parameters require no gradient, so its forward builds
+    no tape and Adam keeps no state for it."""
     stage = config.stages["sft"]
     rng = Rng(seed)
     if encoder_ckpt is not None:
         gs_params = tc.load_params(encoder_ckpt)
     else:
         gs_params = gsf.init_params(config.gsformer, rng.split("gs_init"))
-    dec_params = pt.init_decoder_params(config.decoder, rng.split("dec_init"))
-    proj_rng = rng.split("proj")
-    proj_w = Tensor(
-        proj_rng.normal((config.gsformer.d_model, config.decoder.d_lm),
-                        std=gsf.INIT_STD),
-        requires_grad=True,
-    )
-    proj_b = tc.zeros((config.decoder.d_lm,), requires_grad=True)
+    for p in gs_params.values():
+        p.requires_grad = not stage.freeze_encoder
+    params = _join_sft_params(
+        gs_params, pt.init_decoder_params(config.decoder, rng.split("dec_init")))
+    gsf._linear_init(params, "proj", rng.split("proj"), config.gsformer.d_model,
+                     config.decoder.d_lm)
     patches = np.stack([data.patches[rec.id].data for rec in data.problems])
     questions = [rec.question_tokens for rec in data.problems]
     programs = [_program_ids(rec, data.vocab) for rec in data.problems]
-    saved = _join_sft_params(gs_params, dec_params, proj_w, proj_b)
 
     def step_loss(step: int, step_rng: Rng):
         picks = _sample_indices(step_rng.split("batch"), len(programs), stage.batch)
         targets = [programs[i] for i in picks]
         total = sft_loss(
-            saved, config.gsformer, config.decoder, Tensor(patches[picks]),
+            params, config.gsformer, config.decoder, Tensor(patches[picks]),
             [questions[i] for i in picks], targets,
             [step_rng.split(f"noise{slot}") for slot in range(len(picks))],
-            stage.freeze_encoder,
         )
         mean = tc.mul(total, Tensor(1.0 / sum(len(s) for s in targets)))
         return mean, {"loss_sum": total.item(), "loss_mean": mean.item()}
 
-    trainable = _join_sft_params(
-        {} if stage.freeze_encoder else gs_params, dec_params, proj_w, proj_b
-    )
-    last = _run_loop("sft", config, seed, out_prefix, trainable, step_loss,
-                     saved=saved)
+    last = _run_loop("sft", config, seed, out_prefix, params, step_loss)
     return {"stage": "sft", "steps": stage.steps,
             "final_loss_sum": last.get("loss_sum"),
             "final_loss_mean": last.get("loss_mean")}
@@ -438,6 +446,8 @@ def run_stage(
 # ---------------------------------------------------------------------------
 
 def load_sft_checkpoint(prefix: str | Path):
+    """(gs_cfg, dec_cfg, params) of an sft checkpoint; its parameters require
+    no gradient, so a forward over them builds no tape."""
     snapshot = json.loads(tc.checkpoint_path(prefix, ".config.json").read_text())
     if not isinstance(snapshot, dict):
         raise eh.SchemaError("checkpoint snapshot must be a JSON object")
@@ -446,9 +456,7 @@ def load_sft_checkpoint(prefix: str | Path):
                                snapshot.get(name), cls.__dataclass_fields__))
         for name, cls in (("gsformer", gsf.GSFormerConfig),
                           ("decoder", pt.DecoderConfig)))
-    joined = tc.load_params(prefix, requires_grad=False)
-    gs_params, dec_params, proj_w, proj_b = split_sft_params(joined)
-    return gs_cfg, dec_cfg, gs_params, dec_params, proj_w, proj_b
+    return gs_cfg, dec_cfg, tc.load_params(prefix, requires_grad=False)
 
 
 def decode_problems(
@@ -458,27 +466,22 @@ def decode_problems(
     max_len: int = 24,
 ) -> list[tuple[str, list[str]]]:
     """Hard-mask, noise-free decoding of every problem; rng-free."""
-    gs_cfg, dec_cfg, gs_params, dec_params, proj_w, proj_b = \
-        load_sft_checkpoint(ckpt_prefix)
+    gs_cfg, dec_cfg, params = load_sft_checkpoint(ckpt_prefix)
+    _, dec = split_sft_params(params)
     results = []
-    with tc.no_grad():
-        for rec in data.problems:
-            patches = data.patches[rec.id]
-            feats, _, _ = gsf.gs_former_forward(
-                tc.reshape(patches, (1,) + patches.shape), [[]], gs_cfg,
-                gs_params, None, hard=True,
-            )
-            t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
-            hyps = pt.beam_decode(
-                dec_params, dec_cfg, t_g, rec.question_tokens,
-                beam=beam, max_len=max_len, eos_id=fl.EOS_ID,
-            )
-            texts = [
-                fl.detokenize([t for t in h.token_ids if t != fl.EOS_ID],
-                              data.vocab)
-                for h in hyps
-            ]
-            results.append((rec.id, texts))
+    for rec in data.problems:
+        patches = data.patches[rec.id]
+        t_g = visual_tokens(params, gs_cfg, tc.reshape(patches, (1,) + patches.shape),
+                            None, hard=True)
+        hyps = pt.beam_decode(
+            dec, dec_cfg, t_g, rec.question_tokens,
+            beam=beam, max_len=max_len, eos_id=fl.EOS_ID,
+        )
+        texts = [
+            fl.detokenize([t for t in h.token_ids if t != fl.EOS_ID], data.vocab)
+            for h in hyps
+        ]
+        results.append((rec.id, texts))
     return results
 
 

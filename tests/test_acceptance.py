@@ -5,14 +5,17 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The end-to-end pipeline
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geoformal
 from geoformal import diagram_synth as ds
 from geoformal import eval_harness as eh
 from geoformal import formal_lang as fl
@@ -33,6 +36,11 @@ from oracles import (
     reference_beam_decode,
     rel_close,
 )
+
+
+# the child interpreter imports the package from this checkout
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=str(Path(geoformal.__file__).resolve().parent.parent))
 
 
 def report(criterion: int, detail: str) -> None:
@@ -382,8 +390,8 @@ def test_criterion_9_mae_contract(tmp_path):
 
 def test_criterion_10_determinism(pipeline, tmp_path):
     cmd = [sys.executable, "-m", "geoformal.cli", "selftest", "--seed", "0"]
-    run_a = subprocess.run(cmd, capture_output=True)
-    run_b = subprocess.run(cmd, capture_output=True)
+    run_a = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
+    run_b = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
     assert run_a.returncode == run_b.returncode == 0
     assert run_a.stdout == run_b.stdout
 
@@ -391,7 +399,7 @@ def test_criterion_10_determinism(pipeline, tmp_path):
         code = subprocess.run(
             [sys.executable, "-m", "geoformal.cli", "gen-data", "--n", "16",
              "--seed", "5", "--out", str(tmp_path / name)],
-            capture_output=True,
+            capture_output=True, env=CHILD_ENV,
         ).returncode
         assert code == 0
     for rel in ("problems.jsonl", "captions.txt", "vocab.txt",
@@ -408,15 +416,14 @@ def test_criterion_10_determinism(pipeline, tmp_path):
 
 
 def test_cached_decode_matches_uncached_on_the_pipeline_checkpoint(pipeline):
-    gs_cfg, dec_cfg, gs_params, dec_params, proj_w, proj_b = \
-        tr.load_sft_checkpoint(pipeline.ckpt)
+    gs_cfg, dec_cfg, params = tr.load_sft_checkpoint(pipeline.ckpt)
+    _, dec_params = tr.split_sft_params(params)
     for rec in pipeline.data.problems[:8]:
-        with tc.no_grad():
-            patches = pipeline.data.patches[rec.id]
-            feats, _, _ = gsf.gs_former_forward(
-                tc.reshape(patches, (1,) + patches.shape), [[]], gs_cfg,
-                gs_params, None, hard=True)
-            t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
+        patches = pipeline.data.patches[rec.id]
+        t_g = tr.visual_tokens(params, gs_cfg,
+                               tc.reshape(patches, (1,) + patches.shape), None,
+                               hard=True)
+        assert not t_g.requires_grad
         args = (dec_params, dec_cfg, t_g, rec.question_tokens)
         cached = pt.beam_decode(*args, beam=10, max_len=24, eos_id=fl.EOS_ID)
         reference = reference_beam_decode(*args, beam=10, max_len=24,

@@ -1,10 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import geoformal
 from geoformal.cli import dispatch
+
+# the child interpreter imports the package from this checkout
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=str(Path(geoformal.__file__).resolve().parent.parent))
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict | None]:
@@ -89,6 +96,13 @@ def test_gen_data_writes_snapshot(dataset):
     snapshot = json.loads((dataset / "gen-config.json").read_text())
     assert snapshot["schema"] == 1
     assert snapshot["seed"] == 11
+    assert "patch" not in snapshot  # chosen when the data is loaded
+
+
+def test_gen_data_has_no_patch_flag(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert dispatch(["gen-data", "--n", "1", "--patch", "8", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_adjudicate_and_eval_with_gt_programs(dataset, tmp_path, capsys):
@@ -230,6 +244,43 @@ def test_nonpositive_beam_is_data_error(dataset, tmp_path, capsys, command):
         "--candidates", str(cands), "--beam", "-1",
     )
     assert "beam must be" in err
+
+
+def test_gen_data_negative_count_is_data_error(tmp_path, capsys):
+    err = assert_data_error(capsys, "gen-data", "--n", "-1",
+                            "--out", str(tmp_path / "d"))
+    assert "n must be >= 0" in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_train_zero_patch_is_data_error(dataset, tmp_path, capsys):
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "lm", "--data", str(dataset),
+        "--patch", "0", "--out", str(tmp_path / "x"),
+    )
+    assert "patch must be >= 1" in err
+    assert not (tmp_path / "x.log.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--patch", "0", "patch must be >= 1"),
+    ("--max-len", "0", "max_len must be >= 1"),
+    ("--max-len", "-3", "max_len must be >= 1"),
+])
+def test_decode_rejects_bad_flag(dataset, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "sft"
+    code, _ = run_cli(
+        capsys, "train-toy", "--stage", "sft", "--data", str(dataset),
+        "--seed", "1", "--out", str(out), "--steps", "0",
+    )
+    assert code == 0
+    err = assert_data_error(
+        capsys, "decode", "--ckpt", str(out),
+        "--problems", str(dataset / "problems.jsonl"),
+        "--out", str(tmp_path / "cands.jsonl"), flag, value,
+    )
+    assert message in err
+    assert not (tmp_path / "cands.jsonl").exists()
 
 
 def test_gradcheck_without_points_is_data_error(capsys):
@@ -403,7 +454,7 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
 
 def test_selftest_stdout_byte_identical():
     cmd = [sys.executable, "-m", "geoformal.cli", "selftest", "--seed", "0"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    a = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
+    b = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout

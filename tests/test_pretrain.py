@@ -21,7 +21,6 @@ from geoformal.pretrain import (
     mae_forward,
     mae_loss,
     mae_mask,
-    project_visual,
 )
 from geoformal.tensorcore import Adam, Rng, Tensor
 
@@ -212,24 +211,8 @@ def test_lm_memorizes_one_sequence():
 
 
 # ---------------------------------------------------------------------------
-# Projection and instruction loss
+# Instruction loss
 # ---------------------------------------------------------------------------
-
-def test_project_visual_identity():
-    f_g = Tensor(Rng(0).normal((8, 16)))
-    t_g = project_visual(f_g, Tensor(np.eye(16)), tc.zeros((16,)))
-    assert np.array_equal(t_g.data, f_g.data)
-    assert t_g.shape[0] == 8
-
-
-def test_project_visual_gradient_reaches_weights():
-    f_g = Tensor(Rng(1).normal((4, 8)))
-    w = Tensor(Rng(2).normal((8, 16)), requires_grad=True)
-    b = tc.zeros((16,), requires_grad=True)
-    tc.tsum(tc.power(project_visual(f_g, w, b), 2.0)).backward()
-    assert np.abs(w.grad).max() > 0
-    assert np.abs(b.grad).max() > 0
-
 
 def test_instruction_loss_saturated_correct_logit_is_zero():
     cfg, params = small_decoder()

@@ -46,12 +46,6 @@ def test_registry_matches_oracle_table():
     assert list(fl.OPERATOR_ARITIES) == [spec.name for spec in operator_table()]
 
 
-def test_lookup():
-    assert solver.lookup("gougu_minus").arity == 2
-    assert solver.lookup("Sum").arity == 3
-    assert solver.lookup("nosuch") is None
-
-
 def test_sum_executes_three_operands():
     assert run("Sum 1.0 2.0 3.5") == 6.5
 

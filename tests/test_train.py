@@ -98,14 +98,14 @@ def test_sft_freeze_encoder_keeps_encoder_fixed(dataset, tmp_path):
     config.stages["sft"].freeze_encoder = True
     tr.train_sft_stage(dataset, config, 5, tmp_path / "sft_frozen",
                        encoder_ckpt=tmp_path / "align")
-    gs, dec, _, _ = tr.split_sft_params(tc.load_params(tmp_path / "sft_frozen"))
+    gs, _ = tr.split_sft_params(tc.load_params(tmp_path / "sft_frozen"))
     for name, tensor in align_params.items():
         assert np.array_equal(gs[name].data, tensor.data), name
 
     config.stages["sft"].freeze_encoder = False
     tr.train_sft_stage(dataset, config, 5, tmp_path / "sft_live",
                        encoder_ckpt=tmp_path / "align")
-    gs_live, _, _, _ = tr.split_sft_params(tc.load_params(tmp_path / "sft_live"))
+    gs_live, _ = tr.split_sft_params(tc.load_params(tmp_path / "sft_live"))
     changed = any(
         not np.array_equal(gs_live[name].data, tensor.data)
         for name, tensor in align_params.items()
@@ -118,20 +118,54 @@ def test_frozen_encoder_builds_no_gradients(dataset, tmp_path, monkeypatch):
     config.stages["sft"].steps = 3
     tr.train_align_stage(dataset, config, 4, tmp_path / "align")
     config.stages["sft"].freeze_encoder = True
-    seen = {}
+    seen, optimizers = {}, []
     run_loop = tr._run_loop
 
-    def spy(*args, **kwargs):
-        seen.update(kwargs["saved"])
-        return run_loop(*args, **kwargs)
+    def spy(stage, config, seed, out_prefix, params, step_loss):
+        seen.update(params)
+        return run_loop(stage, config, seed, out_prefix, params, step_loss)
+
+    class SpyAdam(tc.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
 
     monkeypatch.setattr(tr, "_run_loop", spy)
+    monkeypatch.setattr(tr, "Adam", SpyAdam)
     tr.train_sft_stage(dataset, config, 5, tmp_path / "sft",
                        encoder_ckpt=tmp_path / "align")
     encoder = [k for k in seen if k.startswith("gs.")]
     assert encoder
     assert [k for k in encoder if seen[k].grad is not None] == []
     assert seen["proj_w"].grad is not None
+    (opt,) = optimizers
+    assert [k for k in opt._m if k.startswith("gs.")] == []
+    assert [k for k in opt._v if k.startswith("gs.")] == []
+    assert "proj_w" in opt._m
+
+
+@pytest.mark.parametrize("stage, freeze, nodes", [
+    ("mae", False, 38), ("lm", False, 31), ("align", False, 206),
+    ("sft", False, 135), ("sft", True, 34),
+], ids=["mae", "lm", "align", "sft", "sft-frozen"])
+def test_tape_nodes_per_step_at_the_default_config(dataset, tmp_path, monkeypatch,
+                                                   stage, freeze, nodes):
+    """Op outputs that require a gradient over one training step."""
+    config = tr.default_run_config(len(dataset.vocab), dataset.n_patches,
+                                   dataset.patch_dim)
+    config.stages[stage].steps = 1
+    config.stages[stage].freeze_encoder = freeze
+    counted = []
+    node = tc._node
+
+    def counting(*args):
+        out = node(*args)
+        counted.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(tc, "_node", counting)
+    tr.run_stage(stage, dataset, config, 3, tmp_path / stage)
+    assert sum(counted) == nodes
 
 
 @pytest.mark.parametrize("stage", ["mae", "align", "sft"])
@@ -289,7 +323,7 @@ def test_sft_step0_loss_matches_oracle(dataset, tmp_path):
             feats, _, _ = gsf.gs_former_forward(
                 one(dataset.patches[rec.id]), [[]], config.gsformer, gs,
                 [step_rng.split(f"noise{slot}")], hard=False)
-            t_g = pt.project_visual(feats.f_g, proj_w, proj_b)
+            t_g = tc.linear(feats.f_g, proj_w, proj_b)
             total += pt.instruction_loss(dec, config.decoder, t_g,
                                          [rec.question_tokens], [target]).item()
             n_targets += len(target)
@@ -303,10 +337,10 @@ def test_sft_batch_equals_sum_of_batch_of_one_calls(dataset):
     rng = Rng(11)
     joined = tr._join_sft_params(
         gsf.init_params(config.gsformer, rng.split("gs")),
-        pt.init_decoder_params(config.decoder, rng.split("dec")),
-        Tensor(rng.split("proj").normal((config.gsformer.d_model, config.decoder.d_lm),
-                                        std=0.1), requires_grad=True),
-        tc.zeros((config.decoder.d_lm,), requires_grad=True))
+        pt.init_decoder_params(config.decoder, rng.split("dec")))
+    joined["proj_w"] = Tensor(rng.split("proj").normal(
+        (config.gsformer.d_model, config.decoder.d_lm), std=0.1), requires_grad=True)
+    joined["proj_b"] = tc.zeros((config.decoder.d_lm,), requires_grad=True)
     recs = dataset.problems[2:6]  # questions of 18 and 20, programs of 3 to 11 tokens
     questions = [rec.question_tokens for rec in recs]
     targets = [fl.tokenize(rec.gt_program, dataset.vocab) + [fl.EOS_ID] for rec in recs]
