@@ -72,6 +72,11 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     seed = _default_seed(args.seed)
+    if args.stage != "sft":
+        for flag, given in (("--encoder-ckpt", args.encoder_ckpt is not None),
+                            ("--freeze-encoder", args.freeze_encoder)):
+            if given:
+                raise ValueError(f"{flag} applies only to --stage sft")
     data = tr.load_dataset(args.data, patch=args.patch)
     base = tr.default_run_config(len(data.vocab), data.n_patches, data.patch_dim)
     file_config = None
@@ -99,9 +104,7 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    data = tr.load_dataset(Path(args.problems).parent, patch=args.patch)
-    if Path(args.problems).name != "problems.jsonl":
-        data.problems = solver.load_problems(args.problems)
+    data = tr.load_dataset(args.problems, patch=tr.checkpoint_patch(args.ckpt))
     results = tr.decode_problems(
         args.ckpt, data, beam=args.beam, max_len=args.max_len
     )
@@ -126,27 +129,6 @@ def _cmd_solve(args) -> int:
     if len(answers) == 1:
         payload["answer"] = answers[0]
     _emit(payload)
-    return 0
-
-
-def _cmd_adjudicate(args) -> int:
-    tol = eh.Tolerance(abs=args.tol, rel=args.tol_rel)
-    pairs = tr.adjudicate(solver.load_problems(args.problems),
-                          eh.load_candidates(args.candidates), args.beam, tol)
-    rows = [
-        {
-            "id": rec.id,
-            "first_executed_rank": outcome.rank_of_first_executed,
-            "first_correct_rank": outcome.rank_of_first_correct,
-        }
-        for rec, outcome in pairs
-    ]
-    executable = sum(1 for r in rows if r["first_executed_rank"] is not None)
-    _emit({
-        "n_problems": len(rows),
-        "executable_fraction": executable / len(rows) if rows else 0.0,
-        "rows": rows,
-    })
     return 0
 
 
@@ -224,11 +206,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_train_toy)
 
     p = sub.add_parser("decode", help="beam-decode programs for every problem")
-    p.add_argument("--ckpt", required=True, help="sft checkpoint prefix")
-    p.add_argument("--problems", required=True)
+    p.add_argument("--ckpt", required=True,
+                   help="sft checkpoint prefix; its snapshot fixes the patch size")
+    p.add_argument("--problems", required=True,
+                   help="problems file, or a dataset directory; diagrams are "
+                        "read next to it")
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--max-len", type=int, default=24)
-    p.add_argument("--patch", type=int, default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_decode)
 
@@ -237,15 +221,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--numbers", default="")
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("adjudicate", help="run candidates through the solver")
-    p.add_argument("--problems", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--beam", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-2)
-    p.add_argument("--tol-rel", type=float, default=1e-3)
-    p.set_defaults(handler=_cmd_adjudicate)
-
-    p = sub.add_parser("eval", help="compute metrics from candidates")
+    p = sub.add_parser("eval", help="run candidates through the solver and "
+                                    "score them; --out adds per-problem rows")
     p.add_argument("--problems", required=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--beam", type=int, default=10)

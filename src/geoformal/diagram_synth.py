@@ -7,6 +7,11 @@ members exactly on the circle.  Line members are listed left to right (x,
 then y); circle members clockwise in the rendered image, which with the
 y-down raster flip means descending scene angle.  Rejection sampling keeps
 all points at least `min_dist` apart.
+
+Diagrams are plain pixel arrays of any size of at least 32x32; the patch
+size is not a property of the data.  Training chooses it when it loads a
+dataset, decoding reads it back from the checkpoint, and `patchify` checks
+that it divides the image.
 """
 
 from __future__ import annotations
@@ -165,19 +170,6 @@ def caption_of(scene: SceneSpec) -> FormalCaption:
 # Rasterization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Diagram:
-    pixels: np.ndarray
-    patch: int
-
-    def __post_init__(self):
-        if self.patch < 1:
-            raise ValueError(f"patch must be >= 1, got {self.patch}")
-        h, w = self.pixels.shape
-        if h % self.patch or w % self.patch:
-            raise ShapeMismatchError("diagram/patch", (h, w), (self.patch,))
-
-
 def _to_px(p: tuple[float, float], h: int, w: int) -> tuple[int, int]:
     x, y = p
     return int(round(x * (w - 1))), int(round((1.0 - y) * (h - 1)))
@@ -202,8 +194,9 @@ def _bresenham(img: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
             y0 += sy
 
 
-def rasterize(scene: SceneSpec, h: int = 64, w: int = 64, patch: int = 8) -> Diagram:
-    """1-pixel strokes, 3x3 point dots, no anti-aliasing; deterministic."""
+def rasterize(scene: SceneSpec, h: int = 64, w: int = 64) -> np.ndarray:
+    """(h, w) pixels in [0, 1]: 1-pixel strokes, 3x3 point dots, no
+    anti-aliasing; deterministic."""
     if h < 32 or w < 32:
         raise ValueError("image must be at least 32x32")
     img = np.zeros((h, w))
@@ -226,14 +219,18 @@ def rasterize(scene: SceneSpec, h: int = 64, w: int = 64, patch: int = 8) -> Dia
     for p in scene.points.values():
         px, py = _to_px(p, h, w)
         img[max(0, py - 1): py + 2, max(0, px - 1): px + 2] = 1.0
-    return Diagram(img, patch)
+    return img
 
 
-def patchify(diagram: Diagram) -> Tensor:
-    """Row-major (N, p*p) patches; N = (H/p) * (W/p)."""
-    h, w = diagram.pixels.shape
-    p = diagram.patch
-    grid = diagram.pixels.reshape(h // p, p, w // p, p)
+def patchify(pixels: np.ndarray, p: int) -> Tensor:
+    """Row-major (N, p*p) patches of (H, W) pixels; N = (H/p) * (W/p).  The
+    patch size p must be >= 1 and divide both sides."""
+    if p < 1:
+        raise ValueError(f"patch must be >= 1, got {p}")
+    h, w = pixels.shape
+    if h % p or w % p:
+        raise ShapeMismatchError("diagram/patch", (h, w), (p,))
+    grid = pixels.reshape(h // p, p, w // p, p)
     return Tensor(grid.transpose(0, 2, 1, 3).reshape(-1, p * p))
 
 
@@ -249,20 +246,18 @@ class SynthConfig:
         "circle_perimeter", "circle_area",
     )
     image_size: tuple[int, int] = (64, 64)
-    patch: int = 8
-    with_choices: bool = True
 
 
 @dataclass
 class SyntheticProblem:
     id: str
     scene: SceneSpec
-    diagram: Diagram
+    pixels: np.ndarray
     caption: FormalCaption
     question_text: str
     question_tokens: list[int]
     numbers: list[float]
-    choices: list[float] | None
+    choices: list[float]
     answer: float
     gt_program: SolutionProgram
     template: str
@@ -275,7 +270,7 @@ class SyntheticProblem:
             gt_program=fl.format_program(self.gt_program),
             caption=fl.format_caption(self.caption),
             question_tokens=list(self.question_tokens),
-            choices=None if self.choices is None else list(self.choices),
+            choices=list(self.choices),
             diagram=diagram_path,
         )
 
@@ -366,19 +361,14 @@ def make_problem(
     program = fl.parse_program(program_text)
     answer = execute_program(program, Bindings.from_numbers(numbers)).final
 
-    choices = None
-    if cfg.with_choices:
-        pool = [answer] + _distractors(answer, rng)
-        order = rng.permutation(4)
-        choices = [pool[i] for i in order]
+    pool = [answer] + _distractors(answer, rng)
+    choices = [pool[i] for i in rng.permutation(4)]
 
     vocab = default_vocab()
-    h, w = cfg.image_size
-    diagram = rasterize(scene, h, w, cfg.patch)
     return SyntheticProblem(
         id=problem_id,
         scene=scene,
-        diagram=diagram,
+        pixels=rasterize(scene, *cfg.image_size),
         caption=caption_of(scene),
         question_text=question,
         question_tokens=fl.tokenize(question, vocab),
@@ -447,7 +437,7 @@ def generate_dataset(
     caption_blocks = []
     for problem in problems:
         rel_path = f"diagrams/{problem.id}.pgm"
-        write_pgm(problem.diagram.pixels, out / rel_path)
+        write_pgm(problem.pixels, out / rel_path)
         records.append(problem.to_record(rel_path))
         caption_blocks.append(fl.format_caption(problem.caption))
     solver.save_problems(records, out / "problems.jsonl")

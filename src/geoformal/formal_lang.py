@@ -331,9 +331,7 @@ class SolutionProgram:
 # Program parse / format
 # ---------------------------------------------------------------------------
 
-def parse_program(
-    text: str, arities: Mapping[str, int] = OPERATOR_ARITIES
-) -> SolutionProgram:
+def parse_program(text: str) -> SolutionProgram:
     """Parse and validate a whitespace-separated program token stream.
 
     Validation: the leading token of every group must be a registered
@@ -346,13 +344,13 @@ def parse_program(
     groups_done = 0
     while i < len(words):
         name = words[i]
-        if name not in arities:
+        if name not in OPERATOR_ARITIES:
             raise UnknownOperatorError(name, i)
-        arity = arities[name]
+        arity = OPERATOR_ARITIES[name]
         tokens.append(Operator(name))
         operands_got = 0
         for j in range(i + 1, i + 1 + arity):
-            if j >= len(words) or words[j] in arities:
+            if j >= len(words) or words[j] in OPERATOR_ARITIES:
                 raise ArityMismatchError(name, arity, operands_got, i)
             tokens.append(_parse_operand(words[j], j, groups_done))
             operands_got += 1

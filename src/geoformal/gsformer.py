@@ -351,7 +351,6 @@ def alignment_loss(
     features: AlignedFeatures,
     caption_logits: Tensor,
     captions: Sequence[Sequence[int]],
-    cfg: GSFormerConfig,
     params: dict[str, Tensor],
 ) -> tuple[Tensor, Tensor, Tensor]:
     """(contrast, match, caption) losses over an aligned batch: features and
@@ -412,9 +411,8 @@ def pretrain_loss(
     rngs = None if rng is None else [rng.split(f"sample{i}") for i in range(len(captions))]
     feats, state, cap_logits = gs_former_forward(patches, captions, cfg, params,
                                                  rngs, hard)
-    l_contrast, l_match, l_caption = alignment_loss(
-        feats, cap_logits, captions, cfg, params
-    )
+    l_contrast, l_match, l_caption = alignment_loss(feats, cap_logits, captions,
+                                                     params)
     w_c, w_m, w_cap = cfg.align_weights
     l_align = tc.add(
         tc.add(tc.mul(l_contrast, Tensor(w_c)), tc.mul(l_match, Tensor(w_m))),

@@ -27,7 +27,6 @@ from .formal_lang import (
     ProgramToken,
     SolutionProgram,
     VarRef,
-    format_program,
     parse_program,
 )
 
@@ -233,12 +232,13 @@ class BeamOutcome:
 
 
 def evaluate_beam(
-    candidates: Iterable[SolutionProgram | str],
+    candidates: Iterable[str],
     b: Bindings,
     gt_answer: float,
     tol,
 ) -> BeamOutcome:
-    """Execute ranked candidates, each on a fresh copy of the bindings.
+    """Parse and execute ranked candidate texts, each on a fresh copy of the
+    bindings.
 
     A candidate that fails to parse or execute is recorded as Failed and never
     affects later candidates.  `tol` is anything with passes(pred, gt), e.g.
@@ -247,20 +247,9 @@ def evaluate_beam(
     results: list[CandidateResult] = []
     first_executed: int | None = None
     first_correct: int | None = None
-    for rank, cand in enumerate(candidates):
-        if isinstance(cand, SolutionProgram):
-            program, text = cand, None
-        else:
-            text = cand
-            try:
-                program = parse_program(cand)
-            except FormalLangError as exc:
-                results.append(CandidateResult(cand, False, error=str(exc)))
-                continue
-        if text is None:
-            text = format_program(program)
+    for rank, text in enumerate(candidates):
         try:
-            trace = execute_program(program, b.copy())
+            trace = execute_program(parse_program(text), b.copy())
         except (SolverError, FormalLangError) as exc:
             results.append(CandidateResult(text, False, error=str(exc)))
             continue

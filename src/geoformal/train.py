@@ -174,19 +174,26 @@ class Dataset:
         return next(iter(self.patches.values())).shape[0]
 
 
-def load_dataset(root: str | Path, patch: int = 8) -> Dataset:
-    root = Path(root)
-    problems = solver.load_problems(root / "problems.jsonl")
+def load_dataset(path: str | Path, patch: int = 8) -> Dataset:
+    """The problems of `path`, a dataset directory (its problems.jsonl) or a
+    problems file, with each diagram cut into patch x patch patches.
+
+    Diagram paths and vocab.txt are read relative to the problems file's
+    own directory; without a vocab.txt the default vocabulary is used."""
+    path = Path(path)
+    if path.is_dir():
+        path = path / "problems.jsonl"
+    root = path.parent
+    problems = solver.load_problems(path)
     if not problems:
-        raise eh.SchemaError(f"{root / 'problems.jsonl'} holds no problems")
+        raise eh.SchemaError(f"{path} holds no problems")
     vocab_path = root / "vocab.txt"
     vocab = fl.Vocab.load(vocab_path) if vocab_path.exists() else ds.default_vocab()
     patches: dict[str, Tensor] = {}
     for rec in problems:
         if rec.diagram is None:
             raise eh.SchemaError(f"problem {rec.id} has no diagram path")
-        pixels = ds.read_pgm(root / rec.diagram)
-        patches[rec.id] = ds.patchify(ds.Diagram(pixels, patch))
+        patches[rec.id] = ds.patchify(ds.read_pgm(root / rec.diagram), patch)
     return Dataset(root, problems, vocab, patches)
 
 
@@ -445,17 +452,32 @@ def run_stage(
 # Decoding
 # ---------------------------------------------------------------------------
 
-def load_sft_checkpoint(prefix: str | Path):
-    """(gs_cfg, dec_cfg, params) of an sft checkpoint; its parameters require
-    no gradient, so a forward over them builds no tape."""
+def _snapshot_configs(prefix: str | Path):
+    """(gs_cfg, dec_cfg) of a checkpoint's config snapshot."""
     snapshot = json.loads(tc.checkpoint_path(prefix, ".config.json").read_text())
     if not isinstance(snapshot, dict):
         raise eh.SchemaError("checkpoint snapshot must be a JSON object")
-    gs_cfg, dec_cfg = (
+    return tuple(
         cls.from_json(_section(f"checkpoint snapshot section {name!r}",
                                snapshot.get(name), cls.__dataclass_fields__))
         for name, cls in (("gsformer", gsf.GSFormerConfig),
                           ("decoder", pt.DecoderConfig)))
+
+
+def checkpoint_patch(prefix: str | Path) -> int:
+    """The patch size a checkpoint was trained at, read from its snapshot
+    alone: `default_run_config` sets the encoder's d_in to patch * patch."""
+    d_in = _snapshot_configs(prefix)[0].d_in
+    if not (isinstance(d_in, int) and d_in >= 1 and math.isqrt(d_in) ** 2 == d_in):
+        raise eh.SchemaError(
+            f"checkpoint snapshot gsformer.d_in {d_in!r} is not a square patch size")
+    return math.isqrt(d_in)
+
+
+def load_sft_checkpoint(prefix: str | Path):
+    """(gs_cfg, dec_cfg, params) of an sft checkpoint; its parameters require
+    no gradient, so a forward over them builds no tape."""
+    gs_cfg, dec_cfg = _snapshot_configs(prefix)
     return gs_cfg, dec_cfg, tc.load_params(prefix, requires_grad=False)
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import geoformal
-from geoformal.cli import dispatch
+from geoformal.cli import _build_parser, dispatch
 
 # the child interpreter imports the package from this checkout
 CHILD_ENV = dict(os.environ,
@@ -81,7 +83,7 @@ def test_gradcheck_passes_quick(capsys):
 
 
 # ---------------------------------------------------------------------------
-# gen-data / adjudicate / eval
+# gen-data / eval
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -118,13 +120,9 @@ def test_adjudicate_and_eval_with_gt_programs(dataset, tmp_path, capsys):
                 {"id": rec["id"], "candidates": [rec["gt_program"]]}
             ) + "\n")
 
-    code, payload = run_cli(
-        capsys, "adjudicate", "--problems", str(dataset / "problems.jsonl"),
-        "--candidates", str(cands), "--beam", "10",
-    )
-    assert code == 0
-    assert payload["executable_fraction"] == 1.0
-    assert all(r["first_correct_rank"] == 0 for r in payload["rows"])
+    # eval is the one scoring command; its report holds the per-problem rows
+    assert dispatch(["adjudicate", "--problems", str(dataset / "problems.jsonl"),
+                     "--candidates", str(cands)]) == 1
 
     report_path = tmp_path / "report.json"
     code, payload = run_cli(
@@ -136,7 +134,10 @@ def test_adjudicate_and_eval_with_gt_programs(dataset, tmp_path, capsys):
     assert payload["top1"] == 1.0
     assert payload["completion"] == 1.0
     assert payload["choice"] == 1.0
-    assert report_path.exists()
+    rows = json.loads(report_path.read_text())["rows"]
+    assert [r["id"] for r in rows] == [rec["id"] for rec in problems]
+    assert all(r["first_executed_rank"] == 0 for r in rows)
+    assert all(r["first_correct_rank"] == 0 for r in rows)
 
 
 def test_eval_schema_error_exit_code(dataset, tmp_path, capsys):
@@ -235,7 +236,7 @@ def test_train_on_empty_dataset_is_data_error(tmp_path, capsys):
     assert "no problems" in err
 
 
-@pytest.mark.parametrize("command", ["eval", "adjudicate"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_nonpositive_beam_is_data_error(dataset, tmp_path, capsys, command):
     cands = tmp_path / "c.jsonl"
     cands.write_text("")
@@ -262,8 +263,26 @@ def test_train_zero_patch_is_data_error(dataset, tmp_path, capsys):
     assert not (tmp_path / "x.log.jsonl").exists()
 
 
+def test_encoder_ckpt_on_another_stage_is_data_error(dataset, tmp_path, capsys):
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "mae", "--data", str(dataset),
+        "--encoder-ckpt", str(tmp_path / "nonexistent"), "--steps", "1",
+        "--out", str(tmp_path / "x"),
+    )
+    assert "--encoder-ckpt applies only to --stage sft" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_freeze_encoder_on_another_stage_is_data_error(dataset, tmp_path, capsys):
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "lm", "--data", str(dataset),
+        "--freeze-encoder", "--steps", "1", "--out", str(tmp_path / "x"),
+    )
+    assert "--freeze-encoder applies only to --stage sft" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value, message", [
-    ("--patch", "0", "patch must be >= 1"),
     ("--max-len", "0", "max_len must be >= 1"),
     ("--max-len", "-3", "max_len must be >= 1"),
 ])
@@ -370,12 +389,70 @@ def test_train_sft_and_decode_smoke(dataset, tmp_path, capsys):
     )
     assert code == 0
     assert payload["problems"] == 6
-    table = {
-        json.loads(line)["id"]: json.loads(line)["candidates"]
-        for line in cands.read_text().splitlines()
-    }
+    table = read_candidates(cands)
     assert len(table) == 6
     assert all(len(v) <= 2 for v in table.values())
+
+
+def read_candidates(path) -> dict[str, list[str]]:
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return {rec["id"]: rec["candidates"] for rec in records}
+
+
+def test_decode_takes_the_patch_size_from_the_checkpoint(tmp_path, capsys):
+    # 36 is no multiple of 8: the patch is chosen at training and only there
+    data, out, cands = tmp_path / "d36", tmp_path / "sft", tmp_path / "cands.jsonl"
+    code, _ = run_cli(capsys, "gen-data", "--n", "2", "--seed", "3",
+                      "--image-size", "36", "--out", str(data))
+    assert code == 0
+    code, _ = run_cli(
+        capsys, "train-toy", "--stage", "sft", "--data", str(data), "--seed", "1",
+        "--patch", "4", "--steps", "2", "--out", str(out),
+    )
+    assert code == 0
+    snapshot = json.loads(out.with_suffix(".config.json").read_text())
+    assert snapshot["gsformer"]["d_in"] == 16
+    code, payload = run_cli(
+        capsys, "decode", "--ckpt", str(out),
+        "--problems", str(data / "problems.jsonl"),
+        "--beam", "2", "--max-len", "6", "--out", str(cands),
+    )
+    assert code == 0 and payload["problems"] == 2
+    table = read_candidates(cands)
+    assert sorted(table) == ["p00000", "p00001"]
+    assert all(table.values())
+
+
+def test_decode_has_no_patch_flag(dataset, tmp_path, capsys):
+    assert dispatch([
+        "decode", "--ckpt", str(tmp_path / "sft"),
+        "--problems", str(dataset / "problems.jsonl"),
+        "--patch", "8", "--out", str(tmp_path / "cands.jsonl"),
+    ]) == 1
+    assert not (tmp_path / "cands.jsonl").exists()
+
+
+def test_decode_reads_a_problems_file_next_to_its_diagrams(dataset, tmp_path,
+                                                           capsys):
+    out = tmp_path / "sft"
+    code, _ = run_cli(
+        capsys, "train-toy", "--stage", "sft", "--data", str(dataset),
+        "--seed", "1", "--out", str(out), "--steps", "0",
+    )
+    assert code == 0
+    # a directory with the diagrams and a problems file, but no problems.jsonl
+    subset = tmp_path / "subset"
+    shutil.copytree(dataset / "diagrams", subset / "diagrams")
+    lines = (dataset / "problems.jsonl").read_text().splitlines()
+    (subset / "held_out.jsonl").write_text("\n".join(lines[4:]) + "\n")
+    cands = tmp_path / "cands.jsonl"
+    code, payload = run_cli(
+        capsys, "decode", "--ckpt", str(out),
+        "--problems", str(subset / "held_out.jsonl"),
+        "--beam", "2", "--max-len", "4", "--out", str(cands),
+    )
+    assert code == 0 and payload["problems"] == 2
+    assert sorted(read_candidates(cands)) == [json.loads(x)["id"] for x in lines[4:]]
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -385,7 +462,9 @@ def test_train_sft_and_decode_smoke(dataset, tmp_path, capsys):
      "checkpoint snapshot section 'decoder' must be a JSON object"),
     (lambda snap: snap["decoder"].update(n_vis=8),
      "unknown field 'n_vis' in checkpoint snapshot section 'decoder'"),
-], ids=["decoder-field", "decoder-list", "stale-n_vis"])
+    (lambda snap: snap["gsformer"].update(d_in=63),
+     "gsformer.d_in 63 is not a square patch size"),
+], ids=["decoder-field", "decoder-list", "stale-n_vis", "non-square-d_in"])
 def test_decode_rejects_malformed_checkpoint_snapshot(dataset, tmp_path, capsys,
                                                       edit, message):
     out = tmp_path / "sft"
@@ -458,3 +537,39 @@ def test_selftest_stdout_byte_identical():
     b = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# ---------------------------------------------------------------------------
+# docs: every CLI example in the README parses
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every `geoformal ...` line in the README's fenced blocks, with
+    `\\` continuations joined and `#` comments dropped."""
+    commands, in_block, pending = [], False, ""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block, pending = not in_block, ""
+            continue
+        if not in_block:
+            continue
+        if line.rstrip().endswith("\\"):
+            pending += line.rstrip()[:-1] + " "
+            continue
+        command, pending = pending + line, ""
+        if command.startswith("geoformal "):
+            commands.append(shlex.split(command, comments=True)[1:])
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "selftest", "gradcheck", "gen-data", "train-toy", "decode", "eval", "solve",
+    }
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -7,7 +7,6 @@ from geoformal import diagram_synth as ds
 from geoformal import formal_lang as fl
 from geoformal.diagram_synth import (
     Circle,
-    Diagram,
     NoTemplateAppliesError,
     RetryExhaustedError,
     SceneConfig,
@@ -23,7 +22,7 @@ from geoformal.diagram_synth import (
     write_pgm,
 )
 from geoformal.solver import Bindings, execute_program
-from geoformal.tensorcore import Rng
+from geoformal.tensorcore import Rng, ShapeMismatchError
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ def test_caption_of_empty_scene():
 # ---------------------------------------------------------------------------
 
 def test_rasterize_empty_scene_all_zero():
-    img = rasterize(SceneSpec(points={}), 64, 64).pixels
+    img = rasterize(SceneSpec(points={}), 64, 64)
     assert img.shape == (64, 64)
     assert np.all(img == 0.0)
 
@@ -117,7 +116,7 @@ def test_rasterize_horizontal_line_single_row():
         points={"A": (0.2, 0.5), "B": (0.8, 0.5)},
         lines=[("A", "B")],
     )
-    img = rasterize(scene, 64, 64).pixels
+    img = rasterize(scene, 64, 64)
     rows = np.flatnonzero(img.any(axis=1))
     expected = round((1.0 - 0.5) * 63)
     assert rows.min() >= expected - 1
@@ -126,7 +125,7 @@ def test_rasterize_horizontal_line_single_row():
 
 def test_rasterize_deterministic():
     scene = sample_scene(Rng(3), SceneConfig())
-    assert np.array_equal(rasterize(scene).pixels, rasterize(scene).pixels)
+    assert np.array_equal(rasterize(scene), rasterize(scene))
 
 
 def test_rasterize_rejects_tiny_images():
@@ -141,7 +140,7 @@ def test_rasterize_rejects_tiny_images():
 def test_patchify_shape_and_inverse():
     rng = Rng(4)
     pixels = rng.uniform((64, 64))
-    patches = patchify(Diagram(pixels, 8))
+    patches = patchify(pixels, 8)
     assert patches.shape == (64, 64)
     # inverse: patch (row, col) back to its 8 x 8 block of the image
     grid = patches.data.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3).reshape(64, 64)
@@ -149,13 +148,24 @@ def test_patchify_shape_and_inverse():
 
 
 def test_patchify_zero_image():
-    patches = patchify(Diagram(np.zeros((32, 32)), 8))
+    patches = patchify(np.zeros((32, 32)), 8)
     assert np.all(patches.data == 0.0)
 
 
 def test_diagram_divisibility_enforced():
-    with pytest.raises(Exception):
-        Diagram(np.zeros((30, 30)), 8)
+    with pytest.raises(ShapeMismatchError):
+        patchify(np.zeros((30, 30)), 8)
+    with pytest.raises(ShapeMismatchError):
+        patchify(np.zeros((32, 36)), 8)
+    with pytest.raises(ValueError, match="patch must be >= 1"):
+        patchify(np.zeros((32, 32)), 0)
+
+
+def test_any_image_size_rasterizes_and_patchifies_at_a_dividing_patch():
+    scene = sample_scene(Rng(3), SceneConfig())
+    pixels = rasterize(scene, 36, 36)
+    assert pixels.shape == (36, 36)
+    assert patchify(pixels, 4).shape == (81, 16)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ def test_contrast_identical_aligned_pairs_is_log_batch():
     logits = Rng(3).normal((3, cfg.vocab_size))
     l_contrast, _, _ = alignment_loss(
         _stacked([row, row]), Tensor(np.stack([logits, logits])),
-        [[1, 5, 6], [1, 5, 6]], cfg, params
+        [[1, 5, 6], [1, 5, 6]], params
     )
     assert l_contrast.item() == pytest.approx(math.log(2), abs=1e-9)
 
@@ -376,7 +376,7 @@ def test_contrast_matches_numpy_infonce_at_batch_two():
     params = init_params(cfg, Rng(0))
     batch = random_batch(cfg, Rng(1), 2)
     feats, logits, targets = _forward_batch(cfg, params, batch, Rng(2))
-    l_contrast, _, _ = alignment_loss(feats, logits, targets, cfg, params)
+    l_contrast, _, _ = alignment_loss(feats, logits, targets, params)
 
     # independent numpy recomputation
     def project(row, w, b):
@@ -415,7 +415,7 @@ def test_caption_loss_one_hot_correct_is_zero():
         (Rng(3).normal((cfg.n_queries, cfg.d_model)), Rng(4).normal((cfg.d_model,))),
     ])
     _, _, l_caption = alignment_loss(
-        feats, Tensor(np.stack([hot, hot])), [ids, ids], cfg, params
+        feats, Tensor(np.stack([hot, hot])), [ids, ids], params
     )
     assert l_caption.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -425,8 +425,8 @@ def test_losses_invariant_under_batch_swap():
     params = init_params(cfg, Rng(0))
     batch = random_batch(cfg, Rng(1), 2)
     feats, logits, targets = _forward_batch(cfg, params, batch, Rng(2))
-    fwd = alignment_loss(feats, logits, targets, cfg, params)
-    rev = alignment_loss(*_permuted(feats, logits, targets, [1, 0]), cfg, params)
+    fwd = alignment_loss(feats, logits, targets, params)
+    rev = alignment_loss(*_permuted(feats, logits, targets, [1, 0]), params)
     for a, b in zip(fwd, rev):
         assert a.item() == pytest.approx(b.item(), rel=1e-12)
 
@@ -436,9 +436,9 @@ def test_contrast_and_caption_invariant_under_any_permutation():
     params = init_params(cfg, Rng(0))
     batch = random_batch(cfg, Rng(1), 4)
     feats, logits, targets = _forward_batch(cfg, params, batch, Rng(2))
-    base = alignment_loss(feats, logits, targets, cfg, params)
+    base = alignment_loss(feats, logits, targets, params)
     mixed = alignment_loss(*_permuted(feats, logits, targets, [2, 0, 3, 1]),
-                           cfg, params)
+                           params)
     assert mixed[0].item() == pytest.approx(base[0].item(), rel=1e-12)
     assert mixed[2].item() == pytest.approx(base[2].item(), rel=1e-12)
 
@@ -463,7 +463,7 @@ def test_batched_alignment_loss_matches_per_row_reference(size):
     for index in range(3):
         got, got_grads = _grads_of(
             lambda: alignment_loss(*_forward_batch(cfg, params, batch, Rng(2)),
-                                   cfg, params)[index],
+                                   params)[index],
             params, Tensor(1.0))
         want, want_grads = _grads_of(
             lambda: reference_alignment_loss(
@@ -494,7 +494,7 @@ def test_alignment_rejects_batch_of_one():
     batch = random_batch(cfg, Rng(1), 1)
     feats, logits, targets = _forward_batch(cfg, params, batch, Rng(2))
     with pytest.raises(BatchTooSmallError):
-        alignment_loss(feats, logits, targets, cfg, params)
+        alignment_loss(feats, logits, targets, params)
 
 
 # ---------------------------------------------------------------------------

@@ -209,12 +209,6 @@ def test_beam_candidates_get_fresh_bindings():
     assert not out.candidates[1].executed
 
 
-def test_beam_accepts_parsed_programs():
-    prog = fl.parse_program("gougu_add 3.0 4.0")
-    out = evaluate_beam([prog], Bindings(), 5.0, Tol())
-    assert out.rank_of_first_correct == 0
-
-
 # ---------------------------------------------------------------------------
 # Problem records
 # ---------------------------------------------------------------------------
