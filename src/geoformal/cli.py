@@ -26,17 +26,9 @@ log = logging.getLogger("geoformal")
 
 USAGE_ERROR, DATA_ERROR, VERIFY_ERROR = 1, 2, 3
 
-DATA_ERRORS = (
-    fl.FormalLangError,
-    solver.SolverError,
-    eh.EvalError,
-    ds.RetryExhaustedError,
-    ds.NoTemplateAppliesError,
-    OSError,
-    json.JSONDecodeError,
-    KeyError,
-    ValueError,
-)
+# every other error the package raises on bad input, and JSONDecodeError,
+# is a ValueError
+DATA_ERRORS = (ds.RetryExhaustedError, OSError, KeyError, ValueError)
 
 
 def _default_seed(value: int | None) -> int:
@@ -72,26 +64,18 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     seed = _default_seed(args.seed)
-    if args.stage != "sft":
-        for flag, given in (("--encoder-ckpt", args.encoder_ckpt is not None),
-                            ("--freeze-encoder", args.freeze_encoder)):
-            if given:
-                raise ValueError(f"{flag} applies only to --stage sft")
+    if args.stage != "sft" and args.encoder_ckpt is not None:
+        raise ValueError("--encoder-ckpt applies only to --stage sft")
     data = tr.load_dataset(args.data, patch=args.patch)
     base = tr.default_run_config(len(data.vocab), data.n_patches, data.patch_dim)
     file_config = None
     if args.config is not None:
         file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    overrides = {}
-    if args.steps is not None:
-        overrides[f"{args.stage}.steps"] = args.steps
-    if args.lr is not None:
-        overrides[f"{args.stage}.lr"] = args.lr
-    if args.batch is not None:
-        overrides[f"{args.stage}.batch"] = args.batch
-    config = tr.resolve_run_config(base, file_config, overrides)
-    if args.freeze_encoder:
-        config.stages["sft"].freeze_encoder = True
+    flags = {"steps": args.steps, "lr": args.lr, "batch": args.batch,
+             "freeze_encoder": args.freeze_encoder}
+    config = tr.resolve_run_config(base, file_config, {
+        f"{args.stage}.{name}": value for name, value in flags.items()
+        if value is not None})
     log.info("stage %s: %s steps, batch %s, lr %s", args.stage,
              config.stages[args.stage].steps, config.stages[args.stage].batch,
              config.stages[args.stage].lr)
@@ -202,7 +186,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--patch", type=int, default=8)
     p.add_argument("--encoder-ckpt", default=None,
                    help="sft: init encoder from this align checkpoint")
-    p.add_argument("--freeze-encoder", action="store_true")
+    p.add_argument("--freeze-encoder", action="store_true", default=None)
     p.set_defaults(handler=_cmd_train_toy)
 
     p = sub.add_parser("decode", help="beam-decode programs for every problem")

@@ -252,7 +252,10 @@ def load_candidates(path: str | Path) -> dict[str, list[str]]:
             continue
         try:
             rec = json.loads(line)
-            table[str(rec["id"])] = [str(c) for c in rec["candidates"]]
+            texts = rec["candidates"]
+            if not isinstance(texts, list):
+                raise TypeError(f"candidates must be a JSON list, got {texts!r}")
+            table[str(rec["id"])] = [str(c) for c in texts]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise SchemaError(f"malformed candidates line: {exc}") from exc
     return table

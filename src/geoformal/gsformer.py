@@ -64,32 +64,19 @@ class GSFormerConfig:
         frac = min(1.0, step / (total_steps - 1))
         return self.tau + (self.tau_final - self.tau) * frac
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_queries < 1:
             raise ValueError("n_queries must be >= 1")
         if self.lam < 0.0:
             raise ValueError("lambda must be >= 0")
         if self.tau <= 0.0 or (self.tau_final is not None and self.tau_final <= 0.0):
             raise ValueError("tau must be > 0")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must divide evenly into heads")
+        if self.n_heads < 1 or self.d_model % self.n_heads:
+            raise ValueError(f"n_heads {self.n_heads} must be >= 1 and divide "
+                             f"d_model {self.d_model}")
         bad = [i for i in self.sgs_layers if not 1 <= i <= self.n_layers - 1]
         if bad:
             raise ValueError(f"sampler layers {bad} outside 1..{self.n_layers - 1}")
-
-    def to_json(self) -> dict:
-        return {**self.__dict__, "sgs_layers": list(self.sgs_layers),
-                "align_weights": list(self.align_weights)}
-
-    @classmethod
-    def from_json(cls, rec: dict) -> "GSFormerConfig":
-        cfg = cls(**{
-            **rec,
-            "sgs_layers": tuple(rec.get("sgs_layers", (2, 3))),
-            "align_weights": tuple(rec.get("align_weights", (1.0, 1.0, 1.0))),
-        })
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -140,7 +127,6 @@ def _ln_init(params, name, d):
 
 
 def init_params(cfg: GSFormerConfig, rng: Rng) -> dict[str, Tensor]:
-    cfg.validate()
     d, e = cfg.d_model, cfg.embed_dim
     p: dict[str, Tensor] = {}
     r = rng.split("gsformer")
@@ -294,11 +280,12 @@ def gs_former_forward(
     pf = norm(params, "ln_pf", pf)
 
     xq = gqg_queries(pf, params["queries"], params)
-    xc = tc.add(tc.embedding_lookup(params["tok_emb"], ids),
-                tc.narrow(params["pos_caption"], 0, 0, n_cap))
-    # caption position l sees every query plus caption positions <= l
-    cap_mask = Tensor(np.hstack([np.ones((n_cap, cfg.n_queries)),
-                                 np.tril(np.ones((n_cap, n_cap)))]))
+    if n_cap:
+        xc = tc.add(tc.embedding_lookup(params["tok_emb"], ids),
+                    tc.narrow(params["pos_caption"], 0, 0, n_cap))
+        # caption position l sees every query plus caption positions <= l
+        cap_mask = Tensor(np.hstack([np.ones((n_cap, cfg.n_queries)),
+                                     np.tril(np.ones((n_cap, n_cap)))]))
 
     masks = [tc.ones((batch, n_patches))]
     for i in range(cfg.n_layers):

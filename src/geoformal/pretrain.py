@@ -90,12 +90,10 @@ class MAEConfig:
     n_layers: int = 2
     mask_ratio: float = 0.75
 
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
-
-    @classmethod
-    def from_json(cls, rec: dict) -> "MAEConfig":
-        return cls(**rec)
+    def __post_init__(self):
+        if self.n_heads < 1 or self.d_model % self.n_heads:
+            raise ValueError(f"mae n_heads {self.n_heads} must be >= 1 and divide "
+                             f"d_model {self.d_model}")
 
 
 @dataclass
@@ -175,12 +173,13 @@ class DecoderConfig:
     vocab_size: int = 128
     max_len: int = 96
 
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
-
-    @classmethod
-    def from_json(cls, rec: dict) -> "DecoderConfig":
-        return cls(**rec)
+    def __post_init__(self):
+        if self.n_heads < 1 or self.d_lm % self.n_heads:
+            raise ValueError(f"decoder n_heads {self.n_heads} must be >= 1 and "
+                             f"divide d_lm {self.d_lm}")
+        if self.n_layers < 1 or self.max_len < 1:
+            raise ValueError("decoder n_layers and max_len must be >= 1, got "
+                             f"{self.n_layers} and {self.max_len}")
 
 
 def init_decoder_params(cfg: DecoderConfig, rng: Rng) -> dict[str, Tensor]:

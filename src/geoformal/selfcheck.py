@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -252,12 +253,10 @@ def _check_sparsification(rng: Rng) -> tuple[bool, str]:
 
 
 def _tiny_cfg() -> gsf.GSFormerConfig:
-    cfg = gsf.GSFormerConfig(
+    return gsf.GSFormerConfig(
         n_layers=2, n_queries=3, d_model=8, n_heads=2, d_in=6, n_patches=8,
         vocab_size=20, max_caption_len=8, embed_dim=4, sgs_layers=(1,),
     )
-    cfg.validate()
-    return cfg
 
 
 def _tiny_batch(cfg, rng, size=2):
@@ -277,8 +276,8 @@ def _check_lambda_linearity(rng: Rng) -> tuple[bool, str]:
     patches, captions = _tiny_batch(cfg, rng.split("b"))
     for i in range(10):
         lam = float(rng.split(f"l{i}").uniform(())) * 3.0
-        cfg.lam = lam
-        out = gsf.pretrain_loss(patches, captions, cfg, params, Rng(7))
+        out = gsf.pretrain_loss(patches, captions, replace(cfg, lam=lam), params,
+                                Rng(7))
         if out.l_total != out.l_align + lam * out.l_spr:
             return False, f"linearity broke at lambda={lam}"
     return True, "10 random lambdas exact"

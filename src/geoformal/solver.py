@@ -283,15 +283,22 @@ class ProblemRecord:
 
     @classmethod
     def from_json(cls, rec: dict) -> "ProblemRecord":
+        def listed(name: str, default):
+            value = rec.get(name, default)
+            if value is not default and not isinstance(value, list):
+                raise ValueError(f"problem {rec.get('id')!r}: {name} must be a JSON "
+                                 f"list, got {value!r}")
+            return value
+
+        choices = listed("choices", None)
         return cls(
             id=str(rec["id"]),
-            numbers=[float(x) for x in rec.get("numbers", [])],
+            numbers=[float(x) for x in listed("numbers", [])],
             answer=float(rec["answer"]),
             gt_program=rec.get("gt_program", ""),
             caption=rec.get("caption", ""),
-            question_tokens=[int(t) for t in rec.get("question_tokens", [])],
-            choices=None if rec.get("choices") is None
-            else [float(c) for c in rec["choices"]],
+            question_tokens=[int(t) for t in listed("question_tokens", [])],
+            choices=None if choices is None else [float(c) for c in choices],
             diagram=rec.get("diagram"),
         )
 

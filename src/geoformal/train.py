@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -62,16 +62,12 @@ class StageConfig:
     lr: float
     freeze_encoder: bool = False
 
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
-
-    def validate(self) -> None:
-        if not isinstance(self.batch, int) or self.batch < 1:
+    def __post_init__(self):
+        if self.batch < 1:
             raise ValueError(f"batch must be an integer >= 1, got {self.batch!r}")
-        if not isinstance(self.steps, int) or self.steps < 0:
+        if self.steps < 0:
             raise ValueError(f"steps must be an integer >= 0, got {self.steps!r}")
-        if not (isinstance(self.lr, (int, float)) and math.isfinite(self.lr)
-                and self.lr > 0.0):
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
 
 
@@ -90,15 +86,6 @@ class RunConfig:
     mae: pt.MAEConfig
     stages: dict[str, StageConfig] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "gsformer": self.gsformer.to_json(),
-            "decoder": self.decoder.to_json(),
-            "mae": self.mae.to_json(),
-            "stages": {k: v.to_json() for k, v in self.stages.items()},
-        }
-
 
 def default_run_config(vocab_size: int, n_patches: int, patch_dim: int) -> RunConfig:
     return RunConfig(
@@ -107,12 +94,28 @@ def default_run_config(vocab_size: int, n_patches: int, patch_dim: int) -> RunCo
         ),
         decoder=pt.DecoderConfig(vocab_size=vocab_size),
         mae=pt.MAEConfig(patch_dim=patch_dim, n_patches=n_patches),
-        stages={k: StageConfig(**v.to_json()) for k, v in DEFAULT_STAGES.items()},
+        stages={k: replace(v) for k, v in DEFAULT_STAGES.items()},
     )
 
 
-def _section(label: str, rec, known) -> dict:
-    """A config-file section: a JSON object naming only `known` fields."""
+_NUMBER = (int, float)
+# the JSON value a config field of each annotated type takes; types match
+# exactly, so a boolean is not a count
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in _NUMBER, "a number"),
+    "bool": (lambda v: type(v) is bool, "a boolean"),
+    "float | None": (lambda v: v is None or type(v) in _NUMBER, "null or a number"),
+    "tuple[int, ...]": (lambda v: type(v) is list and all(type(x) is int for x in v),
+                        "a list of integers"),
+    "tuple[float, float, float]": (
+        lambda v: type(v) is list and len(v) == 3 and all(type(x) in _NUMBER for x in v),
+        "a list of three numbers"),
+}
+
+
+def _object(label: str, rec, known) -> dict:
+    """A JSON object naming only `known` fields."""
     if not isinstance(rec, dict):
         raise eh.SchemaError(f"{label} must be a JSON object")
     unknown = sorted(set(rec) - set(known))
@@ -121,37 +124,52 @@ def _section(label: str, rec, known) -> dict:
     return rec
 
 
+def _section(label: str, rec, cls) -> dict:
+    """The fields of config dataclass `cls` that a JSON object gives, each
+    checked against the JSON type of the field's annotation; lists become
+    tuples."""
+    types = {f.name: f.type for f in fields(cls)}
+    out = {}
+    for name, value in _object(label, rec, types).items():
+        accepts, kind = _JSON_TYPES[types[name]]
+        if not accepts(value):
+            raise eh.SchemaError(f"{name} in {label} must be {kind}, got {value!r}")
+        out[name] = tuple(value) if isinstance(value, list) else value
+    return out
+
+
 def resolve_run_config(
     base: RunConfig, file_config: dict | None, overrides: dict | None = None
 ) -> RunConfig:
-    """Layer a config file and flag overrides over the dataset defaults."""
-    if file_config is not None:
-        if not isinstance(file_config, dict):
-            raise eh.SchemaError("config must be a JSON object")
-        if file_config.get("schema") != 1:
-            raise eh.SchemaError(
-                f"unsupported config schema: {file_config.get('schema')!r}"
-            )
-        for name, cls in (("gsformer", gsf.GSFormerConfig),
-                          ("decoder", pt.DecoderConfig), ("mae", pt.MAEConfig)):
-            if name in file_config:
-                current = getattr(base, name).to_json()
-                rec = _section(f"config section {name!r}", file_config[name], current)
-                setattr(base, name, cls.from_json({**current, **rec}))
-        stages = _section("config section 'stages'",
-                          file_config.get("stages", {}), STAGES)
-        for stage, rec in stages.items():
-            current = base.stages[stage].to_json()
-            rec = _section(f"config section 'stages.{stage}'", rec, current)
-            base.stages[stage] = StageConfig(**{**current, **rec})
+    """Layer a config file, then flag overrides ({"stage.field": value}),
+    over the dataset defaults.  Each config is built once from its checked
+    fields, so it validates with its final values."""
+    if file_config is None:
+        file_config = {"schema": 1}
+    if not isinstance(file_config, dict):
+        raise eh.SchemaError("config must be a JSON object")
+    if file_config.get("schema") != 1:
+        raise eh.SchemaError(f"unsupported config schema: {file_config.get('schema')!r}")
+    models = {
+        name: replace(getattr(base, name), **_section(
+            f"config section {name!r}", file_config[name], type(getattr(base, name))))
+        for name in ("gsformer", "decoder", "mae") if name in file_config
+    }
+    recs = {
+        stage: _section(f"config section 'stages.{stage}'", rec, StageConfig)
+        for stage, rec in _object("config section 'stages'",
+                                  file_config.get("stages", {}), STAGES).items()
+    }
     for key, value in (overrides or {}).items():
-        stage, _, fieldname = key.partition(".")
-        if stage in base.stages and fieldname:
-            setattr(base.stages[stage], fieldname, value)
-    base.gsformer.validate()
-    for stage in base.stages.values():
-        stage.validate()
-    return base
+        stage, _, name = key.partition(".")
+        recs.setdefault(stage, {}).update(_section("flags", {name: value}, StageConfig))
+    stages = {stage: replace(current, **recs.get(stage, {}))
+              for stage, current in base.stages.items()}
+    for stage, settings in stages.items():
+        if stage != "sft" and settings.freeze_encoder:
+            raise ValueError(f"stages.{stage}.freeze_encoder: --freeze-encoder "
+                             "applies only to --stage sft")
+    return replace(base, stages=stages, **models)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +269,7 @@ def _run_loop(
             # free this step's tape before the next step builds its own
             del loss
     tc.save_params(params, out_prefix)
-    snapshot = {**config.to_json(), "seed": seed, "stage": stage}
+    snapshot = {"schema": 1, **asdict(config), "seed": seed, "stage": stage}
     tc.checkpoint_path(out_prefix, ".config.json").write_text(
         json.dumps(snapshot, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
@@ -458,8 +476,7 @@ def _snapshot_configs(prefix: str | Path):
     if not isinstance(snapshot, dict):
         raise eh.SchemaError("checkpoint snapshot must be a JSON object")
     return tuple(
-        cls.from_json(_section(f"checkpoint snapshot section {name!r}",
-                               snapshot.get(name), cls.__dataclass_fields__))
+        cls(**_section(f"checkpoint snapshot section {name!r}", snapshot.get(name), cls))
         for name, cls in (("gsformer", gsf.GSFormerConfig),
                           ("decoder", pt.DecoderConfig)))
 
@@ -468,7 +485,7 @@ def checkpoint_patch(prefix: str | Path) -> int:
     """The patch size a checkpoint was trained at, read from its snapshot
     alone: `default_run_config` sets the encoder's d_in to patch * patch."""
     d_in = _snapshot_configs(prefix)[0].d_in
-    if not (isinstance(d_in, int) and d_in >= 1 and math.isqrt(d_in) ** 2 == d_in):
+    if not (d_in >= 1 and math.isqrt(d_in) ** 2 == d_in):
         raise eh.SchemaError(
             f"checkpoint snapshot gsformer.d_in {d_in!r} is not a square patch size")
     return math.isqrt(d_in)

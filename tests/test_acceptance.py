@@ -164,7 +164,6 @@ def test_criterion_3_total_loss_exactness():
         n_layers=2, n_queries=3, d_model=8, n_heads=2, d_in=6, n_patches=8,
         vocab_size=20, max_caption_len=8, embed_dim=4, sgs_layers=(1,),
     )
-    cfg.validate()
     params = gsf.init_params(cfg, Rng(0))
     patches, captions = [], []
     for i in range(2):
@@ -203,7 +202,6 @@ def test_criterion_4_mask_laws():
         n_layers=3, n_queries=4, d_model=16, n_heads=2, d_in=9, n_patches=12,
         vocab_size=24, max_caption_len=10, embed_dim=8, sgs_layers=(1, 2),
     )
-    cfg.validate()
     params = gsf.init_params(cfg, Rng(1))
     for seed in range(3):
         patches = Tensor(Rng(seed).normal((1, cfg.n_patches, cfg.d_in)))

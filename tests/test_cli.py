@@ -210,6 +210,79 @@ def test_train_rejects_malformed_config_file(dataset, tmp_path, capsys, config,
     assert not (tmp_path / "x.log.jsonl").exists()
 
 
+@pytest.mark.parametrize("section, message", [
+    ({"gsformer": {"n_heads": 0}}, "n_heads 0 must be >= 1 and divide d_model 32"),
+    ({"gsformer": {"n_queries": "8"}}, "n_queries in config section 'gsformer' "
+                                       "must be an integer, got '8'"),
+    ({"gsformer": {"sgs_layers": None}}, "sgs_layers in config section "
+                                         "'gsformer' must be a list of integers"),
+    ({"gsformer": {"sgs_layers": [1.5]}}, "must be a list of integers"),
+    ({"gsformer": {"lam": "0.5"}}, "lam in config section 'gsformer' must be "
+                                   "a number"),
+    ({"gsformer": {"align_weights": [1.0, 1.0]}}, "must be a list of three numbers"),
+    ({"gsformer": {"tau_final": "0.5"}}, "must be null or a number"),
+    ({"decoder": {"n_layers": 0}}, "n_layers and max_len must be >= 1"),
+    ({"decoder": {"max_len": 0}}, "n_layers and max_len must be >= 1"),
+    ({"decoder": {"n_layers": True}}, "n_layers in config section 'decoder' "
+                                      "must be an integer, got True"),
+    ({"decoder": {"d_lm": 30}}, "decoder n_heads 4 must be >= 1 and divide d_lm 30"),
+    ({"mae": {"n_heads": 0}}, "mae n_heads 0 must be >= 1 and divide d_model 64"),
+    ({"stages": {"lm": {"steps": True}}}, "must be an integer, got True"),
+    ({"stages": {"lm": {"lr": "0.1"}}}, "lr in config section 'stages.lm' "
+                                        "must be a number"),
+    ({"stages": {"sft": {"freeze_encoder": 1}}},
+     "freeze_encoder in config section 'stages.sft' must be a boolean"),
+    ({"stages": {"mae": {"freeze_encoder": True}}},
+     "--freeze-encoder applies only to --stage sft"),
+], ids=["gs-zero-heads", "string-count", "null-sgs_layers", "float-sgs_layers",
+        "string-rate", "two-align_weights", "string-tau_final", "zero-dec-layers",
+        "zero-max_len", "bool-count", "indivisible-d_lm", "mae-zero-heads",
+        "bool-steps", "string-lr", "int-freeze_encoder", "mae-freeze_encoder"])
+def test_train_rejects_bad_config_value(dataset, tmp_path, capsys, section, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"schema": 1, **section}))
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "lm", "--data", str(dataset),
+        "--config", str(path), "--steps", "1", "--out", str(tmp_path / "x"),
+    )
+    assert message in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def write_eval_inputs(tmp_path, problem: dict, candidates) -> list[str]:
+    problems, cands = tmp_path / "problems.jsonl", tmp_path / "cands.jsonl"
+    problems.write_text(json.dumps({"id": "p0", "answer": 5.0, **problem}) + "\n")
+    cands.write_text(json.dumps({"id": "p0", "candidates": candidates}) + "\n")
+    return ["eval", "--problems", str(problems), "--candidates", str(cands),
+            "--out", str(tmp_path / "report.json")]
+
+
+@pytest.mark.parametrize("problem, candidates, message", [
+    ({"numbers": [3, 4], "choices": [5, 6, 7, 8]}, "gougu_add N_0 N_1",
+     "candidates must be a JSON list, got 'gougu_add N_0 N_1'"),
+    ({"numbers": "34", "choices": [5, 6, 7, 8]}, ["gougu_add N_0 N_1"],
+     "numbers must be a JSON list, got '34'"),
+    ({"numbers": [3, 4], "choices": "5678"}, ["gougu_add N_0 N_1"],
+     "choices must be a JSON list, got '5678'"),
+    ({"numbers": [3, 4], "question_tokens": "45"}, ["gougu_add N_0 N_1"],
+     "question_tokens must be a JSON list"),
+], ids=["string-candidates", "string-numbers", "string-choices",
+        "string-question_tokens"])
+def test_eval_rejects_a_string_for_a_list_field(tmp_path, capsys, problem,
+                                               candidates, message):
+    err = assert_data_error(capsys, *write_eval_inputs(tmp_path, problem, candidates))
+    assert message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_scores_list_fields(tmp_path, capsys):
+    code, payload = run_cli(capsys, *write_eval_inputs(
+        tmp_path, {"numbers": [3, 4], "choices": [5, 6, 7, 8]},
+        ["gougu_add N_0 N_1"]))
+    assert code == 0
+    assert payload["top1"] == 1.0 and payload["choice"] == 1.0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_stops_on_a_non_finite_loss(dataset, tmp_path, capsys):
     # lr 1e300 makes the first update overflow, so step 1's loss is NaN
@@ -464,7 +537,10 @@ def test_decode_reads_a_problems_file_next_to_its_diagrams(dataset, tmp_path,
      "unknown field 'n_vis' in checkpoint snapshot section 'decoder'"),
     (lambda snap: snap["gsformer"].update(d_in=63),
      "gsformer.d_in 63 is not a square patch size"),
-], ids=["decoder-field", "decoder-list", "stale-n_vis", "non-square-d_in"])
+    (lambda snap: snap["decoder"].update(n_layers=0),
+     "decoder n_layers and max_len must be >= 1"),
+], ids=["decoder-field", "decoder-list", "stale-n_vis", "non-square-d_in",
+        "zero-decoder-layers"])
 def test_decode_rejects_malformed_checkpoint_snapshot(dataset, tmp_path, capsys,
                                                       edit, message):
     out = tmp_path / "sft"

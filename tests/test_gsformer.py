@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -37,9 +38,7 @@ def tiny_config(**overrides) -> GSFormerConfig:
         sgs_layers=(1, 2), lam=0.5, tau=1.0,
     )
     base.update(overrides)
-    cfg = GSFormerConfig(**base)
-    cfg.validate()
-    return cfg
+    return GSFormerConfig(**base)
 
 
 def random_batch(cfg, rng, size, cap_len=5):
@@ -63,7 +62,6 @@ def one_diagram(cfg, seed):
 
 def test_config_defaults_validate():
     cfg = GSFormerConfig()
-    cfg.validate()
     assert cfg.n_queries == 8
     assert cfg.sgs_layers == (2, 3)
 
@@ -75,15 +73,16 @@ def test_config_defaults_validate():
     dict(n_queries=0),
     dict(tau=0.0),
     dict(d_model=30, n_heads=4),
+    dict(n_heads=0),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
-        GSFormerConfig(**bad).validate()
+        GSFormerConfig(**bad)
 
 
 def test_config_json_roundtrip():
     cfg = tiny_config()
-    assert GSFormerConfig.from_json(cfg.to_json()) == cfg
+    assert GSFormerConfig(**asdict(cfg)) == cfg
 
 
 def test_tau_anneal_schedule():
@@ -193,7 +192,6 @@ def test_forward_without_sgs_keeps_all_ones_mask():
 def test_forward_output_shapes_default_queries():
     cfg = GSFormerConfig(d_in=9, n_patches=12, vocab_size=24, d_model=16,
                          n_heads=2, max_caption_len=10)
-    cfg.validate()
     params = init_params(cfg, Rng(0))
     patches = Tensor(Rng(1).normal((2, cfg.n_patches, cfg.d_in)))
     feats, state, logits = gs_former_forward(patches, [[1, 5, 6, 2], [1, 7, 2]],

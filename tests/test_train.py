@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -69,6 +69,18 @@ def test_resolve_config_rejects_bad_schema(dataset):
         tr.resolve_run_config(base, {"schema": 2})
     with pytest.raises(eh.SchemaError):
         tr.resolve_run_config(base, {"schema": 1, "stages": {"warp": {}}})
+
+
+def test_default_config_survives_its_snapshot(dataset, tmp_path):
+    config = tr.default_run_config(len(dataset.vocab), dataset.n_patches,
+                                   dataset.patch_dim)
+    run = replace(config, stages={**config.stages,
+                                  "lm": replace(config.stages["lm"], steps=0)})
+    tr.run_stage("lm", dataset, run, 1, tmp_path / "lm")
+    snapshot = json.loads((tmp_path / "lm.config.json").read_text())
+    assert snapshot == {"schema": 1, **json.loads(json.dumps(asdict(run))),
+                        "seed": 1, "stage": "lm"}
+    assert tr._snapshot_configs(tmp_path / "lm") == (config.gsformer, config.decoder)
 
 
 def test_dataset_requires_diagram_paths(tmp_path):
@@ -146,7 +158,7 @@ def test_frozen_encoder_builds_no_gradients(dataset, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("stage, freeze, nodes", [
     ("mae", False, 38), ("lm", False, 31), ("align", False, 206),
-    ("sft", False, 135), ("sft", True, 34),
+    ("sft", False, 132), ("sft", True, 34),
 ], ids=["mae", "lm", "align", "sft", "sft-frozen"])
 def test_tape_nodes_per_step_at_the_default_config(dataset, tmp_path, monkeypatch,
                                                    stage, freeze, nodes):
