@@ -10,29 +10,23 @@ All metrics share one denominator: the full problem count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .solver import BeamOutcome, ProblemRecord, resolve_choice
+from .solver import (BeamOutcome, ProblemRecord, RecordId, SchemaError, json_object,
+                     json_record, load_records, resolve_choice)
 
 
-class EvalError(ValueError):
-    pass
-
-
-class MissingChoicesError(EvalError):
+class MissingChoicesError(ValueError):
     def __init__(self, problem_id: str):
         super().__init__(f"problem {problem_id} has no 4-option choices")
 
 
-class EmptyReportError(EvalError):
+class EmptyReportError(ValueError):
     def __init__(self):
         super().__init__("no problems to evaluate")
-
-
-class SchemaError(EvalError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -43,8 +37,10 @@ class Tolerance:
     rel: float = 1e-3
 
     def __post_init__(self):
-        if self.abs < 0 or self.rel < 0 or (self.abs == 0 and self.rel == 0):
-            raise ValueError("tolerance needs abs >= 0, rel >= 0, not both zero")
+        if not (math.isfinite(self.abs) and math.isfinite(self.rel)) or \
+                self.abs < 0 or self.rel < 0 or (self.abs == 0 and self.rel == 0):
+            raise ValueError("tolerance needs finite abs >= 0 and rel >= 0, not both "
+                             f"zero, got abs {self.abs} and rel {self.rel}")
 
     def passes(self, pred: float, gt: float) -> bool:
         return abs(pred - gt) <= max(self.abs, self.rel * abs(gt))
@@ -52,22 +48,11 @@ class Tolerance:
 
 @dataclass(frozen=True)
 class ProblemRow:
-    id: str
+    id: RecordId
     first_executed_rank: int | None
     first_correct_rank: int | None
     chosen_option: int | None
     correct_option: int | None
-
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
-
-    @classmethod
-    def from_json(cls, rec: dict) -> "ProblemRow":
-        try:
-            return cls(**{**{f.name: rec[f.name] for f in fields(cls)},
-                          "id": str(rec["id"])})
-        except KeyError as exc:
-            raise SchemaError(f"row missing field {exc}") from None
 
 
 @dataclass
@@ -197,19 +182,15 @@ def build_report(pairs: Sequence[Pair], tol: Tolerance) -> EvaluationReport:
 # Report files
 # ---------------------------------------------------------------------------
 
+METRICS = ("top1", "top3", "top10", "completion", "choice", "adjusted_top1")
+
+
 def write_report(report: EvaluationReport, path: str | Path) -> None:
     payload = {
         "schema": 1,
         "n_problems": report.n_problems,
-        "metrics": {
-            "top1": report.top1,
-            "top3": report.top3,
-            "top10": report.top10,
-            "completion": report.completion,
-            "choice": report.choice,
-            "adjusted_top1": report.adjusted_top1,
-        },
-        "rows": [row.to_json() for row in report.rows],
+        "metrics": {name: getattr(report, name) for name in METRICS},
+        "rows": [vars(row) for row in report.rows],
     }
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
@@ -218,47 +199,37 @@ def write_report(report: EvaluationReport, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> EvaluationReport:
+    """A report file; its metrics and rows decode as EvaluationReport fields,
+    and every object rejects unknown fields."""
+    label = f"report {path}"
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"unreadable report: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != 1:
+        raise SchemaError(f"unreadable {label}: {exc}") from exc
+    if json_object(label, payload).get("schema") != 1:
         raise SchemaError(f"unsupported report schema: {payload.get('schema')!r}")
-    try:
-        metrics = payload["metrics"]
-        return EvaluationReport(
-            n_problems=int(payload["n_problems"]),
-            top1=metrics["top1"],
-            top3=metrics["top3"],
-            top10=metrics["top10"],
-            completion=metrics["completion"],
-            choice=metrics["choice"],
-            adjusted_top1=metrics["adjusted_top1"],
-            rows=[ProblemRow.from_json(r) for r in payload["rows"]],
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed report: {exc}") from exc
+    json_object(label, payload, ("schema", "n_problems", "metrics", "rows"))
+    metrics = json_object(f"metrics of {label}", payload.get("metrics"), METRICS)
+    return json_record(EvaluationReport, label, {
+        **metrics, "n_problems": payload.get("n_problems"), "rows": payload.get("rows")})
 
 
 # ---------------------------------------------------------------------------
 # Candidate files (decode output)
 # ---------------------------------------------------------------------------
 
+@dataclass
+class CandidateLine:
+    """One line of a candidates file: `id` as in ProblemRecord, `candidates`
+    a list of program texts in rank order; unknown fields are ignored."""
+
+    id: RecordId
+    candidates: list[str]
+
+
 def load_candidates(path: str | Path) -> dict[str, list[str]]:
     """JSONL of {"id": ..., "candidates": [program text, ...]} in rank order."""
-    table: dict[str, list[str]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            texts = rec["candidates"]
-            if not isinstance(texts, list):
-                raise TypeError(f"candidates must be a JSON list, got {texts!r}")
-            table[str(rec["id"])] = [str(c) for c in texts]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed candidates line: {exc}") from exc
-    return table
+    return {line.id: line.candidates for line in load_records(path, CandidateLine)}
 
 
 def save_candidates(

@@ -11,9 +11,11 @@ nonnegative) and the angle operators take degrees.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -264,54 +266,176 @@ def evaluate_beam(
 # ---------------------------------------------------------------------------
 # Problem records (JSONL wire format)
 # ---------------------------------------------------------------------------
+# Every JSON record the CLI reads decodes through `json_fields`: problem and
+# candidate lines, reports, config files and checkpoint snapshots.  The JSON
+# value a field takes follows from its dataclass annotation alone.
+
+class SchemaError(ValueError):
+    """A JSON record of the wrong shape, or a field value of the wrong type."""
+
+
+RecordId = str  # a JSON string, or an integer read as its string
+# A field rule maps a JSON value and the label of its record to the decoded
+# value, or to _BAD for a value it refuses.  Types match exactly, so a boolean
+# is never a number or a count.
+_BAD = object()
+
+
+def _exact(kind: type):
+    return lambda v, _: v if type(v) is kind else _BAD
+
+
+def _number(v, _=None):
+    """A finite number as a float; json.loads also reads NaN, Infinity and
+    integers too large for a float."""
+    if type(v) is float:
+        return v if math.isfinite(v) else _BAD
+    return float(v) if type(v) is int and abs(v) <= sys.float_info.max else _BAD
+
+
+def _numbers(v, _=None):
+    """A list of finite numbers as floats."""
+    if type(v) is not list:
+        return _BAD
+    v = [x if type(x) is float and math.isfinite(x) else _number(x) for x in v]
+    return _BAD if _BAD in v else v
+
+
+def _items(kind: type):
+    def items(v, _):
+        if type(v) is not list:
+            return _BAD
+        for x in v:
+            if type(x) is not kind:
+                return _BAD
+        return v
+    return items
+
+
+def _tuple(rule, size: int | None = None):
+    def tupled(v, label):
+        v = rule(v, label)
+        return _BAD if v is _BAD or size not in (None, len(v)) else tuple(v)
+    return tupled
+
+
+_RULES = {
+    "int": (_exact(int), "an integer"),
+    "bool": (_exact(bool), "a boolean"),
+    "str": (_exact(str), "a string"),
+    "float": (_number, "a number"),
+    "RecordId": (lambda v, _: v if type(v) is str else str(v) if type(v) is int else _BAD,
+                 "a string or an integer"),
+    "list[int]": (_items(int), "a list of integers"),
+    "list[float]": (_numbers, "a list of numbers"),
+    "list[str]": (_items(str), "a list of strings"),
+    "tuple[int, ...]": (_tuple(_items(int)), "a list of integers"),
+    "tuple[float, float, float]": (_tuple(_numbers, 3), "a list of three numbers"),
+}
+
+
+def _rule(cls: type, name: str, annotation):
+    """The (rule, kind) of an annotation as its module spells it."""
+    if annotation in _RULES:
+        return _RULES[annotation]
+    spelled = str(annotation)
+    if spelled.endswith(" | None"):
+        item, kind = _rule(cls, name, spelled[:-len(" | None")])
+        return (lambda v, label: None if v is None else item(v, label)), f"null or {kind}"
+    record = vars(sys.modules[cls.__module__]).get(spelled[len("list["):-1])
+    if spelled.startswith("list[") and is_dataclass(record):  # each item strict
+        return (lambda v, label: _BAD if type(v) is not list else [
+            json_record(record, f"{name}[{i}] of {label}", item)
+            for i, item in enumerate(v)]), "a list of objects"
+    raise TypeError(f"{cls.__name__}.{name}: no JSON rule for {spelled!r}")
+
+
+@functools.cache
+def field_rules(cls: type) -> dict:
+    """Field name -> (rule, kind) of dataclass `cls`."""
+    return {f.name: _rule(cls, f.name, f.type) for f in fields(cls)}
+
+
+def json_object(label: str, rec, known=None) -> dict:
+    """`rec` if it is a JSON object naming only `known` fields (any, if None)."""
+    if type(rec) is not dict:
+        raise SchemaError(f"{label} must be a JSON object, got {rec!r}")
+    for name in () if known is None else rec:
+        if name not in known:
+            raise SchemaError(f"unknown field {name!r} in {label}")
+    return rec
+
+
+def json_fields(cls: type, label: str, rec, strict: bool = True) -> dict:
+    """The fields of dataclass `cls` that JSON object `rec` gives, each checked
+    and converted by its annotation's rule; a strict record rejects unknown
+    fields, any other ignores them."""
+    if type(rec) is not dict:
+        raise SchemaError(f"{label} must be a JSON object, got {rec!r}")
+    rules, out = field_rules(cls), {}
+    for name, value in rec.items():
+        rule = rules.get(name)
+        if rule is None:
+            if strict:
+                raise SchemaError(f"unknown field {name!r} in {label}")
+        elif (got := rule[0](value, label)) is not _BAD:
+            out[name] = got
+        else:
+            raise SchemaError(f"{name} in {label} must be {rule[1]}, got {value!r}")
+    return out
+
+
+def json_record(cls: type, label: str, rec, strict: bool = True):
+    """A `cls` built from JSON object `rec` by `json_fields`; every field
+    without a default must be present."""
+    given = json_fields(cls, label, rec, strict)
+    try:
+        return cls(**given)
+    except TypeError:
+        for f in fields(cls):
+            if f.name not in given and f.default is MISSING and f.default_factory is MISSING:
+                raise SchemaError(f"missing field {f.name!r} in {label}") from None
+        raise
+
+
+def load_records(path: str | Path, cls: type) -> list:
+    """The records of a JSONL file, one `json_record` per non-blank line,
+    ignoring unknown fields; no two may share an `id`."""
+    records, where = {}, f" of {path}"
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        label = f"line {n}{where}"
+        try:
+            rec = json_record(cls, label, json.loads(line), strict=False)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{label} is not JSON: {exc}") from None
+        if records.setdefault(rec.id, rec) is not rec:
+            raise SchemaError(f"duplicate id {rec.id!r} in {label}")
+    return list(records.values())
+
 
 @dataclass
 class ProblemRecord:
-    """One problem as carried on disk; unknown JSON fields are ignored."""
+    """One line of a problems file.  Each field takes the JSON value its
+    annotation names (`RecordId`: a string, or an integer read as its
+    string); numbers must be finite and unknown fields are ignored."""
 
-    id: str
-    numbers: list[float]
+    id: RecordId
     answer: float
+    numbers: list[float] = field(default_factory=list)
     gt_program: str = ""
     caption: str = ""
     question_tokens: list[int] = field(default_factory=list)
     choices: list[float] | None = None
     diagram: str | None = None
 
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
-
-    @classmethod
-    def from_json(cls, rec: dict) -> "ProblemRecord":
-        def listed(name: str, default):
-            value = rec.get(name, default)
-            if value is not default and not isinstance(value, list):
-                raise ValueError(f"problem {rec.get('id')!r}: {name} must be a JSON "
-                                 f"list, got {value!r}")
-            return value
-
-        choices = listed("choices", None)
-        return cls(
-            id=str(rec["id"]),
-            numbers=[float(x) for x in listed("numbers", [])],
-            answer=float(rec["answer"]),
-            gt_program=rec.get("gt_program", ""),
-            caption=rec.get("caption", ""),
-            question_tokens=[int(t) for t in listed("question_tokens", [])],
-            choices=None if choices is None else [float(c) for c in choices],
-            diagram=rec.get("diagram"),
-        )
-
 
 def load_problems(path: str | Path) -> list[ProblemRecord]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(ProblemRecord.from_json(json.loads(line)))
-    return records
+    return load_records(path, ProblemRecord)
 
 
 def save_problems(records: Iterable[ProblemRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True, allow_nan=False) + "\n")
+            fh.write(json.dumps(vars(rec), sort_keys=True, allow_nan=False) + "\n")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -98,71 +98,31 @@ def default_run_config(vocab_size: int, n_patches: int, patch_dim: int) -> RunCo
     )
 
 
-_NUMBER = (int, float)
-# the JSON value a config field of each annotated type takes; types match
-# exactly, so a boolean is not a count
-_JSON_TYPES = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in _NUMBER, "a number"),
-    "bool": (lambda v: type(v) is bool, "a boolean"),
-    "float | None": (lambda v: v is None or type(v) in _NUMBER, "null or a number"),
-    "tuple[int, ...]": (lambda v: type(v) is list and all(type(x) is int for x in v),
-                        "a list of integers"),
-    "tuple[float, float, float]": (
-        lambda v: type(v) is list and len(v) == 3 and all(type(x) in _NUMBER for x in v),
-        "a list of three numbers"),
-}
-
-
-def _object(label: str, rec, known) -> dict:
-    """A JSON object naming only `known` fields."""
-    if not isinstance(rec, dict):
-        raise eh.SchemaError(f"{label} must be a JSON object")
-    unknown = sorted(set(rec) - set(known))
-    if unknown:
-        raise eh.SchemaError(f"unknown field {unknown[0]!r} in {label}")
-    return rec
-
-
-def _section(label: str, rec, cls) -> dict:
-    """The fields of config dataclass `cls` that a JSON object gives, each
-    checked against the JSON type of the field's annotation; lists become
-    tuples."""
-    types = {f.name: f.type for f in fields(cls)}
-    out = {}
-    for name, value in _object(label, rec, types).items():
-        accepts, kind = _JSON_TYPES[types[name]]
-        if not accepts(value):
-            raise eh.SchemaError(f"{name} in {label} must be {kind}, got {value!r}")
-        out[name] = tuple(value) if isinstance(value, list) else value
-    return out
-
-
 def resolve_run_config(
     base: RunConfig, file_config: dict | None, overrides: dict | None = None
 ) -> RunConfig:
     """Layer a config file, then flag overrides ({"stage.field": value}),
-    over the dataset defaults.  Each config is built once from its checked
-    fields, so it validates with its final values."""
+    over the dataset defaults.  The file's sections decode through
+    `solver.json_fields`; each config is built once from its checked fields,
+    so it validates with its final values."""
     if file_config is None:
         file_config = {"schema": 1}
-    if not isinstance(file_config, dict):
-        raise eh.SchemaError("config must be a JSON object")
-    if file_config.get("schema") != 1:
+    if solver.json_object("config", file_config).get("schema") != 1:
         raise eh.SchemaError(f"unsupported config schema: {file_config.get('schema')!r}")
     models = {
-        name: replace(getattr(base, name), **_section(
-            f"config section {name!r}", file_config[name], type(getattr(base, name))))
+        name: replace(getattr(base, name), **solver.json_fields(
+            type(getattr(base, name)), f"config section {name!r}", file_config[name]))
         for name in ("gsformer", "decoder", "mae") if name in file_config
     }
     recs = {
-        stage: _section(f"config section 'stages.{stage}'", rec, StageConfig)
-        for stage, rec in _object("config section 'stages'",
-                                  file_config.get("stages", {}), STAGES).items()
+        stage: solver.json_fields(StageConfig, f"config section 'stages.{stage}'", rec)
+        for stage, rec in solver.json_object("config section 'stages'",
+                                             file_config.get("stages", {}),
+                                             STAGES).items()
     }
     for key, value in (overrides or {}).items():
         stage, _, name = key.partition(".")
-        recs.setdefault(stage, {}).update(_section("flags", {name: value}, StageConfig))
+        recs.setdefault(stage, {})[name] = value
     stages = {stage: replace(current, **recs.get(stage, {}))
               for stage, current in base.stages.items()}
     for stage, settings in stages.items():
@@ -472,11 +432,11 @@ def run_stage(
 
 def _snapshot_configs(prefix: str | Path):
     """(gs_cfg, dec_cfg) of a checkpoint's config snapshot."""
-    snapshot = json.loads(tc.checkpoint_path(prefix, ".config.json").read_text())
-    if not isinstance(snapshot, dict):
-        raise eh.SchemaError("checkpoint snapshot must be a JSON object")
+    snapshot = solver.json_object("checkpoint snapshot", json.loads(
+        tc.checkpoint_path(prefix, ".config.json").read_text()))
     return tuple(
-        cls(**_section(f"checkpoint snapshot section {name!r}", snapshot.get(name), cls))
+        solver.json_record(cls, f"checkpoint snapshot section {name!r}",
+                           snapshot.get(name))
         for name, cls in (("gsformer", gsf.GSFormerConfig),
                           ("decoder", pt.DecoderConfig)))
 

@@ -221,6 +221,12 @@ def test_train_rejects_malformed_config_file(dataset, tmp_path, capsys, config,
                                    "a number"),
     ({"gsformer": {"align_weights": [1.0, 1.0]}}, "must be a list of three numbers"),
     ({"gsformer": {"tau_final": "0.5"}}, "must be null or a number"),
+    ({"gsformer": {"tau_final": float("inf")}}, "tau_final in config section "
+                                                "'gsformer' must be null or a number, "
+                                                "got inf"),
+    ({"gsformer": {"align_weights": [1.0, float("nan"), 1.0]}},
+     "align_weights in config section 'gsformer' must be a list of three numbers, "
+     "got [1.0, nan, 1.0]"),
     ({"decoder": {"n_layers": 0}}, "n_layers and max_len must be >= 1"),
     ({"decoder": {"max_len": 0}}, "n_layers and max_len must be >= 1"),
     ({"decoder": {"n_layers": True}}, "n_layers in config section 'decoder' "
@@ -235,7 +241,8 @@ def test_train_rejects_malformed_config_file(dataset, tmp_path, capsys, config,
     ({"stages": {"mae": {"freeze_encoder": True}}},
      "--freeze-encoder applies only to --stage sft"),
 ], ids=["gs-zero-heads", "string-count", "null-sgs_layers", "float-sgs_layers",
-        "string-rate", "two-align_weights", "string-tau_final", "zero-dec-layers",
+        "string-rate", "two-align_weights", "string-tau_final", "inf-tau_final",
+        "nan-align_weights", "zero-dec-layers",
         "zero-max_len", "bool-count", "indivisible-d_lm", "mae-zero-heads",
         "bool-steps", "string-lr", "int-freeze_encoder", "mae-freeze_encoder"])
 def test_train_rejects_bad_config_value(dataset, tmp_path, capsys, section, message):
@@ -249,38 +256,110 @@ def test_train_rejects_bad_config_value(dataset, tmp_path, capsys, section, mess
     assert list(tmp_path.iterdir()) == [path]
 
 
-def write_eval_inputs(tmp_path, problem: dict, candidates) -> list[str]:
-    problems, cands = tmp_path / "problems.jsonl", tmp_path / "cands.jsonl"
-    problems.write_text(json.dumps({"id": "p0", "answer": 5.0, **problem}) + "\n")
-    cands.write_text(json.dumps({"id": "p0", "candidates": candidates}) + "\n")
-    return ["eval", "--problems", str(problems), "--candidates", str(cands),
+def problem_line(**fields) -> dict:
+    return {"id": "p0", "answer": 5.0, **fields}
+
+
+def candidates_line(candidates, id="p0") -> dict:
+    return {"id": id, "candidates": candidates}
+
+
+def write_eval_inputs(tmp_path, problems: list[dict], candidates: list[dict]) -> list[str]:
+    """eval over one problems file and one candidates file, one JSON line per
+    dict (NaN and Infinity written as json.loads reads them)."""
+    paths = tmp_path / "problems.jsonl", tmp_path / "cands.jsonl"
+    for path, lines in zip(paths, (problems, candidates)):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return ["eval", "--problems", str(paths[0]), "--candidates", str(paths[1]),
             "--out", str(tmp_path / "report.json")]
 
 
-@pytest.mark.parametrize("problem, candidates, message", [
-    ({"numbers": [3, 4], "choices": [5, 6, 7, 8]}, "gougu_add N_0 N_1",
-     "candidates must be a JSON list, got 'gougu_add N_0 N_1'"),
-    ({"numbers": "34", "choices": [5, 6, 7, 8]}, ["gougu_add N_0 N_1"],
-     "numbers must be a JSON list, got '34'"),
-    ({"numbers": [3, 4], "choices": "5678"}, ["gougu_add N_0 N_1"],
-     "choices must be a JSON list, got '5678'"),
-    ({"numbers": [3, 4], "question_tokens": "45"}, ["gougu_add N_0 N_1"],
-     "question_tokens must be a JSON list"),
+# a refused value reads "<field> in line <n> of <file> must be <kind>, got <value>"
+@pytest.mark.parametrize("problems, candidates, message", [
+    ([problem_line(numbers=[3, 4], choices=[5, 6, 7, 8])],
+     [candidates_line("gougu_add N_0 N_1")],
+     "candidates in line 1 of cands.jsonl must be a list of strings, "
+     "got 'gougu_add N_0 N_1'"),
+    ([problem_line(numbers="34", choices=[5, 6, 7, 8])],
+     [candidates_line(["gougu_add N_0 N_1"])],
+     "numbers in line 1 of problems.jsonl must be a list of numbers, got '34'"),
+    ([problem_line(numbers=[3, 4], choices="5678")],
+     [candidates_line(["gougu_add N_0 N_1"])],
+     "choices in line 1 of problems.jsonl must be null or a list of numbers, "
+     "got '5678'"),
+    ([problem_line(numbers=[3, 4], question_tokens="45")],
+     [candidates_line(["gougu_add N_0 N_1"])],
+     "question_tokens in line 1 of problems.jsonl must be a list of integers, "
+     "got '45'"),
+    ([problem_line(numbers=[{}])], [candidates_line([])],
+     "numbers in line 1 of problems.jsonl must be a list of numbers, got [{}]"),
+    ([problem_line(answer=None)], [candidates_line([])],
+     "answer in line 1 of problems.jsonl must be a number, got None"),
+    ([problem_line(numbers=[3, 4])], [candidates_line([["gougu_add"]])],
+     "candidates in line 1 of cands.jsonl must be a list of strings, "
+     "got [['gougu_add']]"),
+    ([problem_line(caption=5)], [candidates_line([])],
+     "caption in line 1 of problems.jsonl must be a string, got 5"),
+    ([problem_line(numbers=["3.5", 4])], [candidates_line([])],
+     "numbers in line 1 of problems.jsonl must be a list of numbers, got ['3.5', 4]"),
+    ([problem_line(numbers=[3, True])], [candidates_line([])],
+     "numbers in line 1 of problems.jsonl must be a list of numbers, got [3, True]"),
+    ([problem_line(answer=float("nan"))], [candidates_line([])],
+     "answer in line 1 of problems.jsonl must be a number, got nan"),
+    ([problem_line(numbers=[float("inf")])], [candidates_line([])],
+     "numbers in line 1 of problems.jsonl must be a list of numbers, got [inf]"),
+    ([problem_line(numbers=[3, 4]), problem_line(numbers=[3, 4])],
+     [candidates_line(["gougu_add N_0 N_1"])],
+     "duplicate id 'p0' in line 2 of problems.jsonl"),
+    ([problem_line(numbers=[3, 4])],
+     [candidates_line(["gougu_add N_0 N_1"], id=7), candidates_line([], id="7")],
+     "duplicate id '7' in line 2 of cands.jsonl"),
 ], ids=["string-candidates", "string-numbers", "string-choices",
-        "string-question_tokens"])
-def test_eval_rejects_a_string_for_a_list_field(tmp_path, capsys, problem,
+        "string-question_tokens", "object-number", "null-answer", "nested-candidates",
+        "int-caption", "string-number", "bool-number", "nan-answer", "inf-number",
+        "duplicate-problem", "duplicate-candidates"])
+def test_eval_rejects_a_string_for_a_list_field(tmp_path, capsys, problems,
                                                candidates, message):
-    err = assert_data_error(capsys, *write_eval_inputs(tmp_path, problem, candidates))
-    assert message in err
-    assert not (tmp_path / "report.json").exists()
+    err = assert_data_error(capsys, *write_eval_inputs(tmp_path, problems, candidates))
+    assert err.replace(f"{tmp_path}/", "") == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cands.jsonl",
+                                                          "problems.jsonl"]
 
 
 def test_eval_scores_list_fields(tmp_path, capsys):
     code, payload = run_cli(capsys, *write_eval_inputs(
-        tmp_path, {"numbers": [3, 4], "choices": [5, 6, 7, 8]},
-        ["gougu_add N_0 N_1"]))
+        tmp_path, [problem_line(numbers=[3, 4], choices=[5, 6, 7, 8])],
+        [candidates_line(["gougu_add N_0 N_1"])]))
     assert code == 0
     assert payload["top1"] == 1.0 and payload["choice"] == 1.0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-abs", "nan"), ("--tol-abs", "inf"), ("--tol-rel", "nan"),
+    ("--tol-rel", "inf"),
+])
+def test_eval_rejects_a_non_finite_tolerance(tmp_path, capsys, flag, value):
+    # at nan the gold program would score wrong, at inf any program right
+    argv = write_eval_inputs(tmp_path, [problem_line(numbers=[3, 4])],
+                             [candidates_line(["gougu_add N_0 N_1"])])
+    err = assert_data_error(capsys, *argv, flag, value)
+    assert "tolerance needs finite abs >= 0 and rel >= 0" in err
+    assert f" {value}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_train_rejects_a_problem_of_the_wrong_type(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    lines = (data / "problems.jsonl").read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "caption": 5})
+    (data / "problems.jsonl").write_text("\n".join(lines) + "\n")
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "lm", "--data", str(data),
+        "--steps", "1", "--out", str(tmp_path / "x"),
+    )
+    assert "caption in line 3 of " in err and "must be a string, got 5" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -307,6 +308,34 @@ def test_read_report_schema_errors(tmp_path):
     path.write_text("not json")
     with pytest.raises(SchemaError):
         read_report(path)
+
+    good = {"schema": 1, "n_problems": 1,
+            "metrics": {"top1": 1.0, "top3": 1.0, "top10": 1.0, "completion": 1.0,
+                        "choice": None, "adjusted_top1": None},
+            "rows": [{"id": "p0", "first_executed_rank": 0, "first_correct_rank": 0,
+                      "chosen_option": None, "correct_option": None}]}
+    metrics, row = good["metrics"], good["rows"][0]
+    label = f"report {path}"
+    for payload, message in [
+        ({**good, "metrics": {**metrics, "top1": "high"}},
+         f"top1 in {label} must be a number, got 'high'"),
+        ({**good, "metrics": {**metrics, "top3": float("nan")}},
+         f"top3 in {label} must be a number, got nan"),
+        ({**good, "rows": [{**row, "first_correct_rank": "zero"}]},
+         f"first_correct_rank in rows[0] of {label} must be null or an integer, "
+         "got 'zero'"),
+        ({**good, "n_problems": "1"}, f"n_problems in {label} must be an integer, got '1'"),
+        ({**good, "metrics": {**metrics, "top5": 1.0}},
+         f"unknown field 'top5' in metrics of {label}"),
+        ({**good, "rows": [{**row, "rank": 0}]}, f"unknown field 'rank' in rows[0] of {label}"),
+        ({**good, "extra": 1}, f"unknown field 'extra' in {label}"),
+        ({**good, "rows": None}, f"rows in {label} must be a list of objects, got None"),
+        ([1], f"{label} must be a JSON object, got [1]"),
+    ]:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError) as caught:
+            read_report(path)
+        assert str(caught.value) == message
 
 
 def test_candidates_roundtrip(tmp_path):

@@ -225,10 +225,10 @@ def test_problem_record_roundtrip(tmp_path):
     assert loaded == rec
 
 
-def test_problem_record_ignores_unknown_fields():
-    rec = ProblemRecord.from_json(
-        {"id": 1, "numbers": [2], "answer": 4.0, "banana": True}
-    )
+def test_problem_record_ignores_unknown_fields(tmp_path):
+    path = tmp_path / "problems.jsonl"
+    path.write_text('{"id": 1, "numbers": [2], "answer": 4.0, "banana": true}\n')
+    (rec,) = solver.load_problems(path)
     assert rec.id == "1"
     assert rec.numbers == [2.0]
     assert rec.choices is None

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -81,6 +81,23 @@ def test_default_config_survives_its_snapshot(dataset, tmp_path):
     assert snapshot == {"schema": 1, **json.loads(json.dumps(asdict(run))),
                         "seed": 1, "stage": "lm"}
     assert tr._snapshot_configs(tmp_path / "lm") == (config.gsformer, config.decoder)
+
+
+@pytest.mark.parametrize("cls", [
+    solver.ProblemRecord, eh.CandidateLine, eh.ProblemRow, eh.EvaluationReport,
+    tr.StageConfig, gsf.GSFormerConfig, pt.DecoderConfig, pt.MAEConfig,
+])
+def test_every_decoded_field_has_a_json_rule(cls):
+    assert set(solver.field_rules(cls)) == {f.name for f in fields(cls)}
+
+
+def test_a_field_without_a_json_rule_names_itself():
+    @dataclass
+    class Odd:
+        table: dict[str, int]
+
+    with pytest.raises(TypeError, match=r"Odd.table: no JSON rule for 'dict\[str, int\]'"):
+        solver.field_rules(Odd)
 
 
 def test_dataset_requires_diagram_paths(tmp_path):
