@@ -6,9 +6,11 @@ whose input requires a gradient: constants (input batches, masks, scalar
 factors) are never on the tape and never get a `.grad`.  `Tensor.backward()`
 walks the graph once in reverse topological order and is the one place that
 runs the rules, sums broadcast axes back to each input's shape and adds the
-result into `.grad`.  Ops never mutate their inputs; only the Adam optimizer
-writes parameter data in place.  Wrap inference code in `no_grad()` to skip
-tape construction entirely.
+result into `.grad`.  Ops never mutate their inputs.  The Adam optimizer
+writes only its own moment estimates, its scratch and the parameter data,
+all in place: after the first step, which allocates the scratch, a step
+allocates no arrays.  Wrap inference code in `no_grad()` to skip tape
+construction entirely.
 
 The model's layers are fused ops, one node each with a hand-written
 backward: `linear` (x @ w + b), `attention` (head split, scaled scores,
@@ -553,7 +555,8 @@ def cross_entropy(
         probs = np.exp(log_probs)
         probs[rows, t] -= 1.0
         probs *= w[:, None]
-        return (probs * (float(go) * scale)).reshape(logits.shape)
+        probs *= float(go) * scale
+        return probs.reshape(logits.shape)
 
     return _node(data, (logits, d_logits))
 
@@ -680,26 +683,47 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # two rows of working space, each as large as the largest parameter,
+        # allocated by the first step; every step computes into views of it
+        self._scratch: np.ndarray | None = None
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def step(self) -> None:
+        """One Adam update, in place:
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+        p -= lr (m / bias1) / (sqrt(v / bias2) + eps).
+        Parameters whose grad is None are skipped.  Only the first step
+        allocates (the scratch); later steps allocate no arrays."""
+        if self._scratch is None:
+            # Allocated here, not in __init__, so that it tends to land above
+            # the first step's tape on the heap.  Live for the whole run, it
+            # then keeps glibc from trimming the freed tape memory under it
+            # after each step, and the next step reuses those pages instead of
+            # faulting them back in.  Only speed depends on where it lands.
+            self._scratch = np.empty(
+                (2, max((p.data.size for p in self.params.values()), default=0)))
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
-            m = self._m[name]
-            v = self._v[name]
+            m, v = self._m[name], self._v[name]
+            step = self._scratch[0, :m.size].reshape(m.shape)
+            denom = self._scratch[1, :m.size].reshape(m.shape)
             m *= b1
-            m += (1.0 - b1) * p.grad
+            m += np.multiply(g, 1.0 - b1, out=step)
             v *= b2
-            v += (1.0 - b2) * (p.grad * p.grad)
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            v += np.multiply(np.multiply(g, g, out=step), 1.0 - b2, out=step)
+            np.multiply(np.divide(m, bias1, out=step), self.lr, out=step)
+            np.add(np.sqrt(np.divide(v, bias2, out=denom), out=denom), self.eps,
+                   out=denom)
+            p.data -= np.divide(step, denom, out=step)
 
 
 # ---------------------------------------------------------------------------
@@ -733,17 +757,34 @@ def save_params(params: dict[str, Tensor], prefix: str | Path) -> None:
 
 
 def load_params(prefix: str | Path, requires_grad: bool = True) -> dict[str, Tensor]:
+    """The parameters of checkpoint `prefix`.  The sidecar is checked here,
+    field by field: a malformed one raises ValueError naming the field."""
     sidecar = json.loads(
         checkpoint_path(prefix, ".json").read_text(encoding="utf-8"))
+    if type(sidecar) is not dict:
+        raise ValueError(f"checkpoint sidecar must be a JSON object, got {sidecar!r}")
     if sidecar.get("schema") != 1:
         raise ValueError(f"unsupported checkpoint schema: {sidecar.get('schema')!r}")
+    index = sidecar.get("params")
+    if type(index) is not dict:
+        raise ValueError(
+            f"checkpoint sidecar params must be a JSON object, got {index!r}")
     raw = checkpoint_path(prefix, ".bin").read_bytes()
     params: dict[str, Tensor] = {}
-    for name, meta in sidecar["params"].items():
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(
-            raw, dtype="<f8", count=count, offset=meta["offset"]
-        ).reshape(shape)
+    for name, meta in index.items():
+        label = f"checkpoint sidecar params[{name!r}]"
+        if type(meta) is not dict:
+            raise ValueError(f"{label} must be a JSON object, got {meta!r}")
+        offset, shape = meta.get("offset"), meta.get("shape")
+        if type(offset) is not int or offset < 0:
+            raise ValueError(f"{label}.offset must be an integer >= 0, got {offset!r}")
+        if type(shape) is not list or any(type(d) is not int or d < 0 for d in shape):
+            raise ValueError(
+                f"{label}.shape must be a list of integers >= 0, got {shape!r}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(raw):
+            raise ValueError(f"{label}: {count} values at offset {offset} run past "
+                             f"the {len(raw)}-byte .bin")
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         params[name] = Tensor(arr.astype(np.float64), requires_grad=requires_grad)
     return params

@@ -48,6 +48,8 @@ from . import tensorcore as tc
 from .tensorcore import Adam, Rng, Tensor
 
 STAGES = ("mae", "lm", "align", "sft")
+# the top-level keys of a config file; a snapshot adds its `seed` and `stage`
+CONFIG_KEYS = ("schema", "gsformer", "decoder", "mae", "stages", "seed", "stage")
 
 
 class NonFiniteLossError(ValueError):
@@ -104,11 +106,18 @@ def resolve_run_config(
     """Layer a config file, then flag overrides ({"stage.field": value}),
     over the dataset defaults.  The file's sections decode through
     `solver.json_fields`; each config is built once from its checked fields,
-    so it validates with its final values."""
+    so it validates with its final values.  A checkpoint's config snapshot
+    also loads as a config: its `seed` and `stage` are checked and ignored."""
     if file_config is None:
         file_config = {"schema": 1}
-    if solver.json_object("config", file_config).get("schema") != 1:
+    if solver.json_object("config", file_config, CONFIG_KEYS).get("schema") != 1:
         raise eh.SchemaError(f"unsupported config schema: {file_config.get('schema')!r}")
+    if type(file_config.get("seed", 0)) is not int:
+        raise eh.SchemaError(
+            f"seed in config must be an integer, got {file_config['seed']!r}")
+    if file_config.get("stage", STAGES[0]) not in STAGES:
+        raise eh.SchemaError(f"stage in config must be one of {', '.join(STAGES)}, "
+                             f"got {file_config['stage']!r}")
     models = {
         name: replace(getattr(base, name), **solver.json_fields(
             type(getattr(base, name)), f"config section {name!r}", file_config[name]))

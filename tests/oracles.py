@@ -8,11 +8,13 @@ every step and pins the KV-cached `pretrain.beam_decode`.  The fused
 tensorcore ops are pinned against compositions of primitives:
 `reference_linear` (matmul, then add), `reference_attention` (one head at a
 time), `reference_mha` (built from those two) and `reference_layer_norm`
-(np.mean / np.var and the textbook backward).  `reference_alignment_loss`
-projects and fuses one example at a time from batch-of-one forwards and pins
-the padded, batched `gsformer.alignment_loss`.  The
-batched losses of every stage are pinned against sums of batch-of-one calls
-with `summed_loss_and_grads` and `assert_grads_close`.
+(np.mean / np.var and the textbook backward).  `reference_adam_step` is
+the out-of-place Adam formula and pins the in-place `tc.Adam.step`.
+`reference_alignment_loss` projects and fuses one example at a time from
+batch-of-one forwards and pins the padded, batched
+`gsformer.alignment_loss`.  The batched losses of every stage are pinned
+against sums of batch-of-one calls with `summed_loss_and_grads` and
+`assert_grads_close`.
 """
 
 from __future__ import annotations
@@ -269,6 +271,15 @@ def reference_layer_norm(x, gain, bias, go, eps=1e-5):
     d_x = (d_xhat - d_xhat.mean(axis=-1, keepdims=True)
            - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)) * inv
     return xhat * gain + bias, d_x, (go * xhat).sum(axis=lead), go.sum(axis=lead)
+
+
+def reference_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """(p, m, v) after Adam step t (counted from 1) for gradient g, each a
+    fresh array computed out of place."""
+    m = m * b1 + (1.0 - b1) * g
+    v = v * b2 + (1.0 - b2) * (g * g)
+    step = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return p - step, m, v
 
 
 def reference_alignment_loss(features, caption_logits, caption_targets, params):

@@ -197,7 +197,12 @@ def test_train_rejects_bad_stage_value_in_config_file(dataset, tmp_path, capsys)
      "unknown field 'bogus' in config section 'decoder'"),
     ([1, 2], "config must be a JSON object"),
     ({"schema": 1, "mae": [64]}, "config section 'mae' must be a JSON object"),
-], ids=["stage-field", "decoder-field", "list", "non-object-section"])
+    ({"schema": 1, "stagse": {}}, "unknown field 'stagse' in config"),
+    ({"schema": 1, "stage": {"lm": {"lr": "not a rate"}}},
+     "stage in config must be one of mae, lm, align, sft, got {'lm'"),
+    ({"schema": 1, "seed": "1"}, "seed in config must be an integer, got '1'"),
+], ids=["stage-field", "decoder-field", "list", "non-object-section",
+        "unknown-section", "misspelt-stages", "string-seed"])
 def test_train_rejects_malformed_config_file(dataset, tmp_path, capsys, config,
                                              message):
     path = tmp_path / "run.json"
@@ -641,6 +646,23 @@ def test_decode_rejects_malformed_checkpoint_snapshot(dataset, tmp_path, capsys,
     assert not (tmp_path / "cands.jsonl").exists()
 
 
+def test_decode_rejects_non_object_checkpoint_sidecar(dataset, tmp_path, capsys):
+    out = tmp_path / "sft"
+    code, _ = run_cli(
+        capsys, "train-toy", "--stage", "sft", "--data", str(dataset),
+        "--seed", "1", "--out", str(out), "--steps", "0",
+    )
+    assert code == 0
+    out.with_suffix(".json").write_text("[1]")
+    err = assert_data_error(
+        capsys, "decode", "--ckpt", str(out),
+        "--problems", str(dataset / "problems.jsonl"),
+        "--out", str(tmp_path / "cands.jsonl"),
+    )
+    assert "checkpoint sidecar must be a JSON object, got [1]" in err
+    assert not (tmp_path / "cands.jsonl").exists()
+
+
 def test_train_with_config_file(dataset, tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
@@ -665,6 +687,21 @@ def test_train_with_config_file(dataset, tmp_path, capsys):
     assert first["tau"] == 1.0
     assert last["tau"] == 0.5
     assert "keep_rates" in first
+
+
+def test_checkpoint_snapshot_loads_as_config(dataset, tmp_path, capsys):
+    runs = []
+    for name, config in (("first", None), ("again", tmp_path / "first.config.json")):
+        out = tmp_path / name
+        code, _ = run_cli(
+            capsys, "train-toy", "--stage", "lm", "--data", str(dataset),
+            "--seed", "3", "--steps", "2", "--out", str(out),
+            *(() if config is None else ("--config", str(config))),
+        )
+        assert code == 0
+        runs.append([out.with_suffix(suffix).read_bytes()
+                     for suffix in (".config.json", ".bin")])
+    assert runs[0] == runs[1]
 
 
 def test_train_rejects_bad_config_schema(dataset, tmp_path, capsys):

@@ -1,9 +1,13 @@
+import json
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from geoformal import pretrain as pt
 from geoformal import tensorcore as tc
 from geoformal.tensorcore import (
     Adam,
@@ -14,7 +18,7 @@ from geoformal.tensorcore import (
     Tensor,
     finite_diff_grad,
 )
-from oracles import reference_attention, reference_layer_norm
+from oracles import reference_adam_step, reference_attention, reference_layer_norm
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -673,6 +677,45 @@ def test_adam_minimizes_quadratic():
     assert np.all(np.abs(x.data) < 1e-3)
 
 
+def test_adam_matches_out_of_place_formula_bitwise():
+    rng = Rng(23)
+    shapes = {"s": (), "b": (7,), "w": (128, 512), "sometimes": (3, 5)}
+    params = {k: Tensor(rng.normal(shape), requires_grad=True)
+              for k, shape in shapes.items()}
+    want = {k: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape))
+            for k, p in params.items()}
+    opt = Adam(params, lr=3e-3)
+    for t in range(1, 6):
+        for k, p in params.items():
+            # "sometimes" gets no gradient on odd steps and must stay put
+            p.grad = None if k == "sometimes" and t % 2 else \
+                rng.split(f"g{t}{k}").normal(shapes[k])
+        opt.step()
+        for k, p in params.items():
+            if p.grad is not None:
+                data, m, v = want[k]
+                want[k] = reference_adam_step(data, p.grad, m, v, t=t, lr=3e-3)
+            assert np.array_equal(p.data, want[k][0]), (k, t)
+            assert np.array_equal(opt._m[k], want[k][1]), (k, t)
+            assert np.array_equal(opt._v[k], want[k][2]), (k, t)
+
+
+def test_adam_steps_after_the_first_allocate_nothing():
+    params = pt.init_decoder_params(pt.DecoderConfig(), Rng(5))
+    rng = Rng(6)
+    for k, p in params.items():
+        p.grad = rng.split(k).normal(p.shape)
+    opt = Adam(params, lr=1e-3)
+    opt.step()  # allocates the scratch
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, f"Adam.step peaked at {peak} bytes"
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = Rng(19)
     params = {
@@ -695,6 +738,31 @@ def test_checkpoint_rejects_unknown_schema(tmp_path):
     sidecar = prefix.with_suffix(".json")
     sidecar.write_text(sidecar.read_text().replace('"schema": 1', '"schema": 9'))
     with pytest.raises(ValueError):
+        tc.load_params(prefix)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda side: [1], "checkpoint sidecar must be a JSON object"),
+    (lambda side: {**side, "params": [1]}, "sidecar params must be a JSON object"),
+    (lambda side: {**side, "params": {"w": 3}}, "params['w'] must be a JSON object"),
+    (lambda side: {**side, "params": {"w": {"shape": [2]}}},
+     "params['w'].offset must be an integer >= 0, got None"),
+    (lambda side: {**side, "params": {"w": {"offset": -8, "shape": [2]}}},
+     "params['w'].offset must be an integer >= 0"),
+    (lambda side: {**side, "params": {"w": {"offset": 0, "shape": [2.0]}}},
+     "params['w'].shape must be a list of integers >= 0"),
+    (lambda side: {**side, "params": {"w": {"offset": 0, "shape": [-1]}}},
+     "params['w'].shape must be a list of integers >= 0"),
+    (lambda side: {**side, "params": {"w": {"offset": 8, "shape": [2]}}},
+     "params['w']: 2 values at offset 8 run past the 16-byte .bin"),
+], ids=["list", "list-params", "scalar-entry", "no-offset", "negative-offset",
+        "float-dim", "negative-dim", "past-end"])
+def test_checkpoint_rejects_malformed_sidecar(tmp_path, edit, message):
+    prefix = tmp_path / "ckpt"
+    tc.save_params({"w": tc.zeros((2,))}, prefix)
+    sidecar = prefix.with_suffix(".json")
+    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(message)):
         tc.load_params(prefix)
 
 
