@@ -714,16 +714,16 @@ class Adam:
             if g is None:
                 continue
             m, v = self._m[name], self._v[name]
-            step = self._scratch[0, :m.size].reshape(m.shape)
+            num = self._scratch[0, :m.size].reshape(m.shape)
             denom = self._scratch[1, :m.size].reshape(m.shape)
             m *= b1
-            m += np.multiply(g, 1.0 - b1, out=step)
+            m += np.multiply(g, 1.0 - b1, out=num)
             v *= b2
-            v += np.multiply(np.multiply(g, g, out=step), 1.0 - b2, out=step)
-            np.multiply(np.divide(m, bias1, out=step), self.lr, out=step)
+            v += np.multiply(np.multiply(g, g, out=num), 1.0 - b2, out=num)
+            np.multiply(np.divide(m, bias1, out=num), self.lr, out=num)
             np.add(np.sqrt(np.divide(v, bias2, out=denom), out=denom), self.eps,
                    out=denom)
-            p.data -= np.divide(step, denom, out=step)
+            p.data -= np.divide(num, denom, out=num)
 
 
 # ---------------------------------------------------------------------------
