@@ -18,10 +18,17 @@ Program grammar (flat prefix token stream, whitespace separated):
 Each group's result becomes the next `V_` slot, so `V_i` may only refer to a
 group that appears earlier in the stream.  Canonical text uses single spaces,
 and literals print as shortest round-trip decimals with a `.` always present.
+
+Program tokens are immutable and shared between parses: every parse of `g_add`
+yields the same `Operator` object, and each operand word is classified once by
+a bounded private memo and then reused.  Compare tokens with `==`, never `is`.
+The memo's bound is about 60 times the 17 distinct operand words in one round
+of the `adjudicate` benchmark (2,000 problems of 10 candidates each).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -282,10 +289,11 @@ OPERATOR_ARITIES: Mapping[str, int] = MappingProxyType({
     "g_sin": 1, "g_cos": 1, "g_tan": 1,
 })
 
-_NUMREF_RE = re.compile(r"N_(\d+)$")
-_VARREF_RE = re.compile(r"V_(\d+)$")
-_CONSTREF_RE = re.compile(r"C_([A-Z][A-Z0-9_]*)$")
-_DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_DECIMAL = r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
+_DECIMAL_RE = re.compile(_DECIMAL)
+# One match classifies an operand word: group 1 holds an N_ index, group 2 a
+# V_ index, group 3 a constant's name; a match with none of them is a decimal.
+_OPERAND_RE = re.compile(r"N_(\d+)$|V_(\d+)$|C_([A-Z][A-Z0-9_]*)$|" + _DECIMAL)
 
 
 def format_number(value: float) -> str:
@@ -331,6 +339,14 @@ class SolutionProgram:
 # Program parse / format
 # ---------------------------------------------------------------------------
 
+_OPERAND_MEMO_SIZE = 1024  # see the module docstring
+
+# name -> (the operator's shared token, its arity)
+_OPERATOR_TOKENS: dict[str, tuple[Operator, int]] = {
+    name: (Operator(name), arity) for name, arity in OPERATOR_ARITIES.items()
+}
+
+
 def parse_program(text: str) -> SolutionProgram:
     """Parse and validate a whitespace-separated program token stream.
 
@@ -339,44 +355,53 @@ def parse_program(text: str) -> SolutionProgram:
     tokens, and every `V_i` must refer to a group that already completed.
     """
     words = text.split()
+    n_words = len(words)
     tokens: list[ProgramToken] = []
     i = 0
     groups_done = 0
-    while i < len(words):
+    while i < n_words:
         name = words[i]
-        if name not in OPERATOR_ARITIES:
+        entry = _OPERATOR_TOKENS.get(name)
+        if entry is None:
             raise UnknownOperatorError(name, i)
-        arity = OPERATOR_ARITIES[name]
-        tokens.append(Operator(name))
-        operands_got = 0
+        op, arity = entry
+        tokens.append(op)
         for j in range(i + 1, i + 1 + arity):
-            if j >= len(words) or words[j] in OPERATOR_ARITIES:
-                raise ArityMismatchError(name, arity, operands_got, i)
-            tokens.append(_parse_operand(words[j], j, groups_done))
-            operands_got += 1
+            if j >= n_words or words[j] in _OPERATOR_TOKENS:
+                raise ArityMismatchError(name, arity, j - i - 1, i)
+            tok = _operand_token(words[j])
+            if tok is None:
+                raise ProgramSyntaxError(f"expected operand, got {words[j]!r}", j)
+            if type(tok) is VarRef and tok.index >= groups_done:
+                raise ForwardReferenceError(tok.index, groups_done, j)
+            tokens.append(tok)
         i += 1 + arity
         groups_done += 1
     return SolutionProgram(tuple(tokens))
 
 
-def _parse_operand(word: str, position: int, groups_done: int) -> ProgramToken:
-    m = _NUMREF_RE.match(word)
-    if m:
-        return NumRef(int(m.group(1)))
-    m = _VARREF_RE.match(word)
-    if m:
-        index = int(m.group(1))
-        if index >= groups_done:
-            raise ForwardReferenceError(index, groups_done, position)
-        return VarRef(index)
-    m = _CONSTREF_RE.match(word)
-    if m:
-        return ConstRef(m.group(1))
-    if _DECIMAL_RE.match(word):
-        value = float(word)
-        if math.isfinite(value):
-            return Literal(value)
-    raise ProgramSyntaxError(f"expected operand, got {word!r}", position)
+@functools.lru_cache(maxsize=_OPERAND_MEMO_SIZE)
+def _operand_token(word: str) -> ProgramToken | None:
+    """The shared token an operand word stands for, or None if it is none.
+
+    It depends on the word alone; the checks that depend on where the word
+    occurs (its position, V_ against the groups done) stay with the caller.
+    """
+    m = _OPERAND_RE.match(word)
+    if m is None:
+        return None
+    num, var, const = m.group(1, 2, 3)
+    try:
+        if num is not None:
+            return NumRef(int(num))
+        if var is not None:
+            return VarRef(int(var))
+    except ValueError:  # more digits than int() converts
+        return None
+    if const is not None:
+        return ConstRef(const)
+    value = float(word)
+    return Literal(value) if math.isfinite(value) else None
 
 
 def format_program(p: SolutionProgram) -> str:

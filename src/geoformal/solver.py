@@ -165,18 +165,19 @@ class ExecutionTrace:
 
 
 def _resolve(tok: ProgramToken, b: Bindings) -> float:
-    if isinstance(tok, Literal):
+    kind = type(tok)
+    if kind is Literal:
         return tok.value
-    if isinstance(tok, NumRef):
+    if kind is NumRef:
         if tok.index >= len(b.n_values):
             raise UnboundNumRefError(tok.index, len(b.n_values))
         return b.n_values[tok.index]
-    if isinstance(tok, VarRef):
+    if kind is VarRef:
         if tok.index >= len(b.v_values):
             # parse_program rejects this; guard against hand-built programs
             raise FormalLangError(f"V_{tok.index} resolved before it was produced")
         return b.v_values[tok.index]
-    if isinstance(tok, ConstRef):
+    if kind is ConstRef:
         if tok.name not in b.constants:
             raise UnknownConstantError(tok.name)
         return b.constants[tok.name]
@@ -185,12 +186,17 @@ def _resolve(tok: ProgramToken, b: Bindings) -> float:
 
 def execute_program(p: SolutionProgram, b: Bindings) -> ExecutionTrace:
     """Run every operator group in order, extending b.v_values by one per group."""
-    if not p.tokens:
+    toks = p.tokens
+    if not toks:
         raise EmptyProgramError()
     steps: list[TraceStep] = []
-    for op, operand_toks in p.groups():
+    i = 0
+    while i < len(toks):
+        op = toks[i]
+        assert isinstance(op, Operator)
         spec = _REGISTRY[op.name]
-        operands = tuple(_resolve(t, b) for t in operand_toks)
+        end = i + 1 + spec.arity
+        operands = tuple([_resolve(t, b) for t in toks[i + 1 : end]])
         if spec.domain is not None and not spec.domain(*operands):
             raise DomainError(op.name, operands, spec.domain_reason)
         result = float(spec.fn(*operands))
@@ -198,6 +204,7 @@ def execute_program(p: SolutionProgram, b: Bindings) -> ExecutionTrace:
             raise DomainError(op.name, operands, "non-finite result")
         b.v_values.append(result)
         steps.append(TraceStep(op.name, operands, result))
+        i = end
     return ExecutionTrace(tuple(steps))
 
 
@@ -253,12 +260,13 @@ def evaluate_beam(
         try:
             trace = execute_program(parse_program(text), b.copy())
         except (SolverError, FormalLangError) as exc:
-            results.append(CandidateResult(text, False, error=str(exc)))
+            results.append(CandidateResult(text, False, None, str(exc)))
             continue
-        results.append(CandidateResult(text, True, value=trace.final))
+        value = trace.final
+        results.append(CandidateResult(text, True, value))
         if first_executed is None:
             first_executed = rank
-        if first_correct is None and tol.passes(trace.final, gt_answer):
+        if first_correct is None and tol.passes(value, gt_answer):
             first_correct = rank
     return BeamOutcome(tuple(results), first_executed, first_correct)
 

@@ -629,10 +629,23 @@ def finite_diff_coord(
 # Counter-based splittable RNG
 # ---------------------------------------------------------------------------
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands Philox its two 64-bit key words as they are.  `Philox(key=k)`
+    gives the same stream, but first builds a SeedSequence from OS entropy
+    and throws it away, which costs most of a split."""
+
+    def __init__(self, digest: bytes):
+        self.words = np.frombuffer(digest, dtype="<u8").astype(np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 class Rng:
     """Philox-backed stream; `split(label)` derives an independent child
     stream from (seed, label) so identical (seed, label, draw index) always
-    reproduces the same values.
+    reproduces the same values.  The stream of (seed, path) is Philox keyed
+    by the little-endian 128-bit blake2b digest of `f"{seed}:{path}"`.
     """
 
     def __init__(self, seed: int, _path: str = ""):
@@ -641,9 +654,7 @@ class Rng:
         digest = hashlib.blake2b(
             f"{self.seed}:{_path}".encode(), digest_size=16
         ).digest()
-        self._gen = np.random.Generator(
-            np.random.Philox(key=int.from_bytes(digest, "little"))
-        )
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(digest)))
 
     def split(self, label: str) -> "Rng":
         return Rng(self.seed, f"{self.path}/{label}")

@@ -14,18 +14,24 @@ the out-of-place Adam formula and pins the in-place `tc.Adam.step`.
 batch-of-one forwards and pins the padded, batched
 `gsformer.alignment_loss`.  The batched losses of every stage are pinned
 against sums of batch-of-one calls with `summed_loss_and_grads` and
-`assert_grads_close`.
+`assert_grads_close`.  `reference_parse_program`,
+`reference_execute_program` and `reference_evaluate_beam` are the parser and
+interpreter as they were before program tokens were shared, and pin the
+current ones to the same results and errors.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 
+from geoformal import formal_lang as fl
 from geoformal import gsformer as gsf
 from geoformal import pretrain as pt
+from geoformal import solver
 from geoformal import tensorcore as tc
 from geoformal.tensorcore import Tensor
 
@@ -162,6 +168,161 @@ def random_program_text(
 def random_bytes_text(rng: random.Random, max_len: int = 80) -> str:
     raw = bytes(rng.randrange(256) for _ in range(rng.randint(0, max_len)))
     return raw.decode("latin-1")
+
+
+# ---------------------------------------------------------------------------
+# Program parser and interpreter before the shared tokens and operand memo
+# ---------------------------------------------------------------------------
+# Copies of `formal_lang.parse_program` / `_parse_operand` and
+# `solver.execute_program` / `_resolve` / `evaluate_beam` as they were before
+# tokens were shared: every parse builds fresh tokens through four regexes.
+# They pin the faster code to the same programs, traces, outcomes, and error
+# classes, messages and positions.
+
+_NUMREF_RE = re.compile(r"N_(\d+)$")
+_VARREF_RE = re.compile(r"V_(\d+)$")
+_CONSTREF_RE = re.compile(r"C_([A-Z][A-Z0-9_]*)$")
+_DECIMAL_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def reference_parse_program(text: str) -> fl.SolutionProgram:
+    words = text.split()
+    tokens: list[fl.ProgramToken] = []
+    i = 0
+    groups_done = 0
+    while i < len(words):
+        name = words[i]
+        if name not in fl.OPERATOR_ARITIES:
+            raise fl.UnknownOperatorError(name, i)
+        arity = fl.OPERATOR_ARITIES[name]
+        tokens.append(fl.Operator(name))
+        operands_got = 0
+        for j in range(i + 1, i + 1 + arity):
+            if j >= len(words) or words[j] in fl.OPERATOR_ARITIES:
+                raise fl.ArityMismatchError(name, arity, operands_got, i)
+            tokens.append(_reference_parse_operand(words[j], j, groups_done))
+            operands_got += 1
+        i += 1 + arity
+        groups_done += 1
+    return fl.SolutionProgram(tuple(tokens))
+
+
+def _reference_parse_operand(word: str, position: int, groups_done: int) -> fl.ProgramToken:
+    m = _NUMREF_RE.match(word)
+    if m:
+        return fl.NumRef(int(m.group(1)))
+    m = _VARREF_RE.match(word)
+    if m:
+        index = int(m.group(1))
+        if index >= groups_done:
+            raise fl.ForwardReferenceError(index, groups_done, position)
+        return fl.VarRef(index)
+    m = _CONSTREF_RE.match(word)
+    if m:
+        return fl.ConstRef(m.group(1))
+    if _DECIMAL_RE.match(word):
+        value = float(word)
+        if math.isfinite(value):
+            return fl.Literal(value)
+    raise fl.ProgramSyntaxError(f"expected operand, got {word!r}", position)
+
+
+def _reference_resolve(tok: fl.ProgramToken, b: solver.Bindings) -> float:
+    if isinstance(tok, fl.Literal):
+        return tok.value
+    if isinstance(tok, fl.NumRef):
+        if tok.index >= len(b.n_values):
+            raise solver.UnboundNumRefError(tok.index, len(b.n_values))
+        return b.n_values[tok.index]
+    if isinstance(tok, fl.VarRef):
+        if tok.index >= len(b.v_values):
+            # parse_program rejects this; guard against hand-built programs
+            raise fl.FormalLangError(f"V_{tok.index} resolved before it was produced")
+        return b.v_values[tok.index]
+    if isinstance(tok, fl.ConstRef):
+        if tok.name not in b.constants:
+            raise solver.UnknownConstantError(tok.name)
+        return b.constants[tok.name]
+    raise TypeError(f"operator in operand position: {tok!r}")
+
+
+def reference_execute_program(p: fl.SolutionProgram, b: solver.Bindings) -> solver.ExecutionTrace:
+    if not p.tokens:
+        raise solver.EmptyProgramError()
+    steps: list[solver.TraceStep] = []
+    for op, operand_toks in p.groups():
+        spec = solver._REGISTRY[op.name]
+        operands = tuple(_reference_resolve(t, b) for t in operand_toks)
+        if spec.domain is not None and not spec.domain(*operands):
+            raise solver.DomainError(op.name, operands, spec.domain_reason)
+        result = float(spec.fn(*operands))
+        if not math.isfinite(result):
+            raise solver.DomainError(op.name, operands, "non-finite result")
+        b.v_values.append(result)
+        steps.append(solver.TraceStep(op.name, operands, result))
+    return solver.ExecutionTrace(tuple(steps))
+
+
+def reference_evaluate_beam(candidates, b: solver.Bindings, gt_answer: float, tol):
+    results: list[solver.CandidateResult] = []
+    first_executed: int | None = None
+    first_correct: int | None = None
+    for rank, text in enumerate(candidates):
+        try:
+            trace = reference_execute_program(reference_parse_program(text), b.copy())
+        except (solver.SolverError, fl.FormalLangError) as exc:
+            results.append(solver.CandidateResult(text, False, error=str(exc)))
+            continue
+        results.append(solver.CandidateResult(text, True, value=trace.final))
+        if first_executed is None:
+            first_executed = rank
+        if first_correct is None and tol.passes(trace.final, gt_answer):
+            first_correct = rank
+    return solver.BeamOutcome(tuple(results), first_executed, first_correct)
+
+
+_BENCH_LITERALS = ("180.0", "180", "1800.0", "90.0", "2.0", "0.5", "0.0", "1e999")
+_BENCH_MALFORMED = ("180.0.0.0", "0.00.0", "80.0.0.0.", "1.8.0", "1e", "--1", "N_", "V_x")
+
+
+def bench_style_candidates(rng: random.Random, n_numbers: int) -> list[str]:
+    """A 10-candidate beam in the shape a trained decoder's lower ranks take:
+    a gold program, then that program with arity cuts, stray operands,
+    malformed decimals, forward V_ references, unknown operators, overflowing
+    literals, or a whole extra group appended."""
+    gold = random_program_text(rng, max_groups=3, n_numbers=n_numbers)
+    n_groups = sum(1 for word in gold.split() if word in ORACLE_ARITY)
+
+    def operand() -> str:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return f"N_{rng.randrange(n_numbers + 1)}"
+        if kind == 1:
+            return f"V_{rng.randrange(n_groups + 2)}"  # may point forward
+        if kind == 2:
+            return "C_PI"
+        return rng.choice(_BENCH_LITERALS)
+
+    beam = [gold]
+    ops = sorted(ORACLE_ARITY)
+    for _ in range(9):
+        words = gold.split()
+        flaw = rng.randrange(6)
+        op = rng.choice(ops)
+        if flaw == 0:  # whole group
+            words += [op] + [operand() for _ in range(ORACLE_ARITY[op])]
+        elif flaw == 1:  # arity cut short
+            words += [op] + [operand() for _ in range(ORACLE_ARITY[op] - 1)]
+        elif flaw == 2:  # operands where an operator belongs
+            words += [operand() for _ in range(rng.randint(1, 2))]
+        elif flaw == 3:  # malformed operand
+            words += [op, rng.choice(_BENCH_MALFORMED)]
+        elif flaw == 4:  # unknown operator
+            words += [rng.choice(("g_nosuch", "Line", "180.0.0.0")), operand()]
+        else:  # truncated anywhere
+            words = words[: rng.randrange(len(words) + 1)]
+        beam.append(" ".join(words))
+    return beam
 
 
 # ---------------------------------------------------------------------------

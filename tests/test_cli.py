@@ -339,6 +339,17 @@ def test_eval_scores_list_fields(tmp_path, capsys):
     assert payload["top1"] == 1.0 and payload["choice"] == 1.0
 
 
+def test_eval_scores_an_oversized_index_as_failed(tmp_path, capsys):
+    # int() refuses more than 4300 digits: one such candidate must not end eval
+    argv = write_eval_inputs(
+        tmp_path, [problem_line(numbers=[3, 4], choices=[5, 6, 7, 8])],
+        [candidates_line(["g_equal N_" + "9" * 5000])])
+    code, payload = run_cli(capsys, *argv)
+    assert code == 0 and payload["top1"] == 0.0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["rows"][0]["first_executed_rank"] is None
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--tol-abs", "nan"), ("--tol-abs", "inf"), ("--tol-rel", "nan"),
     ("--tol-rel", "inf"),

@@ -23,7 +23,8 @@ from geoformal.formal_lang import (
     concyclic,
 )
 
-from oracles import random_bytes_text, random_caption_text, random_program_text
+from oracles import (bench_style_candidates, random_bytes_text, random_caption_text,
+                     random_program_text, reference_parse_program)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +203,64 @@ def test_parser_never_crashes_on_arbitrary_bytes():
                 parse(text)
             except FormalLangError:
                 pass
+
+
+def parse_outcome(parse, text):
+    """The program `parse` returns, or its error's class, message and position."""
+    try:
+        return parse(text)
+    except FormalLangError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def test_parser_matches_reference_parser():
+    rng = random.Random(404)
+    texts = [random_program_text(rng, n_numbers=3) for _ in range(500)]
+    texts += [random_bytes_text(rng) for _ in range(500)]
+    for _ in range(100):
+        texts += bench_style_candidates(rng, n_numbers=rng.randint(0, 3))
+    texts += ["g_equal N_" + "9" * 4000, "g_equal 1e999", "g_equal -0.0", "g_equal .5e3"]
+    for text in texts:
+        assert parse_outcome(fl.parse_program, text) == \
+            parse_outcome(reference_parse_program, text), text
+
+
+def test_operand_memo_is_bounded():
+    memo = fl._operand_token
+    size = memo.cache_info().maxsize
+    for k in range(10 * size):
+        fl.parse_program(f"g_equal {k}.5")
+        assert memo.cache_info().currsize <= size
+
+
+def test_error_positions_are_per_occurrence():
+    for text, position in (("g_equal 1.8.0", 1), ("g_equal N_0 g_equal 1.8.0", 3),
+                           ("g_equal 1.8.0", 1)):
+        with pytest.raises(ProgramSyntaxError) as exc:
+            fl.parse_program(text)
+        assert exc.value.position == position
+        assert str(exc.value) == f"token {position}: expected operand, got '1.8.0'"
+
+
+@pytest.mark.parametrize("refused_first", [True, False])
+def test_forward_references_are_per_occurrence(refused_first):
+    fl._operand_token.cache_clear()
+    for _ in range(2):
+        for refused in (refused_first, not refused_first):
+            if refused:
+                with pytest.raises(ForwardReferenceError) as exc:
+                    fl.parse_program("g_equal V_0")
+                assert exc.value.position == 1 and exc.value.available == 0
+            else:
+                p = fl.parse_program("g_equal N_0 g_equal V_0")
+                assert p.tokens[-1] == VarRef(0)
+
+
+def test_program_tokens_are_shared_between_parses():
+    a = fl.parse_program("g_add N_0 180.0")
+    b = fl.parse_program("g_add N_0 180.0 g_half V_0")
+    assert all(x is y for x, y in zip(a.tokens, b.tokens))
+    assert a.tokens == (Operator("g_add"), NumRef(0), Literal(180.0))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from geoformal.solver import (
     resolve_choice,
 )
 
-from oracles import ORACLE_ARITY, oracle_eval, random_program_text, rel_close
+from oracles import (ORACLE_ARITY, bench_style_candidates, oracle_eval,
+                     random_bytes_text, random_program_text, reference_evaluate_beam,
+                     reference_execute_program, rel_close)
 
 
 @dataclass
@@ -207,6 +209,67 @@ def test_beam_candidates_get_fresh_bindings():
     )
     assert out.candidates[0].executed
     assert not out.candidates[1].executed
+
+
+@pytest.mark.parametrize("text, position", [
+    ("g_equal N_" + "9" * 5000, 1),
+    ("g_equal N_0 g_equal V_" + "9" * 5000, 3),
+], ids=["N", "V"])
+def test_beam_scores_an_oversized_index_as_failed(text, position):
+    # int() refuses more than 4300 digits; that word is no operand
+    out = evaluate_beam([text, "g_equal N_0"], Bindings.from_numbers([2.0]), 2.0, Tol())
+    assert not out.candidates[0].executed
+    assert out.candidates[0].error.startswith(f"token {position}: expected operand, got ")
+    assert out.rank_of_first_executed == out.rank_of_first_correct == 1
+
+
+def outcome(run, *args):
+    """What `run` returns, or its error's class and message."""
+    try:
+        return run(*args)
+    except Exception as exc:  # hand-built programs raise TypeError and the like
+        return type(exc), str(exc)
+
+
+HAND_BUILT = [
+    fl.SolutionProgram((fl.Operator("g_equal"), fl.Operator("g_equal"))),
+    fl.SolutionProgram((fl.Operator("g_add"), fl.Literal(1.0))),
+    fl.SolutionProgram((fl.Operator("g_equal"), fl.VarRef(0))),
+    fl.SolutionProgram((fl.Operator("g_equal"), fl.ConstRef("E"))),
+    fl.SolutionProgram((fl.Operator("g_nosuch"), fl.Literal(1.0))),
+    fl.SolutionProgram((fl.Literal(1.0),)),
+]
+
+
+def test_interpreter_matches_reference_interpreter():
+    rng = random.Random(505)
+    programs = list(HAND_BUILT)
+    for _ in range(300):
+        for text in bench_style_candidates(rng, n_numbers=3):
+            try:
+                programs.append(fl.parse_program(text))
+            except fl.FormalLangError:
+                pass
+    programs += [fl.parse_program(random_program_text(rng, n_numbers=3))
+                 for _ in range(300)]
+    for p in programs:
+        numbers = [rng.choice((0.0, 1.0, 90.0, 3.5)) for _ in range(rng.randint(0, 3))]
+        got, want = Bindings.from_numbers(numbers), Bindings.from_numbers(numbers)
+        assert outcome(execute_program, p, got) == \
+            outcome(reference_execute_program, p, want), p
+        assert got == want
+
+
+def test_beam_matches_reference_beam():
+    rng = random.Random(606)
+    for _ in range(300):
+        n_numbers = rng.randint(0, 3)
+        beam = bench_style_candidates(rng, n_numbers)
+        beam += [random_bytes_text(rng, 20), random_program_text(rng, n_numbers=n_numbers)]
+        b = Bindings.from_numbers([rng.choice((1.0, 3.0, 90.0)) for _ in range(n_numbers)])
+        gt = rng.choice((1.0, 3.0, 180.0))
+        assert evaluate_beam(beam, b, gt, Tol(1.0)) == \
+            reference_evaluate_beam(beam, b, gt, Tol(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -661,6 +662,24 @@ def test_rng_labels_split_independent_streams():
 
 def test_rng_seed_changes_stream():
     assert not np.array_equal(Rng(1).uniform((8,)), Rng(2).uniform((8,)))
+
+
+@pytest.mark.parametrize("seed, labels", [
+    (0, ()), (1, ("a",)), (7, ("candidates", "p00012")), (2 ** 40, ("x", "y", "z")),
+    (-3, ("data",)),
+])
+def test_rng_stream_is_philox_keyed_by_the_path_digest(seed, labels):
+    rng = Rng(seed)
+    for label in labels:
+        rng = rng.split(label)
+    digest = hashlib.blake2b(f"{seed}:{rng.path}".encode(), digest_size=16).digest()
+    ref = np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+    assert np.array_equal(rng.uniform((5, 3)), ref.random((5, 3)))
+    assert np.array_equal(rng.normal((7,), std=2.0), ref.normal(0.0, 2.0, (7,)))
+    assert rng.integers(0, 10) == int(ref.integers(0, 10))
+    assert np.array_equal(rng.integers(-5, 5, (9,)), ref.integers(-5, 5, size=(9,)))
+    assert np.array_equal(rng.permutation(11), ref.permutation(11))
+    assert np.array_equal(rng.uniform((4,)), ref.random((4,)))
 
 
 # ---------------------------------------------------------------------------
