@@ -11,9 +11,11 @@ Batch layout: every loss takes a whole batch.  MAE patches stack to
 (B, N, d).  Token sequences are right-padded with gsformer.PAD_ID to the
 longest sequence in the batch (`pad_ids`) and run through `decoder_forward`
 as one (B, T) block; the causal mask it builds already hides each row's
-trailing pads from every real query, and per-position loss weights (0 at the
-pads) drop them from the loss, so neither the loss nor the gradients depend
-on what the pads hold.
+trailing pads from every real query.  Each loss passes `decoder_forward`
+the rows it reads (the non-pad positions for `lm_loss`, the target spans for
+`instruction_loss`), and the last block's feed-forward half, the final norm
+and the head run at those rows only, so neither the loss nor the gradients
+depend on what the pads hold.
 
 Decoding is KV-cached: each layer's keys/values live in one
 (2, beam, n_prefix + max_len, d) buffer whose beam rows start with a copy of
@@ -23,7 +25,7 @@ block (gsformer.mha).
 
 Every affine map (`linear`, the tied output head), attention and layer
 norm is one tape node (tensorcore's fused ops), so a decoder layer adds
-twelve nodes to the tape.
+twelve nodes to the tape, and a loss's gather of its rows one more.
 
 The decoder is a 2-layer pre-LN causal transformer with a tied embedding /
 output head; anything with the same prefix-conditioned interface would do.
@@ -70,10 +72,15 @@ def _block_init(p: dict[str, Tensor], name: str, rng: Rng, d: int) -> None:
 
 
 def block(params: dict[str, Tensor], name: str, x: Tensor, n_heads: int,
-          mask: Tensor | None, cache: "KVCache | None" = None) -> Tensor:
-    """x + self-attention(ln1 x), then + ffn(ln2 x); mask and cache as in `mha`."""
+          mask: Tensor | None, cache: "KVCache | None" = None,
+          rows=None) -> Tensor:
+    """x + self-attention(ln1 x), then + ffn(ln2 x); mask and cache as in `mha`.
+    With `rows` the ffn half runs only at those rows of x's flattened leading
+    axes, and the result is (len(rows), d)."""
     h = norm(params, f"{name}.ln1", x)
     x = tc.add(x, mha(params, f"{name}.sa_", h, h, n_heads, mask, cache))
+    if rows is not None:
+        x = tc.take_rows(x, rows)
     return tc.add(x, ffn(params, f"{name}.ffn", norm(params, f"{name}.ln2", x)))
 
 
@@ -237,12 +244,18 @@ def decoder_forward(
     token_ids,
     prefix_embeds: Tensor | None = None,
     cache: list[KVCache] | None = None,
+    rows=None,
 ) -> Tensor:
     """Causal forward over [prefix_embeds || embedded token_ids] for (B, T)
     ids and an optional (B, P, d) prefix; returns (B, P + T, V) next-token
     logits (tied output head).  With `cache` (one KVCache per layer) the
     first call encodes a batch-of-one prefix; later calls take one (B, 1)
-    token id per hypothesis."""
+    token id per hypothesis.
+
+    `rows` (distinct indices b * (P + T) + position) returns the logits at
+    those positions only, (len(rows), V): attention runs at every position,
+    whose keys and values later positions read, and the last block's ffn,
+    the final norm and the head at those rows alone."""
     x = tc.embedding_lookup(params["tok_emb"], token_ids)
     if prefix_embeds is not None:
         if prefix_embeds.shape[::2] != x.shape[::2]:  # (B, d) of (B, n, d)
@@ -258,7 +271,8 @@ def decoder_forward(
     causal = None if start else Tensor(np.tril(np.ones((total, total))))
     for i in range(cfg.n_layers):
         x = block(params, f"dec{i}", x, cfg.n_heads, causal,
-                  None if cache is None else cache[i])
+                  None if cache is None else cache[i],
+                  rows if i == cfg.n_layers - 1 else None)
     x = norm(params, "ln_f", x)
     return tc.linear(x, tc.transpose(params["tok_emb"]), params["head_b"])
 
@@ -268,14 +282,16 @@ def lm_loss(
     sequences: Sequence[Sequence[int]],
 ) -> Tensor:
     """Next-token cross entropy with causal masking: the mean over the batch
-    of each sequence's mean."""
+    of each sequence's mean.  The logits are computed at the non-pad
+    positions only (`decoder_forward`'s rows), row by row."""
     if min(len(seq) for seq in sequences) < 2:
         raise SequenceTooShortError(min(len(seq) for seq in sequences))
     ids, n = pad_ids([seq[:-1] for seq in sequences])
-    targets, _ = pad_ids([seq[1:] for seq in sequences])
-    weights = (np.arange(ids.shape[1]) < n[:, None]) / (len(sequences) * n[:, None])
-    return tc.cross_entropy(decoder_forward(params, cfg, ids), targets, weights,
-                            reduction="sum")
+    rows = np.flatnonzero(np.arange(ids.shape[1]) < n[:, None])
+    targets = [tok for seq in sequences for tok in seq[1:]]
+    weights = np.repeat(1.0 / (len(sequences) * n), n)
+    return tc.cross_entropy(decoder_forward(params, cfg, ids, rows=rows),
+                            targets, weights, reduction="sum")
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +309,21 @@ def instruction_loss(
 
     For example b, the (B, P, d) visual tokens t_g[b] and instruction tokens
     t_p[b] are non-predicted prefix positions; position (P + |t_p[b]| - 1 + l)
-    predicts s[b][l].
+    predicts s[b][l].  The logits are computed at those target positions
+    only (`decoder_forward`'s rows), example by example.
     """
     n_visual = t_g.shape[1]
     if not all(s) or n_visual + min(len(instr) for instr in t_p) < 1:
         raise EmptyTargetError()
     ids, _ = pad_ids([list(instr) + list(target)[:-1]
                       for instr, target in zip(t_p, s)])
-    logits = decoder_forward(params, cfg, ids, prefix_embeds=t_g)
-    targets = np.zeros(logits.shape[:-1], dtype=np.int64)
-    weights = np.zeros(logits.shape[:-1])
-    for row, (instr, target) in enumerate(zip(t_p, s)):
-        start = n_visual + len(instr) - 1
-        targets[row, start:start + len(target)] = target
-        weights[row, start:start + len(target)] = 1.0
-    return tc.cross_entropy(logits, targets, weights, reduction="sum")
+    width = n_visual + ids.shape[1]
+    rows = [b * width + n_visual + len(instr) - 1 + offset
+            for b, (instr, target) in enumerate(zip(t_p, s))
+            for offset in range(len(target))]
+    logits = decoder_forward(params, cfg, ids, prefix_embeds=t_g, rows=rows)
+    return tc.cross_entropy(logits, [tok for target in s for tok in target],
+                            reduction="sum")
 
 
 # ---------------------------------------------------------------------------

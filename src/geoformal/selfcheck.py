@@ -579,6 +579,8 @@ def _op_cases(rng: Rng):
          lambda r: Tensor(0.3 + 0.7 * r.uniform((2, 1, 1, 5)), requires_grad=True),
          lambda t: tc.tsum(tc.power(tc.attention(hq, hk, hv, t, heads=4), 2.0))),
     ]
+    cases.append(("take_rows", lambda r: normal(r, (2, 3, 4)),
+                  lambda t: tc.tsum(tc.power(tc.take_rows(t, [4, 0, 2]), 2.0))))
     return cases
 
 

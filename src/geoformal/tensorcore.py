@@ -258,6 +258,26 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _node(a.data[index].copy(), (a, d_a))
 
 
+def take_rows(x: Tensor, rows) -> Tensor:
+    """Rows of x with its leading axes flattened: (..., d) -> (len(rows), d)
+    for distinct integer row indices into the (prod(leading), d) view.  The
+    backward writes go into those rows of a zero array."""
+    flat = x.data.reshape(-1, x.shape[-1])
+    index = np.asarray(rows, dtype=np.int64)
+    distinct = np.unique(index)  # sorted
+    if (index.ndim != 1 or distinct.size != index.size
+            or distinct.size and (distinct[0] < 0 or distinct[-1] >= len(flat))):
+        raise ShapeMismatchError("take_rows (rows out of range or repeated)",
+                                 x.shape, index.shape)
+
+    def d_x(go):
+        full = np.zeros_like(flat)
+        full[index] = go
+        return full.reshape(x.shape)
+
+    return _node(flat[index], (x, d_x))
+
+
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def d_a(go):
         if axis is not None and not keepdims:

@@ -15,9 +15,12 @@ the loss with the fields to log.
 Each step runs its whole batch as one tape: the drawn diagrams stack to
 (B, N, d) patches, and token sequences are right-padded to the longest one
 in the batch, never to a configured maximum.  The causal masks hide the
-trailing pads from every real position, and per-position loss weights give
-the pads weight 0 (see `pretrain` and `gsformer`).  Only the Gumbel noise is
-drawn per example, each from its own Rng label.
+trailing pads from every real position.  The caption loss gives the pads
+weight 0 (`gsformer`); the decoder's losses never compute a logit there:
+pad positions, and in sft every position outside the target spans, skip the
+last decoder block's feed-forward half, the final norm and the head
+(`pretrain.decoder_forward`'s rows).  Only the Gumbel noise is drawn per
+example, each from its own Rng label.
 
 The instruction stage's model is one parameter tree, saved as one
 checkpoint: the encoder under `gs.*`, the decoder under `dec.*` and the

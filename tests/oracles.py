@@ -14,7 +14,12 @@ the out-of-place Adam formula and pins the in-place `tc.Adam.step`.
 batch-of-one forwards and pins the padded, batched
 `gsformer.alignment_loss`.  The batched losses of every stage are pinned
 against sums of batch-of-one calls with `summed_loss_and_grads` and
-`assert_grads_close`.  `reference_parse_program`,
+`assert_grads_close`.  `reference_lm_loss` and `reference_instruction_loss`
+compute the logits at every padded position and give the positions no loss
+reads weight 0; they pin the losses that run the last block's feed-forward
+half and the head only at the positions they read.  `reference_gelu` is the
+out-of-place tanh formula and its derivative, and pins the in-place
+`tc.gelu` bit for bit.  `reference_parse_program`,
 `reference_execute_program` and `reference_evaluate_beam` are the parser and
 interpreter as they were before program tokens were shared, and pin the
 current ones to the same results and errors.
@@ -434,6 +439,17 @@ def reference_layer_norm(x, gain, bias, go, eps=1e-5):
     return xhat * gain + bias, d_x, (go * xhat).sum(axis=lead), go.sum(axis=lead)
 
 
+def reference_gelu(x, go):
+    """GELU's output and its gradient for the output gradient go, out of
+    place, as `tc.gelu`'s comments state them: t = tanh(C (x + 0.044715 x^3)),
+    0.5 x (1 + t) and 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2),
+    each product grouped as `tc.gelu` groups it."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    local = 0.5 * (1.0 + t + x * ((1.0 - t * t) * (c * (1.0 + 3 * 0.044715 * (x * x)))))
+    return 0.5 * (x * (1.0 + t)), local * go
+
+
 def reference_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     """(p, m, v) after Adam step t (counted from 1) for gradient g, each a
     fresh array computed out of place."""
@@ -520,6 +536,33 @@ def assert_grads_close(got, want, rel=1e-12):
     scale = max(float(np.abs(g).max()) for g in want.values())
     for name in want:
         assert np.abs(got[name] - want[name]).max() <= rel * scale, name
+
+
+def reference_lm_loss(params, cfg, sequences):
+    """`pretrain.lm_loss` with logits at every padded position and a
+    zero-weighted cross entropy over the (B, T) grid."""
+    ids, n = gsf.pad_ids([seq[:-1] for seq in sequences])
+    targets, _ = gsf.pad_ids([seq[1:] for seq in sequences])
+    weights = (np.arange(ids.shape[1]) < n[:, None]) / (len(sequences) * n[:, None])
+    return tc.cross_entropy(pt.decoder_forward(params, cfg, ids), targets, weights,
+                            reduction="sum")
+
+
+def reference_instruction_loss(params, cfg, t_g, t_p, s):
+    """`pretrain.instruction_loss` with logits at every position of the
+    padded [t_g || t_p || s] block and a cross entropy over the (B, P + T)
+    grid that gives weight 1 to the target spans and 0 elsewhere."""
+    n_visual = t_g.shape[1]
+    ids, _ = gsf.pad_ids([list(instr) + list(target)[:-1]
+                          for instr, target in zip(t_p, s)])
+    logits = pt.decoder_forward(params, cfg, ids, prefix_embeds=t_g)
+    targets = np.zeros(logits.shape[:-1], dtype=np.int64)
+    weights = np.zeros(logits.shape[:-1])
+    for row, (instr, target) in enumerate(zip(t_p, s)):
+        start = n_visual + len(instr) - 1
+        targets[row, start:start + len(target)] = target
+        weights[row, start:start + len(target)] = 1.0
+    return tc.cross_entropy(logits, targets, weights, reduction="sum")
 
 
 def reference_pretrain_loss(patches, captions, cfg, params, rng):

@@ -29,6 +29,8 @@ from oracles import (
     assert_same_beams,
     loss_and_grads,
     reference_beam_decode,
+    reference_instruction_loss,
+    reference_lm_loss,
     summed_loss_and_grads,
 )
 
@@ -155,11 +157,34 @@ def test_lm_batch_equals_mean_of_batch_of_one_calls():
     assert_grads_close(got_grads, want_grads)
 
 
+INSTRUCTION_BATCH = ([[5, 6, 7], [8], [9, 10]], [[11, 2], [12, 13, 14, 2], [2]])
+
+
+@pytest.mark.parametrize("loss", ["lm", "instruction"])
+def test_losses_match_the_all_positions_formulation(loss):
+    """The losses compute logits only at the rows they read; the reference
+    computes them everywhere and zero-weights the rest."""
+    cfg = DecoderConfig(n_layers=2, d_lm=32, n_heads=2, vocab_size=24, max_len=40)
+    params = init_decoder_params(cfg, Rng(3))
+    t_g = Tensor(Rng(1).normal((3, 2, cfg.d_lm), std=0.5), requires_grad=True)
+    leaves = {**params, "t_g": t_g}
+    if loss == "lm":
+        fn, reference, args = lm_loss, reference_lm_loss, (LM_BATCH,)
+    else:
+        fn, reference, args = (instruction_loss, reference_instruction_loss,
+                               (t_g, *INSTRUCTION_BATCH))
+    got, got_grads = loss_and_grads(leaves, lambda: fn(params, cfg, *args))
+    want, want_grads = loss_and_grads(leaves, lambda: reference(params, cfg, *args))
+    assert got == pytest.approx(want, rel=1e-12)
+    assert_grads_close(got_grads, want_grads)
+    assert ("t_g" in got_grads) == (loss == "instruction")
+
+
 def test_padding_is_invisible_to_the_loss_and_the_gradients(monkeypatch):
     cfg, params = small_decoder()
     t_g = Tensor(Rng(1).normal((3, 2, cfg.d_lm), std=0.5), requires_grad=True)
     leaves = {**params, "t_g": t_g}
-    questions, targets = [[5, 6, 7], [8], [9, 10]], [[11, 2], [12, 13, 14, 2], [2]]
+    questions, targets = INSTRUCTION_BATCH
     runs = []
     for pad in (0, 17):
         monkeypatch.setattr(gsf, "PAD_ID", pad)
@@ -265,7 +290,7 @@ def test_instruction_batch_equals_sum_of_batch_of_one_calls():
     cfg, params = small_decoder()
     t_g = Tensor(Rng(1).normal((3, 2, cfg.d_lm), std=0.5), requires_grad=True)
     leaves = {**params, "t_g": t_g}
-    questions, targets = [[5, 6, 7], [8], [9, 10]], [[11, 2], [12, 13, 14, 2], [2]]
+    questions, targets = INSTRUCTION_BATCH
     got, got_grads = loss_and_grads(
         leaves, lambda: instruction_loss(params, cfg, t_g, questions, targets))
     want, want_grads = summed_loss_and_grads(leaves, [

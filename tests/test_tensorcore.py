@@ -19,7 +19,12 @@ from geoformal.tensorcore import (
     Tensor,
     finite_diff_grad,
 )
-from oracles import reference_adam_step, reference_attention, reference_layer_norm
+from oracles import (
+    reference_adam_step,
+    reference_attention,
+    reference_gelu,
+    reference_layer_norm,
+)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -350,6 +355,34 @@ def test_linear_is_bit_identical_to_matmul_then_add(x_shape, m):
         assert np.array_equal(got, want)
     with pytest.raises(ShapeMismatchError):
         tc.linear(inputs[0], inputs[1], Tensor(np.zeros(m + 1)))
+
+
+@pytest.mark.parametrize("shape", [(8, 39, 512), (16, 64, 256)])
+def test_gelu_is_bit_identical_to_the_out_of_place_formula(shape):
+    rng = Rng(32)
+    x = Tensor(rng.normal(shape, std=2.0), requires_grad=True)
+    go = rng.normal(shape)
+    got = _out_and_grads(tc.gelu, [x], go)
+    want = reference_gelu(x.data, go)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_take_rows_gathers_flattened_rows_and_scatters_their_gradient():
+    rng = Rng(33)
+    x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
+    rows = [4, 0, 2]
+    go = rng.normal((3, 4))
+    out, grad = _out_and_grads(lambda t: tc.take_rows(t, rows), [x], go)
+    flat = x.data.reshape(6, 4)
+    assert np.array_equal(out, flat[rows])
+    want = np.zeros((6, 4))
+    want[rows] = go
+    assert np.array_equal(grad, want.reshape(2, 3, 4))
+    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.take_rows(t, rows), 2.0)), x)
+    for bad in ([6], [-1], [1, 1], [[0, 1]]):
+        with pytest.raises(ShapeMismatchError):
+            tc.take_rows(x, bad)
 
 
 @pytest.mark.parametrize("shape", [(8, 32), (8, 64, 32), (8, 20, 128)])
