@@ -403,14 +403,23 @@ def write_pgm(pixels: np.ndarray, path: str | Path) -> None:
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5":
+    """An 8-bit P5 graymap laid out as write_pgm writes it, scaled to [0, 1];
+    a malformed header or pixel block raises ValueError naming the file."""
+    parts = Path(path).read_bytes().split(b"\n", 3)
+    if len(parts) != 4 or parts[0] != b"P5":
         raise ValueError(f"not a P5 graymap: {path}")
-    w, h = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    data = np.frombuffer(parts[3], dtype=np.uint8, count=h * w)
-    return data.reshape(h, w).astype(np.float64) / maxval
+    try:
+        w, h = (int(v) for v in parts[1].split())
+        maxval = int(parts[2])
+    except ValueError:
+        raise ValueError(f"malformed P5 header in {path}") from None
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: width and height must be >= 1, got {w} x {h}")
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"{path}: maxval must be in 1..255 (8-bit), got {maxval}")
+    if len(parts[3]) != w * h:
+        raise ValueError(f"{path}: {len(parts[3])} pixel bytes for a {w} x {h} image")
+    return np.frombuffer(parts[3], dtype=np.uint8).reshape(h, w) / maxval
 
 
 def generate_dataset(

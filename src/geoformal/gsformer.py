@@ -20,7 +20,7 @@ losses nor the gradients depend on what the pads hold.
 Mask stages: stage 0 is all ones; each sampler layer multiplies the previous
 mask by the keep column of a Gumbel-Softmax sample over per-patch keep/drop
 logits, with each example's noise drawn from its own Rng.  The
-sparsification loss is the mean L1 of all mask entries over the batch.
+sparsification loss is the mean of all mask entries (>= 0) over the batch.
 """
 
 from __future__ import annotations
@@ -121,6 +121,12 @@ def _linear_init(params, name, rng, d_in, d_out):
     params[f"{name}_b"] = tc.zeros((d_out,), requires_grad=True)
 
 
+def _mha_init(params, name, prefix, rng, d):
+    for piece in "qkvo":
+        _linear_init(params, f"{name}.{prefix}{piece}", rng.split(prefix + piece), d, d)
+    del params[f"{name}.{prefix}k_b"]  # the softmax ignores a shift shared by all keys
+
+
 def _ln_init(params, name, d):
     params[f"{name}_g"] = tc.ones((d,), requires_grad=True)
     params[f"{name}_b"] = tc.zeros((d,), requires_grad=True)
@@ -146,11 +152,9 @@ def init_params(cfg: GSFormerConfig, rng: Rng) -> dict[str, Tensor]:
     for i in range(cfg.n_layers):
         lr = r.split(f"layer{i}")
         _ln_init(p, f"layer{i}.ln1", d)
-        for piece in ("sa_q", "sa_k", "sa_v", "sa_o"):
-            _linear_init(p, f"layer{i}.{piece}", lr.split(piece), d, d)
+        _mha_init(p, f"layer{i}", "sa_", lr, d)
         _ln_init(p, f"layer{i}.ln2", d)
-        for piece in ("ca_q", "ca_k", "ca_v", "ca_o"):
-            _linear_init(p, f"layer{i}.{piece}", lr.split(piece), d, d)
+        _mha_init(p, f"layer{i}", "ca_", lr, d)
         _ln_init(p, f"layer{i}.ln3", d)
         _linear_init(p, f"layer{i}.ffn1", lr.split("ffn1"), d, 4 * d)
         _linear_init(p, f"layer{i}.ffn2", lr.split("ffn2"), 4 * d, d)
@@ -193,13 +197,13 @@ def norm(params, name, x: Tensor) -> Tensor:
 def mha(params, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
          mask: Tensor | None, cache=None) -> Tensor:
     """Multi-head attention over the last axis (leading axes batch): the
-    q/k/v projections, one `tc.attention` node over all heads, the output
-    projection.  mask is None or broadcasts against the
+    q/k/v projections (k has no bias), one `tc.attention` node over all
+    heads, the output projection.  mask is None or broadcasts against the
     (..., h, n_q, n_keys) logits: a (n_keys,) key mask, a (n_q, n_keys)
     allowed matrix, or a (B, 1, 1, n_keys) per-example key mask.  With a
     `cache` (pretrain.KVCache) the keys and values are the cache's rows."""
     q = linear(params, f"{prefix}q", x_q)
-    k = linear(params, f"{prefix}k", x_kv)
+    k = tc.matmul(x_kv, params[f"{prefix}k_w"])
     v = linear(params, f"{prefix}v", x_kv)
     if cache is not None:
         k, v = cache.extend(k, v)
@@ -327,10 +331,10 @@ def gs_former_forward(
 
 
 def sparsification_loss(state: SGSState) -> Tensor:
-    """Mean L1 of every mask entry over stages and examples; 1.0 iff all kept."""
-    total = tc.tsum(tc.absval(state.masks[0]))
+    """Mean of every mask entry (each >= 0) over stages and examples; 1.0 iff all kept."""
+    total = tc.tsum(state.masks[0])
     for m in state.masks[1:]:
-        total = tc.add(total, tc.tsum(tc.absval(m)))
+        total = tc.add(total, tc.tsum(m))
     return tc.mul(total, Tensor(1.0 / (state.n_stages * state.masks[0].data.size)))
 
 

@@ -39,7 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensorcore as tc
-from .gsformer import INIT_STD, _linear_init, _ln_init, ffn, linear, mha, norm, pad_ids
+from .gsformer import (INIT_STD, _linear_init, _ln_init, _mha_init, ffn, linear, mha,
+                       norm, pad_ids)
 from .tensorcore import Rng, Tensor
 
 
@@ -64,8 +65,7 @@ class EmptyTargetError(ValueError):
 
 def _block_init(p: dict[str, Tensor], name: str, rng: Rng, d: int) -> None:
     _ln_init(p, f"{name}.ln1", d)
-    for piece in ("sa_q", "sa_k", "sa_v", "sa_o"):
-        _linear_init(p, f"{name}.{piece}", rng.split(piece), d, d)
+    _mha_init(p, name, "sa_", rng, d)
     _ln_init(p, f"{name}.ln2", d)
     _linear_init(p, f"{name}.ffn1", rng.split("ffn1"), d, 4 * d)
     _linear_init(p, f"{name}.ffn2", rng.split("ffn2"), 4 * d, d)

@@ -14,9 +14,9 @@ construction entirely.
 
 The model's layers are fused ops, one node each with a hand-written
 backward: `linear` (x @ w + b), `attention` (head split, scaled scores,
-softmax or masked softmax, weighted sum and head merge) and `layer_norm`.
-Their arithmetic is that of the composed primitives, so results do not
-depend on which form built the tape.
+softmax or masked softmax, weighted sum and head merge), `layer_norm` and
+`l2_normalize` (x over its L2 norm).  Their arithmetic is that of the
+composed primitives, so results do not depend on which form built the tape.
 """
 
 from __future__ import annotations
@@ -171,24 +171,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                  (a, lambda go: go * b.data), (b, lambda go: go * a.data))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _node(_broadcasting("div", np.divide, a, b),
-                 (a, lambda go: go / b.data),
-                 (b, lambda go: -go * a.data / (b.data * b.data)))
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    return _node(a.data ** exponent,
-                 (a, lambda go: go * exponent * a.data ** (exponent - 1.0)))
-
-
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
     return _node(data, (a, lambda go: go * data))
-
-
-def absval(a: Tensor) -> Tensor:
-    return _node(np.abs(a.data), (a, lambda go: go * np.sign(a.data)))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -459,9 +444,17 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Unit L2 norm over the last axis, composed from primitives."""
-    norm = power(add(tsum(mul(x, x), axis=-1, keepdims=True), Tensor(eps)), 0.5)
-    return div(x, norm)
+    """x / (sum(x * x) + eps) ** 0.5 over the last axis as one node, in the
+    arithmetic and order of the composed mul, sum, add, power and divide."""
+    xd = x.data
+    s = (xd * xd).sum(axis=-1, keepdims=True) + eps
+    n = s ** 0.5
+
+    def d_x(go):  # the divide's gradient, then twice that of x * x via n, s
+        gx = (-go * xd / (n * n)).sum(axis=-1, keepdims=True) * 0.5 * s ** -0.5 * xd
+        return go / n + gx + gx
+
+    return _node(xd / n, (x, d_x))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ the uncached beam search: it re-runs the full decoder for every hypothesis at
 every step and pins the KV-cached `pretrain.beam_decode`.  The fused
 tensorcore ops are pinned against compositions of primitives:
 `reference_linear` (matmul, then add), `reference_attention` (one head at a
-time), `reference_mha` (built from those two) and `reference_layer_norm`
-(np.mean / np.var and the textbook backward).  `reference_adam_step` is
+time), `reference_mha` (built from those two), `reference_layer_norm`
+(np.mean / np.var and the textbook backward) and `reference_l2_normalize`
+(the composed map's arithmetic in numpy).  `reference_adam_step` is
 the out-of-place Adam formula and pins the in-place `tc.Adam.step`.
 `reference_alignment_loss` projects and fuses one example at a time from
 batch-of-one forwards and pins the padded, batched
@@ -417,10 +418,10 @@ def reference_attention(q, k, v, mask=None, heads=1):
 
 
 def reference_mha(params, prefix, x_q, x_kv, n_heads, mask):
-    """Multi-head attention from composed projections and the per-head
-    `reference_attention`."""
+    """Multi-head attention from composed projections (the keys' without a
+    bias) and the per-head `reference_attention`."""
     q = reference_linear(params, f"{prefix}q", x_q)
-    k = reference_linear(params, f"{prefix}k", x_kv)
+    k = tc.matmul(x_kv, params[f"{prefix}k_w"])
     v = reference_linear(params, f"{prefix}v", x_kv)
     return reference_linear(params, f"{prefix}o",
                             reference_attention(q, k, v, mask, n_heads))
@@ -448,6 +449,19 @@ def reference_gelu(x, go):
     t = np.tanh(c * (x + 0.044715 * (x * x * x)))
     local = 0.5 * (1.0 + t + x * ((1.0 - t * t) * (c * (1.0 + 3 * 0.044715 * (x * x)))))
     return 0.5 * (x * (1.0 + t)), local * go
+
+
+def reference_l2_normalize(x, go, eps=1e-12):
+    """x / n over the last axis, n = (sum x^2 + eps) ** 0.5, and its gradient
+    for the output gradient go, in the order of the composed mul, sum, add,
+    power and divide: the divide's gradient go / n, then twice g * x, where g
+    broadcasts the power's d_n * 0.5 * s ** -0.5 and the sum's d_n is
+    sum(-go * x / (n * n))."""
+    s = np.sum(x * x, axis=-1, keepdims=True) + eps
+    n = s ** 0.5
+    d_n = np.sum(-go * x / (n * n), axis=-1, keepdims=True)
+    g = np.broadcast_to(d_n * 0.5 * s ** -0.5, x.shape)
+    return x / n, (go / n + g * x) + g * x
 
 
 def reference_adam_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -529,12 +543,10 @@ def summed_loss_and_grads(params, loss_fns, scale=1.0):
 
 def assert_grads_close(got, want, rel=1e-12):
     """Same parameters receive a gradient; every difference is within `rel`
-    of the largest gradient entry of the model.  (Entries whose true value is
-    0, such as attention key biases, carry rounding noise only, so an
-    element-wise relative check would be meaningless there.)"""
+    of the largest gradient entry of its own parameter."""
     assert got.keys() == want.keys()
-    scale = max(float(np.abs(g).max()) for g in want.values())
     for name in want:
+        scale = float(np.abs(want[name]).max())
         assert np.abs(got[name] - want[name]).max() <= rel * scale, name
 
 

@@ -591,6 +591,29 @@ def test_decode_takes_the_patch_size_from_the_checkpoint(tmp_path, capsys):
     assert all(table.values())
 
 
+def test_decode_and_train_refuse_a_malformed_diagram(dataset, tmp_path, capsys):
+    out = tmp_path / "sft"
+    code, _ = run_cli(
+        capsys, "train-toy", "--stage", "sft", "--data", str(dataset),
+        "--seed", "1", "--out", str(out), "--steps", "0",
+    )
+    assert code == 0
+    # the first diagram says maxval 0: read as is, it would decode NaN pixels
+    bad = tmp_path / "bad"
+    shutil.copytree(dataset, bad)
+    first = bad / json.loads((bad / "problems.jsonl").read_text().splitlines()[0])["diagram"]
+    first.write_bytes(first.read_bytes().replace(b"\n255\n", b"\n0\n", 1))
+    err = assert_data_error(
+        capsys, "decode", "--ckpt", str(out), "--problems", str(bad),
+        "--beam", "2", "--max-len", "4", "--out", str(tmp_path / "cands.jsonl"))
+    assert str(first) in err and "maxval must be in 1..255" in err
+    assert not (tmp_path / "cands.jsonl").exists()
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "align", "--data", str(bad),
+        "--seed", "1", "--out", str(tmp_path / "align"), "--steps", "1")
+    assert str(first) in err
+
+
 def test_decode_has_no_patch_flag(dataset, tmp_path, capsys):
     assert dispatch([
         "decode", "--ckpt", str(tmp_path / "sft"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,26 @@ def test_pgm_roundtrip(tmp_path):
     back = read_pgm(path)
     assert back.shape == (32, 48)
     assert np.abs(back - pixels).max() <= 0.5 / 255 + 1e-12
+
+
+@pytest.mark.parametrize("header, pixels, message", [
+    (b"P5\n0 4\n255\n", b"", "width and height must be >= 1, got 0 x 4"),
+    (b"P5\n64 -64\n255\n", bytes(4096), "width and height must be >= 1, got 64 x -64"),
+    (b"P5\n4 4\n0\n", bytes(16), "maxval must be in 1..255 (8-bit), got 0"),
+    (b"P5\n4 4\n65535\n", bytes(32), "maxval must be in 1..255 (8-bit), got 65535"),
+    (b"P5\n4 4\n255\n", bytes(15), "15 pixel bytes for a 4 x 4 image"),
+    (b"P5\n4 4\n255\n", bytes(17), "17 pixel bytes for a 4 x 4 image"),
+    (b"P5\n4 x\n255\n", bytes(16), "malformed P5 header"),
+    (b"P5\n4 4\n", b"", "not a P5 graymap"),
+    (b"P5\n4 4\n255", b"", "not a P5 graymap"),
+], ids=["zero-width", "negative-height", "maxval-0", "maxval-16-bit", "short-block",
+        "long-block", "non-integer-size", "truncated-header", "no-pixel-block"])
+def test_read_pgm_refuses_a_malformed_graymap(tmp_path, header, pixels, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + pixels)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        read_pgm(path)
+    assert str(path) in str(info.value)
 
 
 def test_generate_dataset_reproducible(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from geoformal import pretrain as pt
+from geoformal import selfcheck
 from geoformal import tensorcore as tc
 from geoformal.tensorcore import (
     Adam,
@@ -23,6 +25,7 @@ from oracles import (
     reference_adam_step,
     reference_attention,
     reference_gelu,
+    reference_l2_normalize,
     reference_layer_norm,
 )
 
@@ -43,6 +46,10 @@ def assert_grad_matches(build, x: Tensor, tol: float = 1e-3, h: float = 1e-5):
 
 def rand(rng: Rng, shape, lo=-1.0, hi=1.0) -> Tensor:
     return Tensor(lo + (hi - lo) * rng.uniform(shape), requires_grad=True)
+
+
+def square(y: Tensor) -> Tensor:
+    return tc.mul(y, y)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +114,7 @@ def test_embedding_lookup_takes_ids_of_any_shape():
     tc.tsum(out).backward()
     assert np.array_equal(table.grad, [[1, 1, 1], [0, 0, 0], [2, 2, 2], [1, 1, 1]])
     assert_grad_matches(
-        lambda t: tc.tsum(tc.power(tc.embedding_lookup(t, [[0, 3, 3], [1, 0, 2]]), 2.0)),
+        lambda t: tc.tsum(square(tc.embedding_lookup(t, [[0, 3, 3], [1, 0, 2]]))),
         rand(Rng(20), (4, 3)))
 
 
@@ -125,15 +132,41 @@ def test_grad_elementwise_ops():
         lambda t: tc.tsum(tc.sub(t, other)),
         lambda t: tc.tsum(tc.mul(t, other)),
         lambda t: tc.tsum(tc.mul(t, row)),          # broadcast mul
-        lambda t: tc.tsum(tc.div(t, other)),
-        lambda t: tc.tsum(tc.power(t, 2.0)),
-        lambda t: tc.tsum(tc.power(t, 0.5)),
         lambda t: tc.tsum(tc.exp(t)),
-        lambda t: tc.tsum(tc.absval(t)),
         lambda t: tc.tsum(tc.gelu(t)),
     ]
     for case in cases:
         assert_grad_matches(case, rand(rng, (3, 4), lo=0.2, hi=2.0))
+
+
+def test_gradcheck_calls_every_node_building_op_directly(monkeypatch):
+    """Every public op whose own body builds a tape node is called by at
+    least one gradcheck row's builder itself, not only from inside another
+    op, so no fused op goes without a finite-difference audit."""
+    public = {name: fn for name, fn in vars(tc).items()
+              if inspect.isfunction(fn) and not name.startswith("_")
+              and fn.__module__ == tc.__name__}
+    node_ops = sorted(name for name, fn in public.items()
+                      if "_node(" in inspect.getsource(fn))
+    assert {"add", "linear", "attention", "layer_norm", "l2_normalize"} <= set(node_ops)
+    direct = dict.fromkeys(public, 0)
+    depth = [0]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            direct[name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name, fn in public.items():
+        monkeypatch.setattr(tc, name, counted(name, fn))
+    for name, make_input, build in selfcheck._op_cases(Rng(1).split("cases")):
+        build(make_input(Rng(1).split(name)))
+    assert [name for name in node_ops if not direct[name]] == []
 
 
 def test_grad_shape_ops():
@@ -141,13 +174,13 @@ def test_grad_shape_ops():
     other = Tensor(rng.uniform((2, 4)))
     cases = [
         lambda t: tc.tsum(tc.mul(tc.transpose(t), tc.transpose(t))),
-        lambda t: tc.tsum(tc.power(tc.reshape(t, (12,)), 2.0)),
-        lambda t: tc.tsum(tc.power(tc.concat([t, other], axis=0), 2.0)),
-        lambda t: tc.tsum(tc.power(tc.narrow(t, 0, 1, 2), 2.0)),
-        lambda t: tc.tsum(tc.power(tc.narrow(t, 1, 1, 3), 2.0)),
-        lambda t: tc.power(tc.tsum(t, axis=0, keepdims=False) @ Tensor(np.ones(4)) if False else tc.tsum(tc.mul(t, t), axis=None), 1.0),
-        lambda t: tc.tsum(tc.power(tc.mean_pool(t, axis=0), 2.0)),
-        lambda t: tc.tsum(tc.power(tc.mean_pool(t, axis=1), 2.0)),
+        lambda t: tc.tsum(square(tc.reshape(t, (12,)))),
+        lambda t: tc.tsum(square(tc.concat([t, other], axis=0))),
+        lambda t: tc.tsum(square(tc.narrow(t, 0, 1, 2))),
+        lambda t: tc.tsum(square(tc.narrow(t, 1, 1, 3))),
+        lambda t: tc.tsum(tc.mul(t, t)),
+        lambda t: tc.tsum(square(tc.mean_pool(t, axis=0))),
+        lambda t: tc.tsum(square(tc.mean_pool(t, axis=1))),
     ]
     for case in cases:
         assert_grad_matches(case, rand(rng, (3, 4)))
@@ -157,9 +190,9 @@ def test_grad_matmul_both_sides():
     rng = Rng(4)
     left = Tensor(rng.normal((3, 5)))
     right = Tensor(rng.normal((5, 2)))
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.matmul(t, right), 2.0)),
+    assert_grad_matches(lambda t: tc.tsum(square(tc.matmul(t, right))),
                         rand(rng, (3, 5)))
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.matmul(left, t), 2.0)),
+    assert_grad_matches(lambda t: tc.tsum(square(tc.matmul(left, t))),
                         rand(rng, (5, 2)))
 
 
@@ -187,15 +220,15 @@ def test_batched_matmul_and_transpose_grads():
     rng = Rng(15)
     left = Tensor(rng.normal((3, 2, 5)))
     right = Tensor(rng.normal((3, 5, 4)))
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.matmul(t, right), 2.0)),
+    assert_grad_matches(lambda t: tc.tsum(square(tc.matmul(t, right))),
                         rand(rng, (3, 2, 5)))
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.matmul(left, t), 2.0)),
+    assert_grad_matches(lambda t: tc.tsum(square(tc.matmul(left, t))),
                         rand(rng, (3, 5, 4)))
     # the broadcast 2-D operand sums its gradient over the batch
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.matmul(left, t), 2.0)),
+    assert_grad_matches(lambda t: tc.tsum(square(tc.matmul(left, t))),
                         rand(rng, (5, 4)))
     assert_grad_matches(
-        lambda t: tc.tsum(tc.power(tc.matmul(tc.transpose(t), right), 2.0)),
+        lambda t: tc.tsum(square(tc.matmul(tc.transpose(t), right))),
         rand(rng, (3, 5, 2)))
 
 
@@ -224,7 +257,7 @@ def test_attention_takes_leading_batch_axes():
         one = tc.attention(q, Tensor(k.data[i]), Tensor(v.data[i]),
                            Tensor(mask.data[i, 0]))
         assert np.allclose(out.data[i], one.data, rtol=0.0, atol=1e-12)
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.attention(q, t, v, mask), 2.0)),
+    assert_grad_matches(lambda t: tc.tsum(square(tc.attention(q, t, v, mask))),
                         rand(rng, (3, 5, 4)))
     with pytest.raises(ShapeMismatchError):
         tc.attention(q, Tensor(rng.normal((3, 5, 3))), v)
@@ -252,13 +285,13 @@ def test_grad_softmax_and_layer_norm():
     bias = Tensor(rng.normal((4,), std=0.5), requires_grad=True)
     x = rand(rng, (3, 4))
     assert_grad_matches(
-        lambda t: tc.tsum(tc.power(tc.layer_norm(t, gain, bias), 2.0)), x
+        lambda t: tc.tsum(square(tc.layer_norm(t, gain, bias))), x
     )
     assert_grad_matches(
-        lambda g: tc.tsum(tc.power(tc.layer_norm(x, g, bias), 2.0)), gain
+        lambda g: tc.tsum(square(tc.layer_norm(x, g, bias))), gain
     )
     assert_grad_matches(
-        lambda b: tc.tsum(tc.power(tc.layer_norm(x, gain, b), 2.0)), bias
+        lambda b: tc.tsum(square(tc.layer_norm(x, gain, b))), bias
     )
 
 
@@ -379,10 +412,26 @@ def test_take_rows_gathers_flattened_rows_and_scatters_their_gradient():
     want = np.zeros((6, 4))
     want[rows] = go
     assert np.array_equal(grad, want.reshape(2, 3, 4))
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.take_rows(t, rows), 2.0)), x)
+    assert_grad_matches(lambda t: tc.tsum(square(tc.take_rows(t, rows))), x)
     for bad in ([6], [-1], [1, 1], [[0, 1]]):
         with pytest.raises(ShapeMismatchError):
             tc.take_rows(x, bad)
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (2, 3, 5)])
+def test_l2_normalize_is_bit_identical_to_the_composed_map(shape):
+    rng = Rng(34)
+    x = Tensor(rng.normal(shape), requires_grad=True)
+    go = rng.normal(shape)
+    out, grad = _out_and_grads(tc.l2_normalize, [x], go)
+    want = reference_l2_normalize(x.data, go)
+    assert np.array_equal(out, want[0])
+    assert np.array_equal(grad, want[1])
+    # and the textbook derivative of x / |x|: (go - y (y . go)) / |x|
+    norm = np.linalg.norm(x.data, axis=-1, keepdims=True)
+    assert np.allclose(out, x.data / norm, rtol=1e-12, atol=0.0)
+    textbook = (go - out * (out * go).sum(axis=-1, keepdims=True)) / norm
+    assert np.abs(grad - textbook).max() <= 1e-12 * np.abs(textbook).max()
 
 
 @pytest.mark.parametrize("shape", [(8, 32), (8, 64, 32), (8, 20, 128)])
@@ -475,7 +524,7 @@ def test_saturated_mask_gradient_summed_over_a_broadcast_stays_finite():
 def test_grad_embedding_lookup():
     rng = Rng(7)
     assert_grad_matches(
-        lambda t: tc.tsum(tc.power(tc.embedding_lookup(t, [0, 2, 2, 1]), 2.0)),
+        lambda t: tc.tsum(square(tc.embedding_lookup(t, [0, 2, 2, 1]))),
         rand(rng, (4, 3)),
     )
 
@@ -527,10 +576,10 @@ def test_grad_attention_all_inputs():
     k = Tensor(rng.normal((5, 4)))
     v = Tensor(rng.normal((5, 3)))
     mask = Tensor(0.3 + 0.7 * rng.uniform((5,)), requires_grad=True)
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.attention(t, k, v, mask), 2.0)), rand(rng, (2, 4)))
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.attention(q, t, v, mask), 2.0)), rand(rng, (5, 4)))
-    assert_grad_matches(lambda t: tc.tsum(tc.power(tc.attention(q, k, t, mask), 2.0)), rand(rng, (5, 3)))
-    assert_grad_matches(lambda m: tc.tsum(tc.power(tc.attention(q, k, v, m), 2.0)), mask)
+    assert_grad_matches(lambda t: tc.tsum(square(tc.attention(t, k, v, mask))), rand(rng, (2, 4)))
+    assert_grad_matches(lambda t: tc.tsum(square(tc.attention(q, t, v, mask))), rand(rng, (5, 4)))
+    assert_grad_matches(lambda t: tc.tsum(square(tc.attention(q, k, t, mask))), rand(rng, (5, 3)))
+    assert_grad_matches(lambda m: tc.tsum(square(tc.attention(q, k, v, m))), mask)
 
 
 def test_grad_gumbel_soft_with_frozen_noise():
@@ -665,7 +714,7 @@ def test_cross_entropy_sum_is_count_times_mean():
 
 def test_finite_diff_sum_of_squares():
     grad = finite_diff_grad(
-        lambda t: tc.tsum(tc.power(t, 2.0)), Tensor([1.0, 2.0])
+        lambda t: tc.tsum(tc.mul(t, t)), Tensor([1.0, 2.0])
     )
     assert np.allclose(grad, [2.0, 4.0], atol=1e-6)
 
@@ -724,7 +773,7 @@ def test_adam_minimizes_quadratic():
     opt = Adam({"x": x}, lr=0.1)
     for _ in range(300):
         opt.zero_grad()
-        tc.tsum(tc.power(x, 2.0)).backward()
+        tc.tsum(tc.mul(x, x)).backward()
         opt.step()
     assert np.all(np.abs(x.data) < 1e-3)
 
@@ -821,7 +870,7 @@ def test_checkpoint_rejects_malformed_sidecar(tmp_path, edit, message):
 def test_no_grad_skips_tape():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with tc.no_grad():
-        y = tc.tsum(tc.power(x, 2.0))
+        y = tc.tsum(tc.mul(x, x))
     assert not y.requires_grad
     assert y._parents == ()
 
@@ -850,7 +899,7 @@ def test_forward_backward_reproducible_bitwise():
         noise_rng = rng.split("gumbel")
         h = tc.gelu(tc.matmul(x, w))
         g = tc.gumbel_softmax(h, tau=1.0, hard=False, rng=noise_rng)
-        loss = tc.tsum(tc.power(g, 2.0))
+        loss = tc.tsum(tc.mul(g, g))
         loss.backward()
         return loss.item(), x.grad.copy(), w.grad.copy()
 

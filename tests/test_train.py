@@ -174,7 +174,7 @@ def test_frozen_encoder_builds_no_gradients(dataset, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("stage, freeze, nodes", [
-    ("mae", False, 38), ("lm", False, 32), ("align", False, 206),
+    ("mae", False, 38), ("lm", False, 32), ("align", False, 196),
     ("sft", False, 133), ("sft", True, 35),
 ], ids=["mae", "lm", "align", "sft", "sft-frozen"])
 def test_tape_nodes_per_step_at_the_default_config(dataset, tmp_path, monkeypatch,
