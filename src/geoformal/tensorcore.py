@@ -6,11 +6,13 @@ whose input requires a gradient: constants (input batches, masks, scalar
 factors) are never on the tape and never get a `.grad`.  `Tensor.backward()`
 walks the graph once in reverse topological order and is the one place that
 runs the rules, sums broadcast axes back to each input's shape and adds the
-result into `.grad`.  Ops never mutate their inputs.  The Adam optimizer
-writes only its own moment estimates, its scratch and the parameter data,
-all in place: after the first step, which allocates the scratch, a step
-allocates no arrays.  Wrap inference code in `no_grad()` to skip tape
-construction entirely.
+result into `.grad`.  It consumes the graph as it goes: a node drops its
+rules and `.grad` once they have run, so a step's peak memory is its forward
+activations, and only leaves keep `.grad`.  Ops never mutate their inputs.
+The Adam optimizer writes only its own moment estimates, its scratch and the
+parameter data, all in place: after the first step, which allocates the
+scratch, a step allocates no arrays.  Wrap inference code in `no_grad()` to
+skip tape construction entirely.
 
 The model's layers are fused ops, one node each with a hand-written
 backward: `linear` (x @ w + b), `attention` (head split, scaled scores,
@@ -72,8 +74,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        # (input, rule) pairs of a tape node; empty for leaves and constants
-        self._parents: tuple[tuple[Tensor, Rule], ...] = ()
+        # (input, rule) pairs of a tape node; empty for leaves and constants,
+        # None once a backward has consumed the node
+        self._parents: tuple[tuple[Tensor, Rule], ...] | None = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,7 +91,13 @@ class Tensor:
 
     def backward(self) -> None:
         """Run every node's rules in reverse topological order, summing each
-        gradient back to its input's shape and adding it into `.grad`."""
+        gradient back to its input's shape and adding it into `.grad`.
+
+        Backward consumes the graph: once a node's rules have run, the node
+        drops them and its `.grad`, so each activation, array a rule closed
+        over and intermediate gradient is freed as soon as nothing upstream
+        still needs it.  Only leaves keep `.grad`.  A second backward through
+        a consumed node raises ValueError."""
         if self.data.size != 1:
             raise ShapeMismatchError("backward (scalar required)", self.shape)
         topo: list[Tensor] = []
@@ -101,15 +110,23 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise ValueError("backward: the graph was already consumed by "
+                                 "an earlier backward(); build it again")
             visited.add(id(node))
             stack.append((node, True))
             for parent, _ in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            for parent, rule in node._parents:
-                g = _unbroadcast(rule(node.grad), parent.shape)
+        while topo:
+            node = topo.pop()
+            parents, go = node._parents, node.grad
+            if not parents:
+                continue  # a leaf keeps its .grad
+            node._parents = node.grad = None
+            for parent, rule in parents:
+                g = _unbroadcast(rule(go), parent.shape)
                 parent.grad = g if parent.grad is None else parent.grad + g
 
 
@@ -722,11 +739,11 @@ class Adam:
         Parameters whose grad is None are skipped.  Only the first step
         allocates (the scratch); later steps allocate no arrays."""
         if self._scratch is None:
-            # Allocated here, not in __init__, so that it tends to land above
-            # the first step's tape on the heap.  Live for the whole run, it
-            # then keeps glibc from trimming the freed tape memory under it
-            # after each step, and the next step reuses those pages instead of
-            # faulting them back in.  Only speed depends on where it lands.
+            # Only speed depends on where this lands on the heap: a live block
+            # above the memory a step frees keeps glibc from trimming it, so
+            # the next step reuses those pages instead of faulting them back
+            # in.  Backward frees the tape before the first step gets here,
+            # so the scratch no longer reliably lands above it.
             self._scratch = np.empty(
                 (2, max((p.data.size for p in self.params.values()), default=0)))
         self.t += 1

@@ -238,8 +238,6 @@ def _run_loop(
             opt.step()
             log.write(json.dumps({"step": step, **last}, sort_keys=True,
                                  allow_nan=False) + "\n")
-            # free this step's tape before the next step builds its own
-            del loss
     tc.save_params(params, out_prefix)
     snapshot = {"schema": 1, **asdict(config), "seed": seed, "stage": stage}
     tc.checkpoint_path(out_prefix, ".config.json").write_text(

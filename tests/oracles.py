@@ -20,7 +20,10 @@ compute the logits at every padded position and give the positions no loss
 reads weight 0; they pin the losses that run the last block's feed-forward
 half and the head only at the positions they read.  `reference_gelu` is the
 out-of-place tanh formula and its derivative, and pins the in-place
-`tc.gelu` bit for bit.  `reference_parse_program`,
+`tc.gelu` bit for bit.  `reference_backward` is the graph-retaining walk
+that `Tensor.backward` was before it consumed the graph, and pins its
+gradients bit for bit; `tape_nodes` lists the nodes a backward must
+release.  `reference_parse_program`,
 `reference_execute_program` and `reference_evaluate_beam` are the parser and
 interpreter as they were before program tokens were shared, and pin the
 current ones to the same results and errors.
@@ -513,6 +516,49 @@ def reference_alignment_loss(features, caption_logits, caption_targets, params):
         targets.extend(ids[1:])
     l_caption = tc.cross_entropy(tc.concat(rows, axis=0), targets)
     return l_contrast, l_match, l_caption
+
+
+# ---------------------------------------------------------------------------
+# Backward
+# ---------------------------------------------------------------------------
+
+def tape_nodes(root: Tensor) -> list[Tensor]:
+    """Every node with rules that `root` reaches, read before its backward."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(parent for parent, _ in node._parents)
+    return nodes
+
+
+def reference_backward(root: Tensor) -> None:
+    """`Tensor.backward` as it was before backward consumed the graph: the
+    same walk and the same arithmetic in the same order, but every node keeps
+    its rules and its `.grad`, so the whole tape lives until it is dropped."""
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        for parent, rule in node._parents:
+            g = tc._unbroadcast(rule(node.grad), parent.shape)
+            parent.grad = g if parent.grad is None else parent.grad + g
 
 
 # ---------------------------------------------------------------------------

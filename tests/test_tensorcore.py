@@ -24,9 +24,11 @@ from geoformal.tensorcore import (
 from oracles import (
     reference_adam_step,
     reference_attention,
+    reference_backward,
     reference_gelu,
     reference_l2_normalize,
     reference_layer_norm,
+    tape_nodes,
 )
 
 
@@ -908,3 +910,66 @@ def test_forward_backward_reproducible_bitwise():
     assert l1 == l2
     assert np.array_equal(gx1, gx2)
     assert np.array_equal(gw1, gw2)
+
+
+# ---------------------------------------------------------------------------
+# Backward consumes the graph
+# ---------------------------------------------------------------------------
+
+def consumed_three_times(rng):
+    x, w = rand(rng, (3, 4)), rand(rng, (3, 4))
+    y = tc.mul(x, w)
+    loss = tc.tsum(tc.add(tc.add(tc.mul(y, Tensor(2.0)), tc.exp(y)), tc.gelu(y)))
+    return loss, [x, w]
+
+
+def add_hands_go_to_both(rng):
+    # add's rule passes the same go array to both inputs; x is reached twice
+    x, w = rand(rng, (2, 5)), rand(rng, (2, 5))
+    s = tc.add(tc.mul(x, w), x)
+    return tc.tsum(tc.mul(s, tc.add(w, x))), [x, w]
+
+
+def broadcast_bias(rng):
+    x, w, b, c = rand(rng, (2, 3, 4)), rand(rng, (4, 5)), rand(rng, (5,)), rand(rng, (1, 5))
+    h = tc.add(tc.linear(x, w, b), c)
+    return tc.tsum(tc.mul(tc.gelu(h), h)), [x, w, b, c]
+
+
+def attention_shared_memo(rng):
+    # the q, k and mask rules share one score gradient through _per_go
+    q, k, v = rand(rng, (2, 3, 4)), rand(rng, (2, 5, 4)), rand(rng, (2, 5, 6))
+    mask = Tensor(0.3 + 0.7 * rng.uniform((2, 1, 1, 5)), requires_grad=True)
+    out = tc.attention(q, k, v, mask, heads=2)
+    return tc.tsum(tc.mul(out, out)), [q, k, v, mask]
+
+
+@pytest.mark.parametrize("build", [consumed_three_times, add_hands_go_to_both,
+                                   broadcast_bias, attention_shared_memo])
+def test_backward_matches_the_graph_retaining_walk(build):
+    """Leaf gradients are bit-identical to those of the walk that keeps the
+    whole tape, and afterwards no tape node keeps a `.grad` or a rule."""
+    loss, leaves = build(Rng(29))
+    reference_backward(loss)
+    want = [x.grad for x in leaves]
+    loss, leaves = build(Rng(29))
+    tape = tape_nodes(loss)
+    loss.backward()
+    assert all(np.array_equal(x.grad, g) for x, g in zip(leaves, want))
+    assert tape
+    assert [t.shape for t in tape if t._parents or t.grad is not None] == []
+
+
+def test_a_consumed_graph_refuses_a_second_backward():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = tc.mul(x, Tensor(3.0))
+    loss = tc.tsum(tc.mul(y, y))
+    loss.backward()
+    assert np.array_equal(x.grad, [18.0, 36.0])
+    with pytest.raises(ValueError, match="already consumed"):
+        loss.backward()
+    # so does a new graph that reaches a node an earlier backward released
+    with pytest.raises(ValueError, match="already consumed"):
+        tc.tsum(y).backward()
+    assert np.array_equal(x.grad, [18.0, 36.0])
+    assert np.array_equal(y.data, [3.0, 6.0]) and loss.item() == 45.0

@@ -17,8 +17,10 @@ from geoformal.tensorcore import Rng, Tensor
 from oracles import (
     assert_grads_close,
     loss_and_grads,
+    reference_backward,
     reference_pretrain_loss,
     summed_loss_and_grads,
+    tape_nodes,
 )
 
 
@@ -202,15 +204,23 @@ def test_a_training_step_gives_constants_no_gradient(dataset, tmp_path,
                                                      monkeypatch, stage):
     """Patch batches, MAE masked rows, causal and caption masks and scalar
     factors are constants: after a step's backward none holds a `.grad`,
-    and every tape node lists only inputs that require a gradient."""
-    created = []
-    init = Tensor.__init__
+    and every tape node lists only inputs that require a gradient when it
+    is created (backward empties the lists it consumes)."""
+    created, nodes = [], []
+    init, node = Tensor.__init__, tc._node
 
     def recording_init(self, data, requires_grad=False):
         init(self, data, requires_grad)
         created.append(self)
 
+    def recording_node(*args):
+        out = node(*args)
+        if out._parents:
+            nodes.append([p.requires_grad for p, _ in out._parents])
+        return out
+
     monkeypatch.setattr(Tensor, "__init__", recording_init)
+    monkeypatch.setattr(tc, "_node", recording_node)
     config = small_config(dataset)
     config.stages[stage].steps = 1
     tr.run_stage(stage, dataset, config, 3, tmp_path / stage)
@@ -228,9 +238,40 @@ def test_a_training_step_gives_constants_no_gradient(dataset, tmp_path,
     assert patch_batch in shapes and () in shapes
     assert any(map(is_mask, shapes))
     assert [t.shape for t in constants if t.grad is not None] == []
-    nodes = [t for t in created if t._parents]
     assert nodes
-    assert all(p.requires_grad for t in nodes for p, _ in t._parents)
+    assert all(all(flags) for flags in nodes)
+
+
+@pytest.mark.parametrize("stage", ["mae", "lm", "align", "sft"])
+def test_a_step_backward_matches_the_graph_retaining_walk(dataset, tmp_path,
+                                                          monkeypatch, stage):
+    """Step 0's parameter gradients are bit-identical to those of the walk
+    that keeps the whole tape, and the backward leaves no tape node with a
+    `.grad` or a rule."""
+    captured = []
+
+    def capture(*args):  # _run_loop's arguments end in params, step_loss
+        captured.extend(args[-2:])
+        return {}
+
+    monkeypatch.setattr(tr, "_run_loop", capture)
+    tr.run_stage(stage, dataset, small_config(dataset), 3, tmp_path / stage)
+    params, step_loss = captured
+
+    def step_grads(backward):
+        for p in params.values():
+            p.grad = None
+        loss, _ = step_loss(0, Rng(3).split("step0"))
+        tape = tape_nodes(loss)
+        backward(loss)
+        return tape, {k: p.grad for k, p in params.items() if p.grad is not None}
+
+    _, want = step_grads(reference_backward)
+    tape, got = step_grads(Tensor.backward)
+    assert want and got.keys() == want.keys()
+    assert [k for k in want if not np.array_equal(got[k], want[k])] == []
+    assert tape
+    assert [t.shape for t in tape if t._parents or t.grad is not None] == []
 
 
 def test_stage_runs_are_deterministic(dataset, tmp_path):
