@@ -394,12 +394,15 @@ def default_vocab() -> Vocab:
 # Dataset files
 # ---------------------------------------------------------------------------
 
-def write_pgm(pixels: np.ndarray, path: str | Path) -> None:
+def pgm_bytes(pixels: np.ndarray) -> bytes:
+    """(h, w) pixels in [0, 1] as an 8-bit binary P5 graymap."""
     h, w = pixels.shape
     data = np.clip(np.round(pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes()
+
+
+def write_pgm(pixels: np.ndarray, path: str | Path) -> None:
+    Path(path).write_bytes(pgm_bytes(pixels))
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -424,34 +427,36 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
 def generate_dataset(
     n: int, seed: int, out_dir: str | Path, cfg: SynthConfig | None = None
-) -> list[SyntheticProblem]:
-    """Write problems.jsonl, captions.txt, vocab.txt, and PGM diagrams.
+) -> list[ProblemRecord]:
+    """Write problems.jsonl, captions.txt, vocab.txt, and PGM diagrams;
+    return the records problems.jsonl holds.
 
-    Byte-for-byte reproducible from (n, seed, cfg).
+    Each diagram is encoded to its 8-bit PGM bytes as soon as it is drawn,
+    so a problem holds about 5 KB until the files are written after the
+    drawing loop.  Byte-for-byte reproducible from (n, seed, cfg).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     cfg = cfg or SynthConfig()
-    out = Path(out_dir)
-    (out / "diagrams").mkdir(parents=True, exist_ok=True)
+    h, w = cfg.image_size
+    if h < 32 or w < 32:
+        raise ValueError(f"image must be at least 32x32, got {h}x{w}")
     root = Rng(seed)
-    problems: list[SyntheticProblem] = []
+    records, diagrams = [], []
     for i in range(n):
         rng = root.split(f"problem{i}")
         scene = sample_scene(rng.split("scene"), cfg.scene)
         problem = make_problem(scene, rng.split("problem"), cfg, f"p{i:05d}")
-        problems.append(problem)
+        records.append(problem.to_record(f"diagrams/{problem.id}.pgm"))
+        diagrams.append(pgm_bytes(problem.pixels))
 
-    records = []
-    caption_blocks = []
-    for problem in problems:
-        rel_path = f"diagrams/{problem.id}.pgm"
-        write_pgm(problem.pixels, out / rel_path)
-        records.append(problem.to_record(rel_path))
-        caption_blocks.append(fl.format_caption(problem.caption))
+    out = Path(out_dir)
+    (out / "diagrams").mkdir(parents=True, exist_ok=True)
+    for record, data in zip(records, diagrams):
+        (out / record.diagram).write_bytes(data)
     solver.save_problems(records, out / "problems.jsonl")
     (out / "captions.txt").write_text(
-        "\n\n".join(caption_blocks) + "\n", encoding="utf-8"
+        "\n\n".join(r.caption for r in records) + "\n", encoding="utf-8"
     )
     default_vocab().save(out / "vocab.txt")
-    return problems
+    return records

@@ -308,10 +308,12 @@ def gs_former_forward(
             keys = tc.concat([h_q, h_c], axis=-2)
             xc = tc.add(xc, mha(params, f"layer{i}.sa_", h_c, keys,
                                 cfg.n_heads, cap_mask))
-        # cross-attention from queries to patches gated by each example's mask
+        # cross-attention from queries to patches gated by each example's
+        # mask; stage 0's all-ones mask gates nothing, so it is left out
+        key_mask = (tc.reshape(masks[-1], (batch, 1, 1, n_patches))
+                    if len(masks) > 1 else None)
         cross = mha(params, f"layer{i}.ca_",
-                    norm(params, f"layer{i}.ln2", xq), pf,
-                    cfg.n_heads, tc.reshape(masks[-1], (batch, 1, 1, n_patches)))
+                    norm(params, f"layer{i}.ln2", xq), pf, cfg.n_heads, key_mask)
         xq = tc.add(xq, cross)
         xq = tc.add(xq, ffn(params, f"layer{i}.ffn", norm(params, f"layer{i}.ln3", xq)))
         if n_cap:

@@ -422,6 +422,14 @@ def test_gen_data_negative_count_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_gen_data_small_image_is_data_error_before_writing(tmp_path, capsys, n):
+    err = assert_data_error(capsys, "gen-data", "--n", n, "--seed", "1",
+                            "--image-size", "31", "--out", str(tmp_path / "d"))
+    assert "image must be at least 32x32" in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_train_zero_patch_is_data_error(dataset, tmp_path, capsys):
     err = assert_data_error(
         capsys, "train-toy", "--stage", "lm", "--data", str(dataset),

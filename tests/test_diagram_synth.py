@@ -1,5 +1,8 @@
+import hashlib
 import math
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +290,42 @@ def test_generate_dataset_contents(tmp_path):
     assert len(blocks) == 5
     for block in blocks:
         fl.parse_caption(block)
+
+
+def tree_sha256(root: Path) -> str:
+    """sha256 over every file under root in sorted path order, each as its
+    POSIX relative path, a NUL byte, then its bytes."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n, seed, size, digest", [
+    (16, 1, 64, "61076c4ff35129334f9d1dd68cc00b2d87ee142ef18792b52ae70ba51e245f64"),
+    (64, 2024, 64, "7931832f8b19ba1ec1eca305482a8b9d41e36b0eb1f3b6bb2e56a3a9080dbbe4"),
+    (5, 3, 40, "4bde176db0f615f24a667ccd8bc5460e5842814013a1ce7c308668762e309109"),
+])
+def test_generate_dataset_writes_the_pinned_bytes(tmp_path, n, seed, size, digest):
+    from geoformal.solver import load_problems
+
+    out = tmp_path / "data"
+    records = generate_dataset(n, seed, out, SynthConfig(image_size=(size, size)))
+    assert tree_sha256(out) == digest
+    assert records == load_problems(out / "problems.jsonl")
+
+
+def test_generate_dataset_memory_per_problem(tmp_path):
+    # a problem is held as its PGM bytes and record until the files are
+    # written, not as its float image (32 KB at 64x64)
+    ds.default_vocab()
+    peaks = {}
+    for n in (100, 300):
+        tracemalloc.start()
+        try:
+            generate_dataset(n, 5, tmp_path / str(n))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[300] - peaks[100]) / 200 <= 8 * 1024

@@ -627,6 +627,22 @@ def test_attention_uniform_logits_averages_unmasked_rows():
     assert np.allclose(out.data, [[50.5, 101.0]], atol=1e-12)
 
 
+def test_attention_all_ones_key_mask_is_bit_identical_to_no_mask():
+    # GS-Former leaves the stage-0 all-ones mask out of its cross-attention
+    rng = Rng(14)
+    shapes = {"q": (3, 4, 6), "k": (3, 9, 6), "v": (3, 9, 8)}
+    data = {name: rng.normal(shape) for name, shape in shapes.items()}
+    go = rng.normal((3, 4, 8))
+    runs = []
+    for key_mask in (tc.ones((3, 1, 1, 9)), None):
+        q, k, v = (Tensor(data[name], requires_grad=True) for name in "qkv")
+        out = tc.attention(q, k, v, key_mask, heads=2)
+        tc.tsum(tc.mul(out, Tensor(go))).backward()
+        runs.append((out.data, q.grad, k.grad, v.grad))
+    for masked, unmasked in zip(*runs):
+        assert np.array_equal(masked, unmasked)
+
+
 # ---------------------------------------------------------------------------
 # Gumbel-Softmax semantics
 # ---------------------------------------------------------------------------
