@@ -433,7 +433,8 @@ def generate_dataset(
 
     Each diagram is encoded to its 8-bit PGM bytes as soon as it is drawn,
     so a problem holds about 5 KB until the files are written after the
-    drawing loop.  Byte-for-byte reproducible from (n, seed, cfg).
+    drawing loop.  Byte-for-byte reproducible from (n, seed, cfg).  Refuses
+    (ValueError, nothing written or deleted) a diagrams/ with stale files.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -441,16 +442,20 @@ def generate_dataset(
     h, w = cfg.image_size
     if h < 32 or w < 32:
         raise ValueError(f"image must be at least 32x32, got {h}x{w}")
+    out, ids = Path(out_dir), [f"p{i:05d}" for i in range(n)]
+    stale = sorted({f.name for f in (out / "diagrams").glob("*")} - {f"{i}.pgm" for i in ids})
+    if stale:
+        raise ValueError(f"{out / 'diagrams'} holds {len(stale)} file(s) this run "
+                         f"would not write, first {stale[0]}")
     root = Rng(seed)
     records, diagrams = [], []
-    for i in range(n):
+    for i, pid in enumerate(ids):
         rng = root.split(f"problem{i}")
         scene = sample_scene(rng.split("scene"), cfg.scene)
-        problem = make_problem(scene, rng.split("problem"), cfg, f"p{i:05d}")
+        problem = make_problem(scene, rng.split("problem"), cfg, pid)
         records.append(problem.to_record(f"diagrams/{problem.id}.pgm"))
         diagrams.append(pgm_bytes(problem.pixels))
 
-    out = Path(out_dir)
     (out / "diagrams").mkdir(parents=True, exist_ok=True)
     for record, data in zip(records, diagrams):
         (out / record.diagram).write_bytes(data)

@@ -1,13 +1,13 @@
 """Query transformer with content-aware query generation and stochastic
 patch pruning, plus its alignment training objectives.
 
-Layer layout (pre-LN): shared self-attention over [queries || caption tokens],
-cross-attention from queries to patch features gated by the current retention
-mask, then a feed-forward block.  The self-attention mask is multimodal
-causal: queries attend only queries, caption position l attends every query
-plus caption positions <= l.  This keeps the caption-generation head causal
-and makes the query outputs independent of the caption, so the same forward
-serves caption-free decoding.
+Layer layout: each layer is one `block` call (the pre-LN layer of the MAE
+encoder and the decoder too) over [queries || caption tokens]: one
+self-attention whose mask lets queries see only the queries and caption
+position l every query plus caption positions <= l, cross-attention from the
+query rows to the patch features gated by the current retention mask, then
+the feed-forward half.  The mask keeps the caption head causal and the query
+outputs free of the caption; caption-free decoding runs the queries alone.
 
 Batch layout: every forward runs a whole batch at once.  Patches stack to
 (B, N, d_in) (every diagram has the same N, so they need no padding);
@@ -150,14 +150,7 @@ def init_params(cfg: GSFormerConfig, rng: Rng) -> dict[str, Tensor]:
         requires_grad=True)
     p["cap_head_b"] = tc.zeros((cfg.vocab_size,), requires_grad=True)
     for i in range(cfg.n_layers):
-        lr = r.split(f"layer{i}")
-        _ln_init(p, f"layer{i}.ln1", d)
-        _mha_init(p, f"layer{i}", "sa_", lr, d)
-        _ln_init(p, f"layer{i}.ln2", d)
-        _mha_init(p, f"layer{i}", "ca_", lr, d)
-        _ln_init(p, f"layer{i}.ln3", d)
-        _linear_init(p, f"layer{i}.ffn1", lr.split("ffn1"), d, 4 * d)
-        _linear_init(p, f"layer{i}.ffn2", lr.split("ffn2"), 4 * d, d)
+        _block_init(p, f"layer{i}", r.split(f"layer{i}"), d, cross=True)
     for i in cfg.sgs_layers:
         _linear_init(p, f"sgs{i}", r.split(f"sgs{i}"), d, 2)
     _ln_init(p, "ln_out", d)
@@ -170,7 +163,7 @@ def init_params(cfg: GSFormerConfig, rng: Rng) -> dict[str, Tensor]:
 
 
 # ---------------------------------------------------------------------------
-# Building blocks
+# Building blocks and the pre-LN layer of all three models
 # ---------------------------------------------------------------------------
 
 PAD_ID = 0  # fills each token list past its own length (formal_lang.PAD_ID)
@@ -213,6 +206,41 @@ def mha(params, prefix: str, x_q: Tensor, x_kv: Tensor, n_heads: int,
 def ffn(params, prefix: str, x: Tensor) -> Tensor:
     return linear(params, f"{prefix}2",
                   tc.gelu(linear(params, f"{prefix}1", x)))
+
+
+def _block_init(p: dict[str, Tensor], name: str, rng: Rng, d: int,
+                cross: bool = False) -> None:
+    _ln_init(p, f"{name}.ln1", d)
+    _mha_init(p, name, "sa_", rng, d)
+    _ln_init(p, f"{name}.ln2", d)
+    if cross:
+        _mha_init(p, name, "ca_", rng, d)
+        _ln_init(p, f"{name}.ln3", d)
+    _linear_init(p, f"{name}.ffn1", rng.split("ffn1"), d, 4 * d)
+    _linear_init(p, f"{name}.ffn2", rng.split("ffn2"), 4 * d, d)
+
+
+def block(params: dict[str, Tensor], name: str, x: Tensor, n_heads: int,
+          mask: Tensor | None, cache=None, rows=None, cross=None) -> Tensor:
+    """Pre-LN layer of all three models: x + self-attention(ln1 x), then +
+    ffn(ln2 x); mask and cache as in `mha`.  `cross` = (memory, key_mask, n)
+    adds cross-attention from ln2 of x's first n rows (axis -2) to memory in
+    between, and the ffn norm is then ln3.  With `rows` the ffn half runs only
+    at those rows of x's flattened leading axes; the result is (len(rows), d)."""
+    h = norm(params, f"{name}.ln1", x)
+    x = tc.add(x, mha(params, f"{name}.sa_", h, h, n_heads, mask, cache))
+    ffn_norm = f"{name}.ln2"
+    if cross is not None:
+        memory, key_mask, n = cross
+        rest = x.shape[-2] - n
+        head = tc.narrow(x, -2, 0, n) if rest else x
+        head = tc.add(head, mha(params, f"{name}.ca_", norm(params, ffn_norm, head),
+                                memory, n_heads, key_mask))
+        x = tc.concat([head, tc.narrow(x, -2, n, rest)], axis=-2) if rest else head
+        ffn_norm = f"{name}.ln3"
+    if rows is not None:
+        x = tc.take_rows(x, rows)
+    return tc.add(x, ffn(params, f"{name}.ffn", norm(params, ffn_norm, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +288,7 @@ def gs_former_forward(
     list per example and one Rng per example (None: noise-free).
 
     Empty captions run the caption-free path (text_cls and caption logits
-    are None); the query outputs are identical either way.  Returns f_g
+    are None); the caption never reaches the query outputs.  Returns f_g
     (B, n_queries, d), text_cls (B, d) and (B, L, V) caption logits, L the
     longest caption.
     """
@@ -283,13 +311,15 @@ def gs_former_forward(
                 tc.narrow(params["pos_patch"], 0, 0, n_patches))
     pf = norm(params, "ln_pf", pf)
 
-    xq = gqg_queries(pf, params["queries"], params)
+    x = gqg_queries(pf, params["queries"], params)
+    self_mask = None
     if n_cap:
         xc = tc.add(tc.embedding_lookup(params["tok_emb"], ids),
                     tc.narrow(params["pos_caption"], 0, 0, n_cap))
-        # caption position l sees every query plus caption positions <= l
-        cap_mask = Tensor(np.hstack([np.ones((n_cap, cfg.n_queries)),
-                                     np.tril(np.ones((n_cap, n_cap)))]))
+        x = tc.concat([x, xc], axis=-2)
+        # every row sees the queries; caption position l also positions <= l
+        n = cfg.n_queries + n_cap
+        self_mask = Tensor(np.maximum(np.tril(np.ones((n, n))), np.arange(n) < cfg.n_queries))
 
     masks = [tc.ones((batch, n_patches))]
     for i in range(cfg.n_layers):
@@ -299,30 +329,18 @@ def gs_former_forward(
                 masks[-1], pf, params[f"sgs{i}_w"], params[f"sgs{i}_b"],
                 cfg.tau, hard, stage_rngs,
             ))
-        # shared self-attention block (queries see queries; captions see
-        # queries plus earlier captions)
-        h_q = norm(params, f"layer{i}.ln1", xq)
-        xq = tc.add(xq, mha(params, f"layer{i}.sa_", h_q, h_q, cfg.n_heads, None))
-        if n_cap:
-            h_c = norm(params, f"layer{i}.ln1", xc)
-            keys = tc.concat([h_q, h_c], axis=-2)
-            xc = tc.add(xc, mha(params, f"layer{i}.sa_", h_c, keys,
-                                cfg.n_heads, cap_mask))
-        # cross-attention from queries to patches gated by each example's
-        # mask; stage 0's all-ones mask gates nothing, so it is left out
+        # the queries' cross-attention is gated by each example's mask;
+        # stage 0's all-ones mask gates nothing, so it is left out
         key_mask = (tc.reshape(masks[-1], (batch, 1, 1, n_patches))
                     if len(masks) > 1 else None)
-        cross = mha(params, f"layer{i}.ca_",
-                    norm(params, f"layer{i}.ln2", xq), pf, cfg.n_heads, key_mask)
-        xq = tc.add(xq, cross)
-        xq = tc.add(xq, ffn(params, f"layer{i}.ffn", norm(params, f"layer{i}.ln3", xq)))
-        if n_cap:
-            xc = tc.add(xc, ffn(params, f"layer{i}.ffn", norm(params, f"layer{i}.ln3", xc)))
+        x = block(params, f"layer{i}", x, cfg.n_heads, self_mask,
+                  cross=(pf, key_mask, cfg.n_queries))
 
-    f_g = norm(params, "ln_out", xq)
+    x = norm(params, "ln_out", x)
     if not n_cap:
-        return AlignedFeatures(f_g, None), SGSState(masks), None
-    cap_states = norm(params, "ln_out", xc)
+        return AlignedFeatures(x, None), SGSState(masks), None
+    f_g = tc.narrow(x, -2, 0, cfg.n_queries)
+    cap_states = tc.narrow(x, -2, cfg.n_queries, n_cap)
     caption_logits = tc.linear(cap_states, tc.transpose(params["tok_emb"]),
                                params["cap_head_b"])
     # length-masked mean: pads get weight 0

@@ -27,8 +27,8 @@ Every affine map (`linear`, the tied output head), attention and layer
 norm is one tape node (tensorcore's fused ops), so a decoder layer adds
 twelve nodes to the tape, and a loss's gather of its rows one more.
 
-The decoder is a 2-layer pre-LN causal transformer with a tied embedding /
-output head; anything with the same prefix-conditioned interface would do.
+The decoder, 2 causal gsformer.block layers under a tied embedding / output
+head, could be anything with the same prefix-conditioned interface.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensorcore as tc
-from .gsformer import (INIT_STD, _linear_init, _ln_init, _mha_init, ffn, linear, mha,
+from .gsformer import (INIT_STD, _block_init, _linear_init, _ln_init, block, linear,
                        norm, pad_ids)
 from .tensorcore import Rng, Tensor
 
@@ -57,31 +57,6 @@ class SequenceTooShortError(ValueError):
 class EmptyTargetError(ValueError):
     def __init__(self):
         super().__init__("instruction loss needs a non-empty target sequence")
-
-
-# ---------------------------------------------------------------------------
-# Pre-LN transformer block (MAE encoder and decoder)
-# ---------------------------------------------------------------------------
-
-def _block_init(p: dict[str, Tensor], name: str, rng: Rng, d: int) -> None:
-    _ln_init(p, f"{name}.ln1", d)
-    _mha_init(p, name, "sa_", rng, d)
-    _ln_init(p, f"{name}.ln2", d)
-    _linear_init(p, f"{name}.ffn1", rng.split("ffn1"), d, 4 * d)
-    _linear_init(p, f"{name}.ffn2", rng.split("ffn2"), 4 * d, d)
-
-
-def block(params: dict[str, Tensor], name: str, x: Tensor, n_heads: int,
-          mask: Tensor | None, cache: "KVCache | None" = None,
-          rows=None) -> Tensor:
-    """x + self-attention(ln1 x), then + ffn(ln2 x); mask and cache as in `mha`.
-    With `rows` the ffn half runs only at those rows of x's flattened leading
-    axes, and the result is (len(rows), d)."""
-    h = norm(params, f"{name}.ln1", x)
-    x = tc.add(x, mha(params, f"{name}.sa_", h, h, n_heads, mask, cache))
-    if rows is not None:
-        x = tc.take_rows(x, rows)
-    return tc.add(x, ffn(params, f"{name}.ffn", norm(params, f"{name}.ln2", x)))
 
 
 # ---------------------------------------------------------------------------

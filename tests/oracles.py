@@ -13,7 +13,9 @@ time), `reference_mha` (built from those two), `reference_layer_norm`
 the out-of-place Adam formula and pins the in-place `tc.Adam.step`.
 `reference_alignment_loss` projects and fuses one example at a time from
 batch-of-one forwards and pins the padded, batched
-`gsformer.alignment_loss`.  The batched losses of every stage are pinned
+`gsformer.alignment_loss`.  `reference_gs_former_forward` is the GS-Former
+forward as it was before each layer became one `gsformer.block` call, and
+`reference_pretrain_loss` runs it.  The batched losses of every stage are pinned
 against sums of batch-of-one calls with `summed_loss_and_grads` and
 `assert_grads_close`.  `reference_lm_loss` and `reference_instruction_loss`
 compute the logits at every padded position and give the positions no loss
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +45,10 @@ from geoformal import gsformer as gsf
 from geoformal import pretrain as pt
 from geoformal import solver
 from geoformal import tensorcore as tc
-from geoformal.tensorcore import Tensor
+from geoformal.formal_lang import OutOfVocabError
+from geoformal.gsformer import (AlignedFeatures, SGSState, ffn, gqg_queries, linear, mha,
+                                norm, pad_ids, sgs_update_mask)
+from geoformal.tensorcore import Rng, Tensor
 
 # Hand-written arity table (kept independent of the package registry).
 ORACLE_ARITY = {
@@ -623,6 +629,96 @@ def reference_instruction_loss(params, cfg, t_g, t_p, s):
     return tc.cross_entropy(logits, targets, weights, reduction="sum")
 
 
+def reference_gs_former_forward(
+    patches: Tensor,
+    captions: Sequence[Sequence[int]],
+    cfg: gsf.GSFormerConfig,
+    params: dict[str, Tensor],
+    rngs: Sequence[Rng] | None,
+    hard: bool = False,
+) -> tuple[AlignedFeatures, SGSState, Tensor | None]:
+    """`gsformer.gs_former_forward` as it was before each layer became one
+    `gsformer.block` call over [queries || caption]: the layer inlined, with
+    two self-attention calls that share weights (the queries over the queries,
+    the caption over [queries || caption]), cross-attention on the queries and
+    two feed-forward calls that share weights.
+
+    Full forward pass over a batch: (B, N, d_in) patches, one caption id
+    list per example and one Rng per example (None: noise-free).
+
+    Empty captions run the caption-free path (text_cls and caption logits
+    are None); the query outputs are identical either way.  Returns f_g
+    (B, n_queries, d), text_cls (B, d) and (B, L, V) caption logits, L the
+    longest caption.
+    """
+    if (patches.ndim != 3 or patches.shape[-1] != cfg.d_in
+            or patches.shape[1] > cfg.n_patches):
+        raise tc.ShapeMismatchError("gs_former_forward patches", patches.shape,
+                                    (-1, cfg.n_patches, cfg.d_in))
+    batch, n_patches = patches.shape[:2]
+    ids, lengths = pad_ids(captions)
+    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+        raise OutOfVocabError(f"<caption id outside 0..{cfg.vocab_size - 1}>")
+    n_cap = ids.shape[1]
+    if n_cap > cfg.max_caption_len:
+        raise tc.ShapeMismatchError("caption too long", (n_cap,),
+                                    (cfg.max_caption_len,))
+    if n_cap and not lengths.all():
+        raise ValueError("a batch mixes captioned and caption-free examples")
+
+    pf = tc.add(linear(params, "patch_proj", patches),
+                tc.narrow(params["pos_patch"], 0, 0, n_patches))
+    pf = norm(params, "ln_pf", pf)
+
+    xq = gqg_queries(pf, params["queries"], params)
+    if n_cap:
+        xc = tc.add(tc.embedding_lookup(params["tok_emb"], ids),
+                    tc.narrow(params["pos_caption"], 0, 0, n_cap))
+        # caption position l sees every query plus caption positions <= l
+        cap_mask = Tensor(np.hstack([np.ones((n_cap, cfg.n_queries)),
+                                     np.tril(np.ones((n_cap, n_cap)))]))
+
+    masks = [tc.ones((batch, n_patches))]
+    for i in range(cfg.n_layers):
+        if i in cfg.sgs_layers:
+            stage_rngs = None if rngs is None else [r.split(f"sgs{i}") for r in rngs]
+            masks.append(sgs_update_mask(
+                masks[-1], pf, params[f"sgs{i}_w"], params[f"sgs{i}_b"],
+                cfg.tau, hard, stage_rngs,
+            ))
+        # shared self-attention block (queries see queries; captions see
+        # queries plus earlier captions)
+        h_q = norm(params, f"layer{i}.ln1", xq)
+        xq = tc.add(xq, mha(params, f"layer{i}.sa_", h_q, h_q, cfg.n_heads, None))
+        if n_cap:
+            h_c = norm(params, f"layer{i}.ln1", xc)
+            keys = tc.concat([h_q, h_c], axis=-2)
+            xc = tc.add(xc, mha(params, f"layer{i}.sa_", h_c, keys,
+                                cfg.n_heads, cap_mask))
+        # cross-attention from queries to patches gated by each example's
+        # mask; stage 0's all-ones mask gates nothing, so it is left out
+        key_mask = (tc.reshape(masks[-1], (batch, 1, 1, n_patches))
+                    if len(masks) > 1 else None)
+        cross = mha(params, f"layer{i}.ca_",
+                    norm(params, f"layer{i}.ln2", xq), pf, cfg.n_heads, key_mask)
+        xq = tc.add(xq, cross)
+        xq = tc.add(xq, ffn(params, f"layer{i}.ffn", norm(params, f"layer{i}.ln3", xq)))
+        if n_cap:
+            xc = tc.add(xc, ffn(params, f"layer{i}.ffn", norm(params, f"layer{i}.ln3", xc)))
+
+    f_g = norm(params, "ln_out", xq)
+    if not n_cap:
+        return AlignedFeatures(f_g, None), SGSState(masks), None
+    cap_states = norm(params, "ln_out", xc)
+    caption_logits = tc.linear(cap_states, tc.transpose(params["tok_emb"]),
+                               params["cap_head_b"])
+    # length-masked mean: pads get weight 0
+    live = np.arange(n_cap) < lengths[:, None]
+    text_cls = tc.tsum(tc.mul(cap_states, Tensor((live / lengths[:, None])[..., None])),
+                       axis=-2)
+    return AlignedFeatures(f_g, text_cls), SGSState(masks), caption_logits
+
+
 def reference_pretrain_loss(patches, captions, cfg, params, rng):
     """`gsformer.pretrain_loss` with one forward per example (a batch of one,
     its own `sample{i}` noise), per-row alignment losses and the mean of the
@@ -630,7 +726,7 @@ def reference_pretrain_loss(patches, captions, cfg, params, rng):
     feats, logits = [], []
     spr = []
     for i, ids in enumerate(captions):
-        f, state, cap_logits = gsf.gs_former_forward(
+        f, state, cap_logits = reference_gs_former_forward(
             tc.narrow(patches, 0, i, 1), [ids], cfg, params,
             [rng.split(f"sample{i}")])
         feats.append(f)

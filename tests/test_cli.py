@@ -430,6 +430,24 @@ def test_gen_data_small_image_is_data_error_before_writing(tmp_path, capsys, n):
     assert not (tmp_path / "d").exists()
 
 
+def test_gen_data_into_a_used_directory_with_stale_diagrams_is_data_error(
+        tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run_cli(capsys, "gen-data", "--n", "4", "--seed", "1", "--out", str(out))[0] == 0
+    before = {f: f.read_bytes() for f in out.rglob("*") if f.is_file()}
+    err = assert_data_error(capsys, "gen-data", "--n", "2", "--seed", "1",
+                            "--out", str(out))
+    assert "p00002.pgm" in err
+    # checked before anything is written, and nothing is deleted
+    assert {f: f.read_bytes() for f in out.rglob("*") if f.is_file()} == before
+    # the same or a larger run writes every file that is there
+    for n in ("4", "5"):
+        code, payload = run_cli(capsys, "gen-data", "--n", n, "--seed", "1",
+                                "--out", str(out))
+        assert code == 0 and payload["problems"] == int(n)
+    assert len(list((out / "diagrams").iterdir())) == 5
+
+
 def test_train_zero_patch_is_data_error(dataset, tmp_path, capsys):
     err = assert_data_error(
         capsys, "train-toy", "--stage", "lm", "--data", str(dataset),

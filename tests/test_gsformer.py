@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from geoformal import gsformer as gsf
 from geoformal import tensorcore as tc
 from geoformal.formal_lang import OutOfVocabError
 from geoformal.gsformer import (
@@ -26,6 +27,7 @@ from oracles import (
     assert_grads_close,
     loss_and_grads,
     reference_alignment_loss,
+    reference_gs_former_forward,
     reference_mha,
     reference_pretrain_loss,
 )
@@ -230,9 +232,22 @@ def test_forward_queries_independent_of_caption():
     params = init_params(cfg, Rng(0))
     patches = one_diagram(cfg, 1)
     with_caption, _, _ = gs_former_forward(patches, [[1, 7, 9, 2]], cfg, params, [Rng(3)])
+    other_caption, _, _ = gs_former_forward(patches, [[1, 5, 11, 2]], cfg, params, [Rng(3)])
+    without, _, _ = gs_former_forward(patches, [[]], cfg, params, [Rng(3)])
+    # the caption's content never reaches the queries
+    assert np.array_equal(with_caption.f_g.data, other_caption.f_g.data)
+    # a query row's softmax also sums the caption keys' zero weights, and
+    # numpy groups a sum of n_queries + 4 terms differently from one of
+    # n_queries = 4
+    _assert_close(with_caption.f_g.data, without.f_g.data)
+    assert without.text_cls is None
+
+    cfg = GSFormerConfig()
+    params = init_params(cfg, Rng(0))
+    patches = one_diagram(cfg, 1)
+    with_caption, _, _ = gs_former_forward(patches, [[1, 7, 9, 2]], cfg, params, [Rng(3)])
     without, _, _ = gs_former_forward(patches, [[]], cfg, params, [Rng(3)])
     assert np.array_equal(with_caption.f_g.data, without.f_g.data)
-    assert without.text_cls is None
 
 
 def test_forward_bit_identical_with_fixed_seed():
@@ -484,6 +499,55 @@ def test_pretrain_loss_matches_batch_of_one_forwards(size):
         params, lambda: reference_pretrain_loss(patches, captions, cfg, params, Rng(2)))
     assert got == pytest.approx(want, rel=1e-12)
     assert_grads_close(got_grads, want_grads)
+
+
+def _forward_and_loss(forward, cfg, params, batch, hard):
+    """Features and caption logits of `forward` and the loss and gradients of
+    `pretrain_loss` (which runs `gsformer.gs_former_forward`) on one batch,
+    each example with its own Rng."""
+    patches, captions = batch
+    rngs = [Rng(2).split(f"sample{i}") for i in range(len(captions))]
+    feats, _, logits = forward(patches, captions, cfg, params, rngs, hard)
+    loss, grads = loss_and_grads(
+        params, lambda: pretrain_loss(patches, captions, cfg, params, Rng(2), hard).tensor)
+    return feats, logits, loss, grads
+
+
+@pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
+def test_one_block_layer_matches_the_inlined_reference_layer(monkeypatch, hard):
+    cfg = tiny_config()
+    params = init_params(cfg, Rng(0))
+    batch = random_batch(cfg, Rng(1), 3)
+    feats, logits, loss, grads = _forward_and_loss(gs_former_forward, cfg, params,
+                                                   batch, hard)
+    monkeypatch.setattr(gsf, "gs_former_forward", reference_gs_former_forward)
+    ref_feats, ref_logits, ref_loss, ref_grads = _forward_and_loss(
+        reference_gs_former_forward, cfg, params, batch, hard)
+    _assert_close(feats.f_g.data, ref_feats.f_g.data)
+    _assert_close(feats.text_cls.data, ref_feats.text_cls.data)
+    _assert_close(logits.data, ref_logits.data)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert_grads_close(grads, ref_grads)
+
+
+@pytest.mark.parametrize("hard", [False, True], ids=["soft", "hard"])
+def test_caption_free_layer_is_bit_identical_to_the_reference(hard):
+    """Without a caption the block runs the queries alone: no self mask, no
+    narrow or concat, so the arithmetic is the reference's."""
+    cfg = tiny_config()
+    params = init_params(cfg, Rng(0))
+    patches = Tensor(Rng(1).normal((3, cfg.n_patches, cfg.d_in)))
+    weight = Tensor(Rng(4).normal((3, cfg.n_queries, cfg.d_model)))
+    results = []
+    for forward in (gs_former_forward, reference_gs_former_forward):
+        f_g = forward(patches, [[]] * 3, cfg, params,
+                      [Rng(2).split(str(i)) for i in range(3)], hard)[0].f_g
+        results.append((f_g.data, _grads_of(lambda: f_g, params, weight)[1]))
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    assert got_grads.keys() == want_grads.keys()
+    for name in want_grads:
+        assert np.array_equal(got_grads[name], want_grads[name]), name
 
 
 def test_alignment_rejects_batch_of_one():

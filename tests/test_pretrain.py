@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -39,6 +40,32 @@ def small_decoder(vocab=24, d=32, max_len=40):
     cfg = DecoderConfig(n_layers=1, d_lm=d, n_heads=2, vocab_size=vocab,
                         max_len=max_len)
     return cfg, init_decoder_params(cfg, Rng(0))
+
+
+# ---------------------------------------------------------------------------
+# Initial parameters
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, init, want_bin, want_json", [
+    ("gsformer", lambda: gsf.init_params(gsf.GSFormerConfig(), Rng(0)),
+     "c0fda3691cc5afc643cab9372e4ea667383ded495c0b9cce7c246e8c9e0dafe2",
+     "32a23a77deb2311a55954868c90824f70cf804fa4467693f67a539563c34cf59"),
+    ("decoder", lambda: init_decoder_params(DecoderConfig(), Rng(0)),
+     "2b75c74b9c263a126d1dfcd84a21ae66b3a06992d3038ebb03afdcbbeca1b8c9",
+     "138d6f037b745d8fd8798eba1dee6ef726f76ef3c3247bff584bdcab2147d96a"),
+    ("mae", lambda: init_mae_params(MAEConfig(), Rng(0)),
+     "f013c89b31f833d9084724f554563441af39ebe2aed4a4bdefd82c02bb38da06",
+     "995086dccc8a12a7ea412de3fb1053395f4fb48dce8fe31d6d1ca58de76b2c37"),
+], ids=["gsformer", "decoder", "mae"])
+def test_default_initial_parameters_are_pinned(tmp_path, name, init, want_bin,
+                                               want_json):
+    """The checkpoint of each model's default initial parameters is pinned
+    byte for byte: its parameter names, their shapes and the Rng label of
+    each draw decide whether earlier checkpoints still load."""
+    tc.save_params(init(), tmp_path / name)
+    for suffix, want in ((".bin", want_bin), (".json", want_json)):
+        data = tc.checkpoint_path(tmp_path / name, suffix).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want, suffix
 
 
 # ---------------------------------------------------------------------------

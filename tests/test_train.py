@@ -176,7 +176,7 @@ def test_frozen_encoder_builds_no_gradients(dataset, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("stage, freeze, nodes", [
-    ("mae", False, 38), ("lm", False, 32), ("align", False, 196),
+    ("mae", False, 38), ("lm", False, 32), ("align", False, 158),
     ("sft", False, 133), ("sft", True, 35),
 ], ids=["mae", "lm", "align", "sft", "sft-frozen"])
 def test_tape_nodes_per_step_at_the_default_config(dataset, tmp_path, monkeypatch,
@@ -231,7 +231,8 @@ def test_a_training_step_gives_constants_no_gradient(dataset, tmp_path,
     patch_batch = (batch, dataset.n_patches, dataset.patch_dim)
     is_mask = {
         "mae": lambda s: s == (batch, dataset.n_patches, 1),  # masked rows
-        "align": lambda s: len(s) == 2 and s[1] == s[0] + config.gsformer.n_queries,
+        # [queries || caption] self mask
+        "align": lambda s: len(s) == 2 and s[0] == s[1] > config.gsformer.n_queries,
         "sft": lambda s: len(s) == 2 and s[0] == s[1] > 1,  # causal
     }[stage]
     shapes = {t.shape for t in constants}
