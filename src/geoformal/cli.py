@@ -118,8 +118,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     tol = eh.Tolerance(abs=args.tol_abs, rel=args.tol_rel)
-    pairs = tr.adjudicate(solver.load_problems(args.problems),
-                          eh.load_candidates(args.candidates), args.beam, tol)
+    problems = solver.load_problems(args.problems)
+    candidates = eh.load_candidates(args.candidates)
+    pairs = tr.adjudicate(problems, candidates, args.beam, tol)  # checks --beam first
+    known = {rec.id for rec in problems}
+    stray = [i for i in candidates if i not in known]
+    if not candidates or stray:
+        raise ValueError(f"candidates id {stray[0]!r} is not in {args.problems}"
+                         if stray else f"no candidates in {args.candidates}")
     report = eh.build_report(pairs, tol)
     if args.out:
         eh.write_report(report, args.out)

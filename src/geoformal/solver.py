@@ -245,24 +245,37 @@ def evaluate_beam(
     b: Bindings,
     gt_answer: float,
     tol,
+    parsed: dict[str, SolutionProgram | CandidateResult] | None = None,
 ) -> BeamOutcome:
     """Parse and execute ranked candidate texts, each on a fresh copy of the
     bindings.
 
     A candidate that fails to parse or execute is recorded as Failed and never
     affects later candidates.  `tol` is anything with passes(pred, gt), e.g.
-    eval_harness.Tolerance.
+    eval_harness.Tolerance.  `parsed` maps each text seen to its program or
+    its parse failure (both depend on the text alone) and is filled as texts
+    come, so beams sharing it parse a text once; None is a fresh map.
     """
+    parsed = {} if parsed is None else parsed
     results: list[CandidateResult] = []
     first_executed: int | None = None
     first_correct: int | None = None
     for rank, text in enumerate(candidates):
+        program = parsed.get(text)
+        if program is None:
+            try:
+                program = parse_program(text)
+            except FormalLangError as exc:
+                program = CandidateResult(text, False, None, str(exc))
+            parsed[text] = program
+        if type(program) is CandidateResult:
+            results.append(program)
+            continue
         try:
-            trace = execute_program(parse_program(text), b.copy())
+            value = execute_program(program, b.copy()).final
         except (SolverError, FormalLangError) as exc:
             results.append(CandidateResult(text, False, None, str(exc)))
             continue
-        value = trace.final
         results.append(CandidateResult(text, True, value))
         if first_executed is None:
             first_executed = rank

@@ -500,13 +500,18 @@ def adjudicate(
     beam: int,
     tol: eh.Tolerance,
 ) -> list[eh.Pair]:
+    """Each problem's first `beam` candidates through the solver; a problem
+    without candidates scores as failed.  Texts name numbers by placeholder and
+    recur across problems: one map per call parses each once (execution stays
+    per problem); none outlives its call, so every `eval` costs the same."""
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
     pairs: list[eh.Pair] = []
+    parsed: dict = {}
     for rec in problems:
         texts = candidates.get(rec.id, [])[:beam]
         outcome = solver.evaluate_beam(
-            texts, solver.Bindings.from_numbers(rec.numbers), rec.answer, tol
+            texts, solver.Bindings.from_numbers(rec.numbers), rec.answer, tol, parsed
         )
         pairs.append((rec, outcome))
     return pairs

@@ -28,7 +28,9 @@ gradients bit for bit; `tape_nodes` lists the nodes a backward must
 release.  `reference_parse_program`,
 `reference_execute_program` and `reference_evaluate_beam` are the parser and
 interpreter as they were before program tokens were shared, and pin the
-current ones to the same results and errors.
+current ones to the same results and errors.  `shared_pool_beams` builds
+beams from a small pool of texts reused across problems with different
+numbers, as the placeholder programs of real decode output are.
 """
 
 from __future__ import annotations
@@ -338,6 +340,27 @@ def bench_style_candidates(rng: random.Random, n_numbers: int) -> list[str]:
             words = words[: rng.randrange(len(words) + 1)]
         beam.append(" ".join(words))
     return beam
+
+
+# Texts whose outcome depends on the problem's numbers (N_2 is unbound with
+# two numbers; the division fails when N_0 == N_1) or on nothing (an arity
+# cut that never parses).
+SHARED_POOL_TEXTS = ("g_equal N_2", "g_minus N_0 N_1 g_divide N_0 V_0", "g_add N_0")
+
+
+def shared_pool_beams(problems, seed: int, beam: int = 10) -> dict[str, list[str]]:
+    """Beams drawn with replacement from one small pool of texts, so a text
+    recurs across problems and within a beam as placeholder programs do in
+    decode output; each problem's `gt_program` goes in at a random rank."""
+    rng = random.Random(seed)
+    pool = [text for _ in range(3) for text in bench_style_candidates(rng, n_numbers=2)]
+    pool += SHARED_POOL_TEXTS
+    beams = {}
+    for rec in problems:
+        texts = rng.choices(pool, k=beam - 1)
+        texts.insert(rng.randrange(beam), rec.gt_program)
+        beams[rec.id] = texts
+    return beams
 
 
 # ---------------------------------------------------------------------------

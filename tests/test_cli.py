@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import geoformal
+from geoformal import eval_harness as eh
+from geoformal import solver
 from geoformal.cli import _build_parser, dispatch
+from oracles import shared_pool_beams
 
 # the child interpreter imports the package from this checkout
 CHILD_ENV = dict(os.environ,
@@ -319,10 +323,15 @@ def write_eval_inputs(tmp_path, problems: list[dict], candidates: list[dict]) ->
     ([problem_line(numbers=[3, 4])],
      [candidates_line(["gougu_add N_0 N_1"], id=7), candidates_line([], id="7")],
      "duplicate id '7' in line 2 of cands.jsonl"),
+    ([problem_line(numbers=[3, 4]), problem_line(id="p1")],
+     [candidates_line([], id="p1"), candidates_line([], id="q0"),
+      candidates_line([], id="q1")],
+     "candidates id 'q0' is not in problems.jsonl"),
+    ([problem_line(numbers=[3, 4])], [], "no candidates in cands.jsonl"),
 ], ids=["string-candidates", "string-numbers", "string-choices",
         "string-question_tokens", "object-number", "null-answer", "nested-candidates",
         "int-caption", "string-number", "bool-number", "nan-answer", "inf-number",
-        "duplicate-problem", "duplicate-candidates"])
+        "duplicate-problem", "duplicate-candidates", "unknown-id", "empty-candidates"])
 def test_eval_rejects_a_string_for_a_list_field(tmp_path, capsys, problems,
                                                candidates, message):
     err = assert_data_error(capsys, *write_eval_inputs(tmp_path, problems, candidates))
@@ -348,6 +357,26 @@ def test_eval_scores_an_oversized_index_as_failed(tmp_path, capsys):
     assert code == 0 and payload["top1"] == 0.0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["rows"][0]["first_executed_rank"] is None
+
+
+def test_eval_writes_the_pinned_bytes(tmp_path, capsys, monkeypatch):
+    # texts recur across problems and within beams, and every 25th problem
+    # has no candidates line; relative paths keep the summary's "out" fixed
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["gen-data", "--n", "300", "--seed", "5", "--out", "data"]) == 0
+    problems = solver.load_problems("data/problems.jsonl")
+    beams = shared_pool_beams(problems, seed=5)
+    eh.save_candidates([(rec.id, beams[rec.id]) for k, rec in enumerate(problems)
+                        if k % 25 != 7], "cands.jsonl")
+    capsys.readouterr()
+    assert dispatch(["eval", "--problems", "data/problems.jsonl",
+                     "--candidates", "cands.jsonl", "--out", "report.json"]) == 0
+    summary = capsys.readouterr().out.encode()
+    assert hashlib.sha256(summary).hexdigest() == (
+        "c371a2ee7135dbbd7d6b406fb4a07b972bc2349217fbced441158b3d1155413b")
+    report = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "0a0a85f9eefe70bc391e3e7bb2a9e6e9c6e8a7db6ee709bac28ecf033c408e33")
 
 
 @pytest.mark.parametrize("flag, value", [

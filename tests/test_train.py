@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -15,10 +16,13 @@ from geoformal import train as tr
 from geoformal.tensorcore import Rng, Tensor
 
 from oracles import (
+    SHARED_POOL_TEXTS,
     assert_grads_close,
     loss_and_grads,
     reference_backward,
+    reference_evaluate_beam,
     reference_pretrain_loss,
+    shared_pool_beams,
     summed_loss_and_grads,
     tape_nodes,
 )
@@ -451,6 +455,46 @@ def test_adjudicate_missing_candidates_yield_empty_outcomes(dataset):
     pairs = tr.adjudicate(dataset.problems, {}, beam=10, tol=tol)
     assert all(outcome.rank_of_first_executed is None for _, outcome in pairs)
 
+
+def test_adjudicate_parses_each_text_once_per_call(monkeypatch):
+    # one pool of texts over problems whose numbers differ: a text's parse is
+    # shared within one call, its execution stays per problem
+    numbers = ([3.0, 4.0], [3.0, 4.0, 5.0], [2.0, 2.0], [5.0, 12.0, 13.0],
+               [6.0, 6.0, 1.0], [1.5, 0.5])
+    problems = [solver.ProblemRecord(f"p{k}", sum(numbers[k % 6][:2]), numbers[k % 6],
+                                     gt_program="g_add N_0 N_1") for k in range(36)]
+    beams = shared_pool_beams(problems, seed=3)
+    calls = Counter()
+    parse = solver.parse_program
+
+    def spy(text):
+        calls[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(solver, "parse_program", spy)
+    tol = eh.Tolerance()
+    pairs = tr.adjudicate(problems, beams, beam=10, tol=tol)
+    assert pairs == [
+        (rec, reference_evaluate_beam(beams[rec.id], solver.Bindings.from_numbers(
+            rec.numbers), rec.answer, tol)) for rec in problems]
+    texts = {text for rec in problems for text in beams[rec.id]}
+    assert calls == dict.fromkeys(texts, 1)
+    tr.adjudicate(problems, beams, beam=10, tol=tol)
+    assert calls == dict.fromkeys(texts, 2)
+
+    # the pool reaches every case: outcomes that differ by problem, a parse
+    # failure shared across problems, a text repeated within a beam
+    seen: dict[str, set] = {}
+    for _, outcome in pairs:
+        for cand in outcome.candidates:
+            seen.setdefault(cand.text, set()).add(cand.error)
+    unbound, domain, unparsed = SHARED_POOL_TEXTS
+    assert seen[unbound] == {None, "N_2 is unbound (problem has 2 number(s))"}
+    assert seen[domain] == {None, "g_divide(2.0, 0.0): division by zero",
+                            "g_divide(6.0, 0.0): division by zero"}
+    assert len(seen[unparsed]) == 1 and None not in seen[unparsed]
+    assert sum(unparsed in beams[rec.id] for rec in problems) > 1
+    assert any(len(set(beams[rec.id])) < 10 for rec in problems)
 
 # ---------------------------------------------------------------------------
 # Beam search vs greedy score ordering
