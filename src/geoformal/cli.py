@@ -103,6 +103,8 @@ def _cmd_solve(args) -> int:
         line for line in Path(args.program).read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
+    if not lines:
+        raise ValueError(f"no program in {args.program}")
     answers = []
     for line in lines:
         trace = solver.execute_program(
@@ -129,16 +131,8 @@ def _cmd_eval(args) -> int:
     report = eh.build_report(pairs, tol)
     if args.out:
         eh.write_report(report, args.out)
-    _emit({
-        "n_problems": report.n_problems,
-        "top1": report.top1,
-        "top3": report.top3,
-        "top10": report.top10,
-        "completion": report.completion,
-        "choice": report.choice,
-        "adjusted_top1": report.adjusted_top1,
-        "out": args.out,
-    })
+    _emit({"n_problems": report.n_problems, "out": args.out,
+           **{name: getattr(report, name) for name in eh.METRICS}})
     return 0
 
 

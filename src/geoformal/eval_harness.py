@@ -1,10 +1,13 @@
 """Metrics over beam adjudication outcomes and report serialization.
 
+`build_report` turns each problem's outcome into one row and computes every
+metric from those rows, over one denominator: the full problem count.
 Top-k counts a problem when a correct candidate sits anywhere in the first k
-ranks; Completion judges the rank-0 candidate only; Choice resolves the first
-executable candidate's value to the nearest of four options; the adjusted
-variant adds a quarter of the unexecutable fraction (chance on four options).
-All metrics share one denominator: the full problem count.
+ranks; `top1` is also the Completion accuracy of the PGPS9K protocol, which
+judges the rank-0 candidate alone.  Choice resolves the first executable
+candidate's value to the nearest of four options; the adjusted top-1 adds a
+quarter of the unexecutable fraction (chance on four options).  Choice and
+adjusted top-1 are null unless every problem has four options.
 """
 
 from __future__ import annotations
@@ -17,11 +20,6 @@ from typing import Iterable, Sequence
 
 from .solver import (BeamOutcome, ProblemRecord, RecordId, SchemaError, json_object,
                      json_record, load_records, resolve_choice)
-
-
-class MissingChoicesError(ValueError):
-    def __init__(self, problem_id: str):
-        super().__init__(f"problem {problem_id} has no 4-option choices")
 
 
 class EmptyReportError(ValueError):
@@ -61,7 +59,6 @@ class EvaluationReport:
     top1: float
     top3: float
     top10: float
-    completion: float
     choice: float | None
     adjusted_top1: float | None
     rows: list[ProblemRow] = field(default_factory=list)
@@ -74,82 +71,11 @@ Pair = tuple[ProblemRecord, BeamOutcome]
 # Metrics
 # ---------------------------------------------------------------------------
 
-def metric_top_k(outcomes: Sequence[BeamOutcome], k: int) -> float:
-    if not outcomes:
-        raise EmptyReportError()
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hits = sum(
-        1 for o in outcomes
-        if o.rank_of_first_correct is not None and o.rank_of_first_correct < k
-    )
-    return hits / len(outcomes)
-
-
-def metric_completion(pairs: Sequence[Pair], tol: Tolerance) -> float:
-    """Rank-0 candidate must execute and match the answer."""
-    if not pairs:
-        raise EmptyReportError()
-    hits = 0
-    for problem, outcome in pairs:
-        if not outcome.candidates:
-            continue
-        first = outcome.candidates[0]
-        if first.executed and tol.passes(first.value, problem.answer):
-            hits += 1
-    return hits / len(pairs)
-
-
-def _correct_option(problem: ProblemRecord) -> int:
-    return resolve_choice(problem.answer, problem.choices)
-
-
-def _chosen_option(problem: ProblemRecord, outcome: BeamOutcome) -> int | None:
-    """Option picked by the first executable candidate, if any."""
-    if outcome.rank_of_first_executed is None:
-        return None
-    value = outcome.candidates[outcome.rank_of_first_executed].value
-    return resolve_choice(value, problem.choices)
-
-
-def _require_choices(pairs: Sequence[Pair]) -> None:
-    for problem, _ in pairs:
-        if problem.choices is None or len(problem.choices) != 4:
-            raise MissingChoicesError(problem.id)
-
-
-def metric_choice(pairs: Sequence[Pair]) -> float:
-    """Problems whose first executable candidate resolves to the correct
-    option; problems with no executable candidate count as incorrect."""
-    if not pairs:
-        raise EmptyReportError()
-    _require_choices(pairs)
-    hits = 0
-    for problem, outcome in pairs:
-        chosen = _chosen_option(problem, outcome)
-        if chosen is not None and chosen == _correct_option(problem):
-            hits += 1
-    return hits / len(pairs)
-
-
-def adjusted_accuracy(pairs: Sequence[Pair]) -> float:
-    """Raw top-1 plus 0.25 x the fraction of problems with no executable
-    candidate (chance level on four options)."""
-    if not pairs:
-        raise EmptyReportError()
-    _require_choices(pairs)
-    outcomes = [o for _, o in pairs]
-    raw_top1 = metric_top_k(outcomes, 1)
-    unexecutable = sum(
-        1 for o in outcomes if o.rank_of_first_executed is None
-    ) / len(outcomes)
-    return raw_top1 + 0.25 * unexecutable
-
-
 def build_report(pairs: Sequence[Pair], tol: Tolerance) -> EvaluationReport:
+    """One row per problem, then every metric from the rows.  `tol` is
+    unused: `solver.evaluate_beam` has already judged every candidate."""
     if not pairs:
         raise EmptyReportError()
-    outcomes = [o for _, o in pairs]
     has_choices = all(
         p.choices is not None and len(p.choices) == 4 for p, _ in pairs
     )
@@ -157,8 +83,10 @@ def build_report(pairs: Sequence[Pair], tol: Tolerance) -> EvaluationReport:
     for problem, outcome in pairs:
         chosen = correct = None
         if has_choices:
-            chosen = _chosen_option(problem, outcome)
-            correct = _correct_option(problem)
+            correct = resolve_choice(problem.answer, problem.choices)
+            if outcome.rank_of_first_executed is not None:
+                value = outcome.candidates[outcome.rank_of_first_executed].value
+                chosen = resolve_choice(value, problem.choices)
         rows.append(ProblemRow(
             id=problem.id,
             first_executed_rank=outcome.rank_of_first_executed,
@@ -166,28 +94,32 @@ def build_report(pairs: Sequence[Pair], tol: Tolerance) -> EvaluationReport:
             chosen_option=chosen,
             correct_option=correct,
         ))
-    return EvaluationReport(
-        n_problems=len(pairs),
-        top1=metric_top_k(outcomes, 1),
-        top3=metric_top_k(outcomes, 3),
-        top10=metric_top_k(outcomes, 10),
-        completion=metric_completion(pairs, tol),
-        choice=metric_choice(pairs) if has_choices else None,
-        adjusted_top1=adjusted_accuracy(pairs) if has_choices else None,
-        rows=rows,
+    n = len(rows)
+    top1, top3, top10 = (
+        sum(r.first_correct_rank is not None and r.first_correct_rank < k
+            for r in rows) / n
+        for k in (1, 3, 10)
     )
+    choice = adjusted = None
+    if has_choices:
+        choice = sum(r.chosen_option == r.correct_option for r in rows) / n
+        unexecutable = sum(r.first_executed_rank is None for r in rows) / n
+        adjusted = top1 + 0.25 * unexecutable
+    return EvaluationReport(n_problems=n, top1=top1, top3=top3, top10=top10,
+                            choice=choice, adjusted_top1=adjusted, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # Report files
 # ---------------------------------------------------------------------------
 
-METRICS = ("top1", "top3", "top10", "completion", "choice", "adjusted_top1")
+METRICS = ("top1", "top3", "top10", "choice", "adjusted_top1")
+REPORT_SCHEMA = 2
 
 
 def write_report(report: EvaluationReport, path: str | Path) -> None:
     payload = {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "n_problems": report.n_problems,
         "metrics": {name: getattr(report, name) for name in METRICS},
         "rows": [vars(row) for row in report.rows],
@@ -206,7 +138,7 @@ def read_report(path: str | Path) -> EvaluationReport:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"unreadable {label}: {exc}") from exc
-    if json_object(label, payload).get("schema") != 1:
+    if json_object(label, payload).get("schema") != REPORT_SCHEMA:
         raise SchemaError(f"unsupported report schema: {payload.get('schema')!r}")
     json_object(label, payload, ("schema", "n_problems", "metrics", "rows"))
     metrics = json_object(f"metrics of {label}", payload.get("metrics"), METRICS)

@@ -326,38 +326,20 @@ def _check_beam_greedy(rng: Rng) -> tuple[bool, str]:
 
 
 def _check_metric_laws(rng: Rng) -> tuple[bool, str]:
+    # 8 problems correct at rank 0, 4 with nothing executable, 4 executed but
+    # wrong: every fraction is dyadic, so the adjusted identity is exact
     tol = eh.Tolerance()
     pairs = []
     for i in range(16):
-        answer = 5.0
-        if i < 8:
-            values = [5.0]
-        elif i < 12:
-            values = [None]
-        else:
-            values = [9.0]
-        candidates = []
-        first_exec = first_corr = None
-        for rank, value in enumerate(values):
-            if value is None:
-                candidates.append(solver.CandidateResult("x", False, error="e"))
-            else:
-                candidates.append(solver.CandidateResult("x", True, value=value))
-                if first_exec is None:
-                    first_exec = rank
-                if first_corr is None and tol.passes(value, answer):
-                    first_corr = rank
-        outcome = solver.BeamOutcome(tuple(candidates), first_exec, first_corr)
-        rec = solver.ProblemRecord(
-            id=f"p{i}", numbers=[], answer=answer,
-            choices=[answer, answer + 5, answer + 10, answer + 15],
-        )
-        pairs.append((rec, outcome))
-    outcomes = [o for _, o in pairs]
-    series = [eh.metric_top_k(outcomes, k) for k in (1, 3, 10)]
+        text = "g_equal 5.0" if i < 8 else "nosuch 1.0" if i < 12 else "g_equal 9.0"
+        rec = solver.ProblemRecord(id=f"p{i}", numbers=[], answer=5.0,
+                                   choices=[5.0, 10.0, 15.0, 20.0])
+        pairs.append((rec, solver.evaluate_beam([text], solver.Bindings(), 5.0, tol)))
+    report = eh.build_report(pairs, tol)
+    series = [report.top1, report.top3, report.top10]
     if series != sorted(series):
         return False, "top-k not monotone"
-    delta = eh.adjusted_accuracy(pairs) - eh.metric_top_k(outcomes, 1)
+    delta = report.adjusted_top1 - report.top1
     if delta != 0.25 * 0.25:
         return False, f"adjusted identity off by {delta - 0.0625}"
     return True, "top-k monotone; adjusted identity exact"

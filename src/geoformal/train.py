@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -387,7 +387,7 @@ def train_sft_stage(
     stage = config.stages["sft"]
     rng = Rng(seed)
     if encoder_ckpt is not None:
-        gs_params = tc.load_params(encoder_ckpt)
+        gs_params = load_encoder_checkpoint(encoder_ckpt, config.gsformer)
     else:
         gs_params = gsf.init_params(config.gsformer, rng.split("gs_init"))
     for p in gs_params.values():
@@ -440,10 +440,14 @@ def run_stage(
 # Decoding
 # ---------------------------------------------------------------------------
 
-def _snapshot_configs(prefix: str | Path):
-    """(gs_cfg, dec_cfg) of a checkpoint's config snapshot."""
+def _snapshot_configs(prefix: str | Path, stage: str):
+    """(gs_cfg, dec_cfg) of a checkpoint's config snapshot, which must be of
+    `stage`."""
     snapshot = solver.json_object("checkpoint snapshot", json.loads(
         tc.checkpoint_path(prefix, ".config.json").read_text()))
+    if snapshot.get("stage") != stage:
+        raise eh.SchemaError(f"checkpoint {prefix} is of stage "
+                             f"{snapshot.get('stage')!r}, expected {stage!r}")
     return tuple(
         solver.json_record(cls, f"checkpoint snapshot section {name!r}",
                            snapshot.get(name))
@@ -451,10 +455,23 @@ def _snapshot_configs(prefix: str | Path):
                           ("decoder", pt.DecoderConfig)))
 
 
+def load_encoder_checkpoint(prefix: str | Path, gs_cfg: gsf.GSFormerConfig):
+    """The encoder parameters of an align checkpoint whose snapshot's
+    gsformer section equals `gs_cfg` in every field but align's loss weights
+    and temperature, which shape no encoder parameter."""
+    saved, _ = _snapshot_configs(prefix, "align")
+    for name in (f.name for f in fields(gs_cfg)):
+        got, want = getattr(saved, name), getattr(gs_cfg, name)
+        if name not in ("lam", "tau", "tau_final", "align_weights") and got != want:
+            raise eh.SchemaError(f"checkpoint {prefix} has gsformer.{name} {got!r}, "
+                                 f"this run {want!r}")
+    return tc.load_params(prefix)
+
+
 def checkpoint_patch(prefix: str | Path) -> int:
-    """The patch size a checkpoint was trained at, read from its snapshot
+    """The patch size an sft checkpoint was trained at, read from its snapshot
     alone: `default_run_config` sets the encoder's d_in to patch * patch."""
-    d_in = _snapshot_configs(prefix)[0].d_in
+    d_in = _snapshot_configs(prefix, "sft")[0].d_in
     if not (d_in >= 1 and math.isqrt(d_in) ** 2 == d_in):
         raise eh.SchemaError(
             f"checkpoint snapshot gsformer.d_in {d_in!r} is not a square patch size")
@@ -464,7 +481,7 @@ def checkpoint_patch(prefix: str | Path) -> int:
 def load_sft_checkpoint(prefix: str | Path):
     """(gs_cfg, dec_cfg, params) of an sft checkpoint; its parameters require
     no gradient, so a forward over them builds no tape."""
-    gs_cfg, dec_cfg = _snapshot_configs(prefix)
+    gs_cfg, dec_cfg = _snapshot_configs(prefix, "sft")
     return gs_cfg, dec_cfg, tc.load_params(prefix, requires_grad=False)
 
 

@@ -28,7 +28,11 @@ gradients bit for bit; `tape_nodes` lists the nodes a backward must
 release.  `reference_parse_program`,
 `reference_execute_program` and `reference_evaluate_beam` are the parser and
 interpreter as they were before program tokens were shared, and pin the
-current ones to the same results and errors.  `shared_pool_beams` builds
+current ones to the same results and errors.  `reference_metrics` computes
+each metric by its own walk over the pairs, as `eval_harness` did before
+`build_report` computed them all from its rows, and pins that one pass; its
+`rank0` metric judges the first candidate itself, and must equal top-1.
+`shared_pool_beams` builds
 beams from a small pool of texts reused across problems with different
 numbers, as the placeholder programs of real decode output are.
 """
@@ -42,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from geoformal import eval_harness as eh
 from geoformal import formal_lang as fl
 from geoformal import gsformer as gsf
 from geoformal import pretrain as pt
@@ -296,6 +301,99 @@ def reference_evaluate_beam(candidates, b: solver.Bindings, gt_answer: float, to
         if first_correct is None and tol.passes(trace.final, gt_answer):
             first_correct = rank
     return solver.BeamOutcome(tuple(results), first_executed, first_correct)
+
+
+# The metrics as one function each, every one walking the pairs again; the
+# rank-0 metric judges the first candidate itself with `tol`.
+
+def _reference_top_k(outcomes, k: int) -> float:
+    if not outcomes:
+        raise eh.EmptyReportError()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    hits = sum(
+        1 for o in outcomes
+        if o.rank_of_first_correct is not None and o.rank_of_first_correct < k
+    )
+    return hits / len(outcomes)
+
+
+def _reference_rank0(pairs, tol) -> float:
+    """Rank-0 candidate must execute and match the answer."""
+    if not pairs:
+        raise eh.EmptyReportError()
+    hits = 0
+    for problem, outcome in pairs:
+        if not outcome.candidates:
+            continue
+        first = outcome.candidates[0]
+        if first.executed and tol.passes(first.value, problem.answer):
+            hits += 1
+    return hits / len(pairs)
+
+
+def _reference_correct_option(problem) -> int:
+    return solver.resolve_choice(problem.answer, problem.choices)
+
+
+def _reference_chosen_option(problem, outcome) -> int | None:
+    """Option picked by the first executable candidate, if any."""
+    if outcome.rank_of_first_executed is None:
+        return None
+    value = outcome.candidates[outcome.rank_of_first_executed].value
+    return solver.resolve_choice(value, problem.choices)
+
+
+def _reference_require_choices(pairs) -> None:
+    for problem, _ in pairs:
+        if problem.choices is None or len(problem.choices) != 4:
+            raise ValueError(f"problem {problem.id} has no 4-option choices")
+
+
+def _reference_choice(pairs) -> float:
+    """Problems whose first executable candidate resolves to the correct
+    option; problems with no executable candidate count as incorrect."""
+    if not pairs:
+        raise eh.EmptyReportError()
+    _reference_require_choices(pairs)
+    hits = 0
+    for problem, outcome in pairs:
+        chosen = _reference_chosen_option(problem, outcome)
+        if chosen is not None and chosen == _reference_correct_option(problem):
+            hits += 1
+    return hits / len(pairs)
+
+
+def _reference_adjusted(pairs) -> float:
+    """Raw top-1 plus 0.25 x the fraction of problems with no executable
+    candidate (chance level on four options)."""
+    if not pairs:
+        raise eh.EmptyReportError()
+    _reference_require_choices(pairs)
+    outcomes = [o for _, o in pairs]
+    raw_top1 = _reference_top_k(outcomes, 1)
+    unexecutable = sum(
+        1 for o in outcomes if o.rank_of_first_executed is None
+    ) / len(outcomes)
+    return raw_top1 + 0.25 * unexecutable
+
+
+def reference_metrics(pairs, tol) -> dict:
+    """Every metric of `pairs` by its own walk: `top1`, `top3`, `top10`,
+    `rank0` (the rank-0 candidate judged with `tol`), and `choice` and
+    `adjusted_top1`, None unless every problem has four options."""
+    outcomes = [o for _, o in pairs]
+    has_choices = all(
+        p.choices is not None and len(p.choices) == 4 for p, _ in pairs
+    )
+    return {
+        "top1": _reference_top_k(outcomes, 1),
+        "top3": _reference_top_k(outcomes, 3),
+        "top10": _reference_top_k(outcomes, 10),
+        "rank0": _reference_rank0(pairs, tol),
+        "choice": _reference_choice(pairs) if has_choices else None,
+        "adjusted_top1": _reference_adjusted(pairs) if has_choices else None,
+    }
 
 
 _BENCH_LITERALS = ("180.0", "180", "1800.0", "90.0", "2.0", "0.5", "0.0", "1e999")

@@ -316,7 +316,7 @@ def test_criterion_8_metric_calibration():
             texts, solver.Bindings.from_numbers(numbers), answer, tol
         )
         pairs.append((rec, outcome))
-    choice = eh.metric_choice(pairs)
+    choice = eh.build_report(pairs, tol).choice
     assert abs(choice - 0.25) <= 0.03, f"choice = {choice}"
 
     dyadic = []
@@ -344,9 +344,8 @@ def test_criterion_8_metric_calibration():
                                    choices=options)
         dyadic.append((rec, solver.BeamOutcome(tuple(candidates), first_exec,
                                                first_corr)))
-    outs = [o for _, o in dyadic]
-    delta = eh.adjusted_accuracy(dyadic) - eh.metric_top_k(outs, 1)
-    assert delta == 0.25 * 0.25
+    scored = eh.build_report(dyadic, tol)
+    assert scored.adjusted_top1 - scored.top1 == 0.25 * 0.25
     report(8, f"random programs over 2000 four-option problems gave "
               f"choice={choice:.3f}; adjusted identity exact")
 

@@ -61,6 +61,14 @@ def test_solve_missing_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-lines"])
+def test_solve_without_a_program_is_data_error(tmp_path, capsys, text):
+    program = tmp_path / "p.txt"
+    program.write_text(text)
+    err = assert_data_error(capsys, "solve", "--program", str(program))
+    assert err == f"error: no program in {program}\n"
+
+
 # ---------------------------------------------------------------------------
 # usage and verification exit codes
 # ---------------------------------------------------------------------------
@@ -136,7 +144,6 @@ def test_adjudicate_and_eval_with_gt_programs(dataset, tmp_path, capsys):
     )
     assert code == 0
     assert payload["top1"] == 1.0
-    assert payload["completion"] == 1.0
     assert payload["choice"] == 1.0
     rows = json.loads(report_path.read_text())["rows"]
     assert [r["id"] for r in rows] == [rec["id"] for rec in problems]
@@ -373,10 +380,30 @@ def test_eval_writes_the_pinned_bytes(tmp_path, capsys, monkeypatch):
                      "--candidates", "cands.jsonl", "--out", "report.json"]) == 0
     summary = capsys.readouterr().out.encode()
     assert hashlib.sha256(summary).hexdigest() == (
-        "c371a2ee7135dbbd7d6b406fb4a07b972bc2349217fbced441158b3d1155413b")
+        "453eb0f93a18cd3fbd2d654597e0f80e81bac57991ee2ded59b7a7f0184126a1")
     report = (tmp_path / "report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == (
-        "0a0a85f9eefe70bc391e3e7bb2a9e6e9c6e8a7db6ee709bac28ecf033c408e33")
+        "58efe5342371bff5c023148ccf7fe5b466356f0c480f566f688c70f7e43b3d22")
+
+
+def test_eval_summary_holds_the_report_metrics(tmp_path, capsys):
+    # correct at rank 0; correct at rank 2 after a wrong option at rank 1;
+    # nothing executes; no candidates line
+    problems = [problem_line(id=f"p{i}", numbers=[3, 4], choices=[5, 6, 7, 8])
+                for i in range(4)]
+    code, payload = run_cli(capsys, *write_eval_inputs(tmp_path, problems, [
+        candidates_line(["gougu_add N_0 N_1"], id="p0"),
+        candidates_line(["nosuch", "g_add N_0 N_1", "gougu_add N_0 N_1"], id="p1"),
+        candidates_line(["nosuch"], id="p2"),
+    ]))
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(payload) == {"n_problems", "out", *eh.METRICS}
+    assert {name: payload[name] for name in eh.METRICS} == report["metrics"] == {
+        "top1": 0.25, "top3": 0.5, "top10": 0.5, "choice": 0.25,
+        "adjusted_top1": 0.375}
+    assert payload["n_problems"] == report["n_problems"] == 4
+    assert payload["out"] == str(tmp_path / "report.json")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -494,6 +521,64 @@ def test_encoder_ckpt_on_another_stage_is_data_error(dataset, tmp_path, capsys):
     )
     assert "--encoder-ckpt applies only to --stage sft" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def checkpoints(dataset, tmp_path_factory):
+    """Zero-step checkpoints: one per stage at the default config, `wide` an
+    align encoder of 12 queries with a sampler at every layer, and `loss` an
+    align encoder trained under other loss weights and temperatures."""
+    root = tmp_path_factory.mktemp("ckpts")
+    configs = {"wide": {"n_queries": 12, "sgs_layers": [1, 2, 3]},
+               "loss": {"lam": 0.25, "tau": 0.5, "tau_final": 0.1,
+                        "align_weights": [1.0, 2.0, 3.0]}}
+    for name, stage in [("lm", "lm"), ("align", "align"), ("sft", "sft"),
+                        ("wide", "align"), ("loss", "align")]:
+        extra = []
+        if name in configs:
+            (root / f"{name}.run.json").write_text(
+                json.dumps({"schema": 1, "gsformer": configs[name]}))
+            extra = ["--config", str(root / f"{name}.run.json")]
+        assert dispatch(["train-toy", "--stage", stage, "--data", str(dataset),
+                         "--steps", "0", "--out", str(root / name), *extra]) == 0
+    return root
+
+
+@pytest.mark.parametrize("ckpt, message", [
+    ("lm", "is of stage 'lm', expected 'align'"),
+    ("sft", "is of stage 'sft', expected 'align'"),
+    ("wide", "has gsformer.n_queries 12, this run 8"),
+])
+def test_sft_refuses_an_encoder_checkpoint_of_another_shape(
+        dataset, checkpoints, tmp_path, capsys, ckpt, message):
+    err = assert_data_error(
+        capsys, "train-toy", "--stage", "sft", "--data", str(dataset),
+        "--encoder-ckpt", str(checkpoints / ckpt), "--steps", "1",
+        "--out", str(tmp_path / "x"),
+    )
+    assert err == f"error: checkpoint {checkpoints / ckpt} {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sft_loads_an_encoder_trained_under_other_align_losses(
+        dataset, checkpoints, tmp_path, capsys):
+    code, payload = run_cli(
+        capsys, "train-toy", "--stage", "sft", "--data", str(dataset),
+        "--encoder-ckpt", str(checkpoints / "loss"), "--steps", "1",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 0 and payload["steps"] == 1
+
+
+def test_decode_refuses_an_align_checkpoint(dataset, checkpoints, tmp_path, capsys):
+    err = assert_data_error(
+        capsys, "decode", "--ckpt", str(checkpoints / "align"),
+        "--problems", str(dataset / "problems.jsonl"),
+        "--out", str(tmp_path / "cands.jsonl"),
+    )
+    assert err == (f"error: checkpoint {checkpoints / 'align'} is of stage 'align', "
+                   "expected 'sft'\n")
+    assert not (tmp_path / "cands.jsonl").exists()
 
 
 def test_freeze_encoder_on_another_stage_is_data_error(dataset, tmp_path, capsys):

@@ -7,19 +7,14 @@ from geoformal import eval_harness as eh
 from geoformal.eval_harness import (
     EmptyReportError,
     EvaluationReport,
-    MissingChoicesError,
-    ProblemRow,
     SchemaError,
     Tolerance,
-    adjusted_accuracy,
     build_report,
-    metric_choice,
-    metric_completion,
-    metric_top_k,
     read_report,
     write_report,
 )
 from geoformal.solver import BeamOutcome, CandidateResult, ProblemRecord
+from oracles import reference_metrics
 
 
 TOL = Tolerance(abs=1e-2, rel=1e-3)
@@ -49,6 +44,10 @@ def four_choices(answer: float) -> list[float]:
     return [answer, answer + 5.0, answer + 10.0, answer + 15.0]
 
 
+def pairs_of(outcomes: list[BeamOutcome]) -> list:
+    return [(problem(f"p{i}", 5.0), o) for i, o in enumerate(outcomes)]
+
+
 # ---------------------------------------------------------------------------
 # Tolerance
 # ---------------------------------------------------------------------------
@@ -71,13 +70,12 @@ def test_tolerance_rejects_double_zero():
 
 def test_top1_all_correct_at_rank_zero():
     outs = [outcome([5.0], 5.0) for _ in range(4)]
-    assert metric_top_k(outs, 1) == 1.0
+    assert build_report(pairs_of(outs), TOL).top1 == 1.0
 
 
 def test_correct_only_at_rank_five():
-    outs = [outcome([None] * 5 + [5.0], 5.0)]
-    assert metric_top_k(outs, 1) == 0.0
-    assert metric_top_k(outs, 10) == 1.0
+    report = build_report(pairs_of([outcome([None] * 5 + [5.0], 5.0)]), TOL)
+    assert (report.top1, report.top3, report.top10) == (0.0, 0.0, 1.0)
 
 
 def test_top_k_nondecreasing_in_k():
@@ -89,27 +87,14 @@ def test_top_k_nondecreasing_in_k():
                 rng.choice([None, 5.0, 7.0]) for _ in range(rng.randint(1, 10))
             ]
             outs.append(outcome(values, 5.0))
-        series = [metric_top_k(outs, k) for k in range(1, 11)]
+        report = build_report(pairs_of(outs), TOL)
+        series = [report.top1, report.top3, report.top10]
         assert series == sorted(series)
 
 
-# ---------------------------------------------------------------------------
-# Completion
-# ---------------------------------------------------------------------------
-
-def test_completion_is_rank_zero_only():
-    pairs = [(problem("p", 5.0), outcome([None, 5.0], 5.0))]
-    assert metric_completion(pairs, TOL) == 0.0
-
-
-def test_completion_within_printed_precision():
+def test_top1_within_printed_precision():
     pairs = [(problem("p", 12.1), outcome([12.104], 12.1))]
-    assert metric_completion(pairs, TOL) == 1.0
-
-
-def test_completion_empty_outcomes_error():
-    with pytest.raises(EmptyReportError):
-        metric_completion([], TOL)
+    assert build_report(pairs, TOL).top1 == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +103,22 @@ def test_completion_empty_outcomes_error():
 
 def test_choice_nearest_option_counts():
     p = problem("p", 40.0, [40.0, 60.0, 120.0, 140.0])
-    assert metric_choice([(p, outcome([40.3], 40.0))]) == 1.0
+    assert build_report([(p, outcome([40.3], 40.0))], TOL).choice == 1.0
 
 
 def test_choice_unexecutable_counts_incorrect():
     p = problem("p", 40.0, [40.0, 60.0, 120.0, 140.0])
-    assert metric_choice([(p, outcome([None, None], 40.0))]) == 0.0
+    assert build_report([(p, outcome([None, None], 40.0))], TOL).choice == 0.0
 
 
 def test_choice_requires_four_options():
-    with pytest.raises(MissingChoicesError):
-        metric_choice([(problem("p", 1.0, None), outcome([1.0], 1.0))])
-    with pytest.raises(MissingChoicesError):
-        metric_choice([(problem("p", 1.0, [1.0, 2.0]), outcome([1.0], 1.0))])
+    full = (problem("q", 1.0, four_choices(1.0)), outcome([1.0], 1.0))
+    for choices in (None, [1.0, 2.0]):
+        report = build_report([full, (problem("p", 1.0, choices),
+                                      outcome([1.0], 1.0))], TOL)
+        assert (report.choice, report.adjusted_top1) == (None, None)
+        assert [(r.chosen_option, r.correct_option) for r in report.rows] == \
+            [(None, None)] * 2
 
 
 def test_choice_random_results_near_chance():
@@ -142,7 +130,7 @@ def test_choice_random_results_near_chance():
         rng.shuffle(choices)
         guess = rng.uniform(min(choices) - 3, max(choices) + 3)
         pairs.append((problem(f"p{i}", answer, choices), outcome([guess], answer)))
-    assert abs(metric_choice(pairs) - 0.25) <= 0.06
+    assert abs(build_report(pairs, TOL).choice - 0.25) <= 0.06
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +149,8 @@ def test_adjusted_formula_fixture():
         else:          # executes but wrong
             out = outcome([9.0], answer)
         pairs.append((problem(f"p{i}", answer, choices), out))
-    assert adjusted_accuracy(pairs) == pytest.approx(0.6 + 0.25 * 0.2, abs=0)
+    assert build_report(pairs, TOL).adjusted_top1 == pytest.approx(0.6 + 0.25 * 0.2,
+                                                                    abs=0)
 
 
 def test_adjusted_equals_raw_when_everything_executes():
@@ -169,8 +158,8 @@ def test_adjusted_equals_raw_when_everything_executes():
         (problem("a", 5.0, four_choices(5.0)), outcome([5.0], 5.0)),
         (problem("b", 5.0, four_choices(5.0)), outcome([9.0], 5.0)),
     ]
-    outs = [o for _, o in pairs]
-    assert adjusted_accuracy(pairs) == metric_top_k(outs, 1)
+    report = build_report(pairs, TOL)
+    assert report.adjusted_top1 == report.top1
 
 
 def test_adjusted_all_unexecutable_is_chance():
@@ -178,7 +167,7 @@ def test_adjusted_all_unexecutable_is_chance():
         (problem(f"p{i}", 5.0, four_choices(5.0)), outcome([None], 5.0))
         for i in range(8)
     ]
-    assert adjusted_accuracy(pairs) == 0.25
+    assert build_report(pairs, TOL).adjusted_top1 == 0.25
 
 
 def test_adjusted_identity_exact_on_random_fixtures():
@@ -197,7 +186,8 @@ def test_adjusted_identity_exact_on_random_fixtures():
             )
         outs = [o for _, o in pairs]
         unexec = sum(1 for o in outs if o.rank_of_first_executed is None) / len(outs)
-        assert adjusted_accuracy(pairs) == metric_top_k(outs, 1) + 0.25 * unexec
+        report = build_report(pairs, TOL)
+        assert report.adjusted_top1 == report.top1 + 0.25 * unexec
 
 
 def test_adjusted_subtraction_identity_exact_on_dyadic_fixture():
@@ -213,8 +203,8 @@ def test_adjusted_subtraction_identity_exact_on_dyadic_fixture():
         else:
             out = outcome([9.0], answer)
         pairs.append((problem(f"p{i}", answer, four_choices(answer)), out))
-    outs = [o for _, o in pairs]
-    assert adjusted_accuracy(pairs) - metric_top_k(outs, 1) == 0.25 * 0.25
+    report = build_report(pairs, TOL)
+    assert report.adjusted_top1 - report.top1 == 0.25 * 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +230,6 @@ def test_report_invariants_on_random_fixtures():
     for _ in range(20):
         report = build_report(make_pairs(rng, 30), TOL)
         assert report.top1 <= report.top3 <= report.top10
-        assert 0.0 <= report.completion <= 1.0
         assert report.adjusted_top1 >= report.top1
 
 
@@ -251,8 +240,44 @@ def test_metrics_permutation_invariant():
     rng.shuffle(shuffled)
     a = build_report(pairs, TOL)
     b = build_report(shuffled, TOL)
-    assert (a.top1, a.top3, a.top10, a.completion, a.choice, a.adjusted_top1) == \
-        (b.top1, b.top3, b.top10, b.completion, b.choice, b.adjusted_top1)
+    assert [getattr(a, name) for name in eh.METRICS] == \
+        [getattr(b, name) for name in eh.METRICS]
+
+
+def oracle_fixture(rng: random.Random) -> list:
+    """Problems with four, fewer or no choices, and beams that are empty,
+    never execute, or hold answers, near misses and wrong values."""
+    four = rng.random() < 0.5
+    pairs = []
+    for i in range(rng.randint(1, 30)):
+        answer = rng.uniform(1, 50)
+        if four or rng.random() < 0.7:
+            choices = four_choices(answer)
+            rng.shuffle(choices)
+        else:
+            choices = rng.choice([None, [], [answer], [answer, answer + 1.0, 9.0]])
+        kind = rng.random()
+        if kind < 0.15:
+            values = []
+        elif kind < 0.3:
+            values = [None] * rng.randint(1, 10)
+        else:
+            values = [rng.choice([None, answer, answer + 0.02, answer + 0.009,
+                                  rng.uniform(1, 50)])
+                      for _ in range(rng.randint(1, 12))]
+        pairs.append((problem(f"p{i}", answer, choices), outcome(values, answer)))
+    return pairs
+
+
+def test_report_metrics_equal_the_reference_walks():
+    rng = random.Random(8)
+    for _ in range(1_200):
+        pairs = oracle_fixture(rng)
+        want = reference_metrics(pairs, TOL)
+        report = build_report(pairs, TOL)
+        assert {name: getattr(report, name) for name in eh.METRICS} == \
+            {name: want[name] for name in eh.METRICS}
+        assert want["rank0"] == report.top1
 
 
 def test_report_roundtrip_small(tmp_path):
@@ -265,7 +290,7 @@ def test_report_roundtrip_small(tmp_path):
 def test_report_roundtrip_empty_rows(tmp_path):
     report = EvaluationReport(
         n_problems=0, top1=0.0, top3=0.0, top10=0.0,
-        completion=0.0, choice=None, adjusted_top1=None, rows=[],
+        choice=None, adjusted_top1=None, rows=[],
     )
     path = tmp_path / "empty.json"
     write_report(report, path)
@@ -280,37 +305,36 @@ def test_report_roundtrip_large_fuzzed(tmp_path):
 
 
 def test_read_handwritten_v1_report(tmp_path):
+    # schema 2 dropped a metric; a schema-1 file is refused by its schema
+    report = {"n_problems": 1,
+              "metrics": {"top1": 1.0, "top3": 1.0, "top10": 1.0,
+                          "choice": None, "adjusted_top1": None},
+              "rows": [{"id": "p0", "first_executed_rank": 0, "first_correct_rank": 0,
+                        "chosen_option": None, "correct_option": None}]}
     path = tmp_path / "hand.json"
-    path.write_text("""
-    {
-      "schema": 1,
-      "n_problems": 1,
-      "metrics": {"top1": 1.0, "top3": 1.0, "top10": 1.0,
-                  "completion": 1.0, "choice": null, "adjusted_top1": null},
-      "rows": [{"id": "p0", "first_executed_rank": 0,
-                "first_correct_rank": 0, "chosen_option": null,
-                "correct_option": null}]
-    }
-    """)
-    report = read_report(path)
-    assert report.n_problems == 1
-    assert report.rows[0].id == "p0"
+    path.write_text(json.dumps({"schema": 1, **report}))
+    with pytest.raises(SchemaError, match=r"^unsupported report schema: 1$"):
+        read_report(path)
+    path.write_text(json.dumps({"schema": 2, **report}))
+    back = read_report(path)
+    assert back.n_problems == 1
+    assert back.rows[0].id == "p0"
 
 
 def test_read_report_schema_errors(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"schema": 2}')
+    path.write_text('{"schema": 3}')
     with pytest.raises(SchemaError):
         read_report(path)
-    path.write_text('{"schema": 1, "n_problems": 1}')
+    path.write_text('{"schema": 2, "n_problems": 1}')
     with pytest.raises(SchemaError):
         read_report(path)
     path.write_text("not json")
     with pytest.raises(SchemaError):
         read_report(path)
 
-    good = {"schema": 1, "n_problems": 1,
-            "metrics": {"top1": 1.0, "top3": 1.0, "top10": 1.0, "completion": 1.0,
+    good = {"schema": 2, "n_problems": 1,
+            "metrics": {"top1": 1.0, "top3": 1.0, "top10": 1.0,
                         "choice": None, "adjusted_top1": None},
             "rows": [{"id": "p0", "first_executed_rank": 0, "first_correct_rank": 0,
                       "chosen_option": None, "correct_option": None}]}
@@ -348,5 +372,3 @@ def test_candidates_roundtrip(tmp_path):
 def test_empty_report_errors():
     with pytest.raises(EmptyReportError):
         build_report([], TOL)
-    with pytest.raises(EmptyReportError):
-        metric_top_k([], 1)

@@ -86,7 +86,7 @@ def test_default_config_survives_its_snapshot(dataset, tmp_path):
     snapshot = json.loads((tmp_path / "lm.config.json").read_text())
     assert snapshot == {"schema": 1, **json.loads(json.dumps(asdict(run))),
                         "seed": 1, "stage": "lm"}
-    assert tr._snapshot_configs(tmp_path / "lm") == (config.gsformer, config.decoder)
+    assert tr._snapshot_configs(tmp_path / "lm", "lm") == (config.gsformer, config.decoder)
 
 
 @pytest.mark.parametrize("cls", [
