@@ -105,12 +105,7 @@ def _cmd_solve(args) -> int:
     ]
     if not lines:
         raise ValueError(f"no program in {args.program}")
-    answers = []
-    for line in lines:
-        trace = solver.execute_program(
-            fl.parse_program(line), solver.Bindings.from_numbers(numbers)
-        )
-        answers.append(trace.final)
+    answers = [solver.execute_program(fl.parse_program(line), numbers) for line in lines]
     payload = {"answers": answers}
     if len(answers) == 1:
         payload["answer"] = answers[0]
@@ -207,7 +202,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="run candidates through the solver and "
                                     "score them; --out adds per-problem rows")
-    p.add_argument("--problems", required=True)
+    p.add_argument("--problems", required=True,
+                   help="problems file, or a dataset directory")
     p.add_argument("--candidates", required=True)
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--tol-abs", type=float, default=1e-2)

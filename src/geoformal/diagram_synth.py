@@ -24,7 +24,7 @@ import numpy as np
 from . import formal_lang as fl
 from . import solver
 from .formal_lang import FormalCaption, Relation, SolutionProgram, Vocab
-from .solver import Bindings, ProblemRecord, execute_program
+from .solver import ProblemRecord, execute_program
 from .tensorcore import Rng, ShapeMismatchError, Tensor
 
 
@@ -359,7 +359,7 @@ def make_problem(
     template = applicable[rng.integers(0, len(applicable))]
     numbers, program_text, question = _instantiate_template(template, scene, rng)
     program = fl.parse_program(program_text)
-    answer = execute_program(program, Bindings.from_numbers(numbers)).final
+    answer = execute_program(program, numbers)
 
     pool = [answer] + _distractors(answer, rng)
     choices = [pool[i] for i in rng.permutation(4)]

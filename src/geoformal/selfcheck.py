@@ -170,9 +170,7 @@ def _check_solver_oracle(rng: Rng) -> tuple[bool, str]:
         text = _random_program(rng.split(str(case)))
         numbers = [round(0.5 + float(v) * 19.5, 3) for v in rng.split(f"n{case}").uniform((3,))]
         try:
-            got = solver.execute_program(
-                fl.parse_program(text), solver.Bindings.from_numbers(numbers)
-            ).final
+            got = solver.execute_program(fl.parse_program(text), numbers)
         except solver.SolverError:
             continue
         want = recursive_eval(text, numbers)
@@ -183,9 +181,7 @@ def _check_solver_oracle(rng: Rng) -> tuple[bool, str]:
 
 
 def _check_pythagoras_exact(rng: Rng) -> tuple[bool, str]:
-    result = solver.execute_program(
-        fl.parse_program("gougu_add 3.0 4.0"), solver.Bindings()
-    ).final
+    result = solver.execute_program(fl.parse_program("gougu_add 3.0 4.0"), [])
     ok = abs(result - 5.0) <= 1e-12
     return ok, f"gougu_add 3 4 = {result}"
 
@@ -195,9 +191,7 @@ def _check_operator_algebra(rng: Rng) -> tuple[bool, str]:
         r = rng.split(str(i))
         a = 0.1 + float(r.uniform(())) * 20
         b = 0.1 + float(r.uniform(())) * 20
-        run = lambda text: solver.execute_program(
-            fl.parse_program(text), solver.Bindings()
-        ).final
+        run = lambda text: solver.execute_program(fl.parse_program(text), [])
         if run(f"g_minus {a!r} {b!r}") != run(f"g_minus {b!r} {a!r}"):
             return False, "g_minus not symmetric"
         hyp = run(f"gougu_add {a!r} {b!r}")
@@ -334,7 +328,7 @@ def _check_metric_laws(rng: Rng) -> tuple[bool, str]:
         text = "g_equal 5.0" if i < 8 else "nosuch 1.0" if i < 12 else "g_equal 9.0"
         rec = solver.ProblemRecord(id=f"p{i}", numbers=[], answer=5.0,
                                    choices=[5.0, 10.0, 15.0, 20.0])
-        pairs.append((rec, solver.evaluate_beam([text], solver.Bindings(), 5.0, tol)))
+        pairs.append((rec, solver.evaluate_beam([text], [], 5.0, tol)))
     report = eh.build_report(pairs, tol)
     series = [report.top1, report.top3, report.top10]
     if series != sorted(series):
@@ -347,9 +341,7 @@ def _check_metric_laws(rng: Rng) -> tuple[bool, str]:
 
 def _check_report_roundtrip(rng: Rng) -> tuple[bool, str]:
     tol = eh.Tolerance()
-    outcome = solver.evaluate_beam(
-        ["gougu_add 3.0 4.0", "nosuch 1.0"], solver.Bindings(), 5.0, tol
-    )
+    outcome = solver.evaluate_beam(["gougu_add 3.0 4.0", "nosuch 1.0"], [], 5.0, tol)
     rec = solver.ProblemRecord(id="p0", numbers=[], answer=5.0,
                                choices=[5.0, 10.0, 15.0, 20.0])
     report = eh.build_report([(rec, outcome)], tol)
@@ -379,9 +371,7 @@ def _check_problem_consistency(rng: Rng) -> tuple[bool, str]:
     for i in range(100):
         scene = ds.sample_scene(rng.split(f"s{i}"), cfg.scene)
         problem = ds.make_problem(scene, rng.split(f"p{i}"), cfg)
-        got = solver.execute_program(
-            problem.gt_program, solver.Bindings.from_numbers(problem.numbers)
-        ).final
+        got = solver.execute_program(problem.gt_program, problem.numbers)
         if abs(got - problem.answer) > 1e-9 * max(1.0, abs(problem.answer)):
             return False, f"problem {i} inconsistent"
         if sum(1 for c in problem.choices if c == problem.answer) != 1:

@@ -1,7 +1,9 @@
 """Deterministic interpreter for solution programs.
 
-Executes one operator group at a time, appending each result to the `V_` slots,
-and adjudicates ranked beam candidates against a ground-truth answer.  The
+Runs a program for its value alone: one operator group at a time, each result
+filling the next of the run's own `V_` slots, on the problem's numbers, which
+it only reads; no per-step record is kept.  Adjudicates ranked beam candidates
+against a ground-truth answer, every candidate on the same numbers.  The
 operator registry is data-driven: a new operation needs its arity in
 formal_lang.OPERATOR_ARITIES and an OperatorSpec here, nothing else.
 
@@ -17,7 +19,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .formal_lang import (
     OPERATOR_ARITIES,
@@ -26,7 +28,6 @@ from .formal_lang import (
     Literal,
     NumRef,
     Operator,
-    ProgramToken,
     SolutionProgram,
     VarRef,
     parse_program,
@@ -132,80 +133,48 @@ def operator_arities() -> Mapping[str, int]:
 CONSTANTS: Mapping[str, float] = {"PI": math.pi}
 
 
-@dataclass
-class Bindings:
-    """Problem-given numbers, grown result slots, and named constants."""
-
-    n_values: list[float] = field(default_factory=list)
-    v_values: list[float] = field(default_factory=list)
-    constants: Mapping[str, float] = field(default_factory=lambda: dict(CONSTANTS))
-
-    @classmethod
-    def from_numbers(cls, numbers: Iterable[float]) -> "Bindings":
-        return cls(n_values=[float(x) for x in numbers])
-
-    def copy(self) -> "Bindings":
-        return Bindings(list(self.n_values), list(self.v_values), dict(self.constants))
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    operator: str
-    operands: tuple[float, ...]
-    result: float
-
-
-@dataclass(frozen=True)
-class ExecutionTrace:
-    steps: tuple[TraceStep, ...]
-
-    @property
-    def final(self) -> float:
-        return self.steps[-1].result
-
-
-def _resolve(tok: ProgramToken, b: Bindings) -> float:
-    kind = type(tok)
-    if kind is Literal:
-        return tok.value
-    if kind is NumRef:
-        if tok.index >= len(b.n_values):
-            raise UnboundNumRefError(tok.index, len(b.n_values))
-        return b.n_values[tok.index]
-    if kind is VarRef:
-        if tok.index >= len(b.v_values):
-            # parse_program rejects this; guard against hand-built programs
-            raise FormalLangError(f"V_{tok.index} resolved before it was produced")
-        return b.v_values[tok.index]
-    if kind is ConstRef:
-        if tok.name not in b.constants:
-            raise UnknownConstantError(tok.name)
-        return b.constants[tok.name]
-    raise TypeError(f"operator in operand position: {tok!r}")
-
-
-def execute_program(p: SolutionProgram, b: Bindings) -> ExecutionTrace:
-    """Run every operator group in order, extending b.v_values by one per group."""
+def execute_program(p: SolutionProgram, numbers: Sequence[float]) -> float:
+    """The value of the last operator group, run in order on the problem's
+    `numbers` (`N_i` is float(numbers[i])); each group's result fills the next
+    of this call's own `V_` slots, and `numbers` is only read."""
     toks = p.tokens
     if not toks:
         raise EmptyProgramError()
-    steps: list[TraceStep] = []
+    slots: list[float] = []
     i = 0
     while i < len(toks):
         op = toks[i]
         assert isinstance(op, Operator)
         spec = _REGISTRY[op.name]
         end = i + 1 + spec.arity
-        operands = tuple([_resolve(t, b) for t in toks[i + 1 : end]])
+        operands = []
+        for tok in toks[i + 1 : end]:
+            kind = type(tok)
+            if kind is Literal:
+                operands.append(tok.value)
+            elif kind is NumRef:
+                if tok.index >= len(numbers):
+                    raise UnboundNumRefError(tok.index, len(numbers))
+                operands.append(float(numbers[tok.index]))
+            elif kind is VarRef:
+                if tok.index >= len(slots):
+                    # parse_program rejects this; guard against hand-built programs
+                    raise FormalLangError(f"V_{tok.index} resolved before it was produced")
+                operands.append(slots[tok.index])
+            elif kind is ConstRef:
+                if tok.name not in CONSTANTS:
+                    raise UnknownConstantError(tok.name)
+                operands.append(CONSTANTS[tok.name])
+            else:
+                raise TypeError(f"operator in operand position: {tok!r}")
         if spec.domain is not None and not spec.domain(*operands):
-            raise DomainError(op.name, operands, spec.domain_reason)
+            raise DomainError(op.name, tuple(operands), spec.domain_reason)
         result = float(spec.fn(*operands))
         if not math.isfinite(result):
-            raise DomainError(op.name, operands, "non-finite result")
-        b.v_values.append(result)
-        steps.append(TraceStep(op.name, operands, result))
+            raise DomainError(op.name, tuple(operands), "non-finite result")
+        slots.append(result)
         i = end
-    return ExecutionTrace(tuple(steps))
+    return result
 
 
 def resolve_choice(result: float, choices: list[float]) -> int:
@@ -242,19 +211,19 @@ class BeamOutcome:
 
 def evaluate_beam(
     candidates: Iterable[str],
-    b: Bindings,
+    numbers: Sequence[float],
     gt_answer: float,
     tol,
     parsed: dict[str, SolutionProgram | CandidateResult] | None = None,
 ) -> BeamOutcome:
-    """Parse and execute ranked candidate texts, each on a fresh copy of the
-    bindings.
+    """Parse ranked candidate texts and run each on the problem's `numbers`.
 
     A candidate that fails to parse or execute is recorded as Failed and never
-    affects later candidates.  `tol` is anything with passes(pred, gt), e.g.
-    eval_harness.Tolerance.  `parsed` maps each text seen to its program or
-    its parse failure (both depend on the text alone) and is filled as texts
-    come, so beams sharing it parse a text once; None is a fresh map.
+    affects later candidates: each run has its own `V_` slots.  `tol` is
+    anything with passes(pred, gt), e.g. eval_harness.Tolerance.  `parsed`
+    maps each text seen to its program or its parse failure (both depend on
+    the text alone) and is filled as texts come, so beams sharing it parse a
+    text once; None is a fresh map.
     """
     parsed = {} if parsed is None else parsed
     results: list[CandidateResult] = []
@@ -272,7 +241,7 @@ def evaluate_beam(
             results.append(program)
             continue
         try:
-            value = execute_program(program, b.copy()).final
+            value = execute_program(program, numbers)
         except (SolverError, FormalLangError) as exc:
             results.append(CandidateResult(text, False, None, str(exc)))
             continue
@@ -452,8 +421,15 @@ class ProblemRecord:
     diagram: str | None = None
 
 
+def problems_file(path: str | Path) -> Path:
+    """`path`, or its problems.jsonl if `path` is a dataset directory."""
+    path = Path(path)
+    return path / "problems.jsonl" if path.is_dir() else path
+
+
 def load_problems(path: str | Path) -> list[ProblemRecord]:
-    return load_records(path, ProblemRecord)
+    """The problems of a problems file or of a dataset directory."""
+    return load_records(problems_file(path), ProblemRecord)
 
 
 def save_problems(records: Iterable[ProblemRecord], path: str | Path) -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Sequence
@@ -779,22 +780,42 @@ def checkpoint_path(prefix: str | Path, suffix: str) -> Path:
     return prefix.with_name(prefix.name + suffix)
 
 
+@contextmanager
+def replacing(path: str | Path):
+    """A binary file handle on a temporary file next to `path`, moved onto
+    `path` by os.replace when the block ends.  If the block raises, the
+    temporary file is removed and `path` keeps its old bytes."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def json_bytes(obj) -> bytes:
+    """The strict, indented, key-sorted JSON of a sidecar or snapshot."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
 def save_params(params: dict[str, Tensor], prefix: str | Path) -> None:
-    names = sorted(params)
+    """Write checkpoint `prefix`: `.bin` holds each parameter's float64
+    bytes in name order, the `.json` sidecar their offsets and shapes.  Both
+    go through `replacing`, so a save that fails leaves the old files."""
     index: dict[str, dict] = {}
     offset = 0
-    with open(checkpoint_path(prefix, ".bin"), "wb") as fh:
-        for name in names:
+    with replacing(checkpoint_path(prefix, ".bin")) as fh, \
+            replacing(checkpoint_path(prefix, ".json")) as sidecar:
+        for name in sorted(params):
             src = params[name].data
             arr = np.ascontiguousarray(src, dtype="<f8")
             fh.write(arr.tobytes())
             index[name] = {"offset": offset, "shape": list(src.shape)}
             offset += arr.nbytes
-    sidecar = {"schema": 1, "params": index}
-    checkpoint_path(prefix, ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+        sidecar.write(json_bytes({"schema": 1, "params": index}))
 
 
 def load_params(prefix: str | Path, requires_grad: bool = True) -> dict[str, Tensor]:

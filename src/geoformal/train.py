@@ -3,7 +3,9 @@
 Each stage is deterministic given (seed, config, dataset): batches are drawn
 from labeled Rng splits, every run writes a JSONL step log plus a resolved
 config snapshot next to its checkpoint, and checkpoints are flat float64
-binaries with a JSON sidecar (tensorcore.save_params).
+binaries with a JSON sidecar (tensorcore.save_params).  The checkpoint's two
+files and the snapshot are each written to a temporary file and moved into
+place (tensorcore.replacing), so a failed save keeps the previous ones.
 
 All four stages share one loop, `_run_loop`: it owns the optimizer, the
 per-step Rng split `step{n}`, zero_grad/backward/step, the step log, the
@@ -170,9 +172,7 @@ def load_dataset(path: str | Path, patch: int = 8) -> Dataset:
 
     Diagram paths and vocab.txt are read relative to the problems file's
     own directory; without a vocab.txt the default vocabulary is used."""
-    path = Path(path)
-    if path.is_dir():
-        path = path / "problems.jsonl"
+    path = solver.problems_file(path)
     root = path.parent
     problems = solver.load_problems(path)
     if not problems:
@@ -240,10 +240,8 @@ def _run_loop(
                                  allow_nan=False) + "\n")
     tc.save_params(params, out_prefix)
     snapshot = {"schema": 1, **asdict(config), "seed": seed, "stage": stage}
-    tc.checkpoint_path(out_prefix, ".config.json").write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    with tc.replacing(tc.checkpoint_path(out_prefix, ".config.json")) as fh:
+        fh.write(tc.json_bytes(snapshot))
     return last
 
 
@@ -527,8 +525,5 @@ def adjudicate(
     parsed: dict = {}
     for rec in problems:
         texts = candidates.get(rec.id, [])[:beam]
-        outcome = solver.evaluate_beam(
-            texts, solver.Bindings.from_numbers(rec.numbers), rec.answer, tol, parsed
-        )
-        pairs.append((rec, outcome))
+        pairs.append((rec, solver.evaluate_beam(texts, rec.numbers, rec.answer, tol, parsed)))
     return pairs

@@ -26,9 +26,11 @@ out-of-place tanh formula and its derivative, and pins the in-place
 that `Tensor.backward` was before it consumed the graph, and pins its
 gradients bit for bit; `tape_nodes` lists the nodes a backward must
 release.  `reference_parse_program`,
-`reference_execute_program` and `reference_evaluate_beam` are the parser and
-interpreter as they were before program tokens were shared, and pin the
-current ones to the same results and errors.  `reference_metrics` computes
+`reference_execute_program` and `reference_evaluate_beam` are the parser as it
+was before program tokens were shared and the interpreter as it was before it
+ran programs for their value alone (a converted copy of the numbers, grown
+`V_` slots and a record of every step, per run); they pin the current ones to
+the same values, outcomes and errors.  `reference_metrics` computes
 each metric by its own walk over the pairs, as `eval_harness` did before
 `build_report` computed them all from its rows, and pins that one pass; its
 `rank0` metric judges the first candidate itself, and must equal top-1.
@@ -193,13 +195,13 @@ def random_bytes_text(rng: random.Random, max_len: int = 80) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Program parser and interpreter before the shared tokens and operand memo
+# Program parser before the shared tokens and operand memo, and interpreter
+# before value-only execution
 # ---------------------------------------------------------------------------
-# Copies of `formal_lang.parse_program` / `_parse_operand` and
-# `solver.execute_program` / `_resolve` / `evaluate_beam` as they were before
+# Copies of `formal_lang.parse_program` / `_parse_operand` as they were before
 # tokens were shared: every parse builds fresh tokens through four regexes.
-# They pin the faster code to the same programs, traces, outcomes, and error
-# classes, messages and positions.
+# They pin the faster code to the same programs, outcomes, and error classes,
+# messages and positions.
 
 _NUMREF_RE = re.compile(r"N_(\d+)$")
 _VARREF_RE = re.compile(r"V_(\d+)$")
@@ -249,56 +251,69 @@ def _reference_parse_operand(word: str, position: int, groups_done: int) -> fl.P
     raise fl.ProgramSyntaxError(f"expected operand, got {word!r}", position)
 
 
-def _reference_resolve(tok: fl.ProgramToken, b: solver.Bindings) -> float:
+# The interpreter as it was before execution dropped its trace and bindings:
+# each run converts the whole number list, grows its own V_ slots and keeps a
+# record of every step.  Its constants are its own table.
+_REFERENCE_CONSTANTS = {"PI": math.pi}
+
+
+def _reference_resolve(tok: fl.ProgramToken, n_values: list[float],
+                       v_values: list[float]) -> float:
     if isinstance(tok, fl.Literal):
         return tok.value
     if isinstance(tok, fl.NumRef):
-        if tok.index >= len(b.n_values):
-            raise solver.UnboundNumRefError(tok.index, len(b.n_values))
-        return b.n_values[tok.index]
+        if tok.index >= len(n_values):
+            raise solver.UnboundNumRefError(tok.index, len(n_values))
+        return n_values[tok.index]
     if isinstance(tok, fl.VarRef):
-        if tok.index >= len(b.v_values):
+        if tok.index >= len(v_values):
             # parse_program rejects this; guard against hand-built programs
             raise fl.FormalLangError(f"V_{tok.index} resolved before it was produced")
-        return b.v_values[tok.index]
+        return v_values[tok.index]
     if isinstance(tok, fl.ConstRef):
-        if tok.name not in b.constants:
+        if tok.name not in _REFERENCE_CONSTANTS:
             raise solver.UnknownConstantError(tok.name)
-        return b.constants[tok.name]
+        return _REFERENCE_CONSTANTS[tok.name]
     raise TypeError(f"operator in operand position: {tok!r}")
 
 
-def reference_execute_program(p: fl.SolutionProgram, b: solver.Bindings) -> solver.ExecutionTrace:
+def reference_execute_program(
+    p: fl.SolutionProgram, numbers: Sequence[float]
+) -> list[tuple[str, tuple[float, ...], float]]:
+    """Every step of `p` on `numbers` as (operator, operands, result); the
+    program's value is the last result."""
     if not p.tokens:
         raise solver.EmptyProgramError()
-    steps: list[solver.TraceStep] = []
+    n_values = [float(x) for x in numbers]
+    v_values: list[float] = []
+    steps = []
     for op, operand_toks in p.groups():
         spec = solver._REGISTRY[op.name]
-        operands = tuple(_reference_resolve(t, b) for t in operand_toks)
+        operands = tuple(_reference_resolve(t, n_values, v_values) for t in operand_toks)
         if spec.domain is not None and not spec.domain(*operands):
             raise solver.DomainError(op.name, operands, spec.domain_reason)
         result = float(spec.fn(*operands))
         if not math.isfinite(result):
             raise solver.DomainError(op.name, operands, "non-finite result")
-        b.v_values.append(result)
-        steps.append(solver.TraceStep(op.name, operands, result))
-    return solver.ExecutionTrace(tuple(steps))
+        v_values.append(result)
+        steps.append((op.name, operands, result))
+    return steps
 
 
-def reference_evaluate_beam(candidates, b: solver.Bindings, gt_answer: float, tol):
+def reference_evaluate_beam(candidates, numbers: Sequence[float], gt_answer: float, tol):
     results: list[solver.CandidateResult] = []
     first_executed: int | None = None
     first_correct: int | None = None
     for rank, text in enumerate(candidates):
         try:
-            trace = reference_execute_program(reference_parse_program(text), b.copy())
+            value = reference_execute_program(reference_parse_program(text), numbers)[-1][2]
         except (solver.SolverError, fl.FormalLangError) as exc:
             results.append(solver.CandidateResult(text, False, error=str(exc)))
             continue
-        results.append(solver.CandidateResult(text, True, value=trace.final))
+        results.append(solver.CandidateResult(text, True, value=value))
         if first_executed is None:
             first_executed = rank
-        if first_correct is None and tol.passes(trace.final, gt_answer):
+        if first_correct is None and tol.passes(value, gt_answer):
             first_correct = rank
     return solver.BeamOutcome(tuple(results), first_executed, first_correct)
 

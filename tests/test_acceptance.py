@@ -122,9 +122,7 @@ def test_criterion_2_solver_oracle():
     import random
 
     t0 = time.monotonic()
-    exact = solver.execute_program(
-        fl.parse_program("gougu_add 3.0 4.0"), solver.Bindings()
-    ).final
+    exact = solver.execute_program(fl.parse_program("gougu_add 3.0 4.0"), [])
     assert abs(exact - 5.0) <= 1e-12
 
     rng = random.Random(20_002)
@@ -133,9 +131,7 @@ def test_criterion_2_solver_oracle():
         text = random_program_text(rng, max_groups=4, n_numbers=3)
         numbers = [round(rng.uniform(0.5, 20.0), 3) for _ in range(3)]
         try:
-            got = solver.execute_program(
-                fl.parse_program(text), solver.Bindings.from_numbers(numbers)
-            ).final
+            got = solver.execute_program(fl.parse_program(text), numbers)
         except solver.SolverError:
             continue
         assert rel_close(got, oracle_eval(text, numbers)), text
@@ -312,9 +308,7 @@ def test_criterion_8_metric_calibration():
         rec = solver.ProblemRecord(
             id=f"p{i}", numbers=numbers, answer=answer, choices=options
         )
-        outcome = solver.evaluate_beam(
-            texts, solver.Bindings.from_numbers(numbers), answer, tol
-        )
+        outcome = solver.evaluate_beam(texts, numbers, answer, tol)
         pairs.append((rec, outcome))
     choice = eh.build_report(pairs, tol).choice
     assert abs(choice - 0.25) <= 0.03, f"choice = {choice}"

@@ -151,6 +151,28 @@ def test_adjudicate_and_eval_with_gt_programs(dataset, tmp_path, capsys):
     assert all(r["first_correct_rank"] == 0 for r in rows)
 
 
+def test_eval_reads_a_dataset_directory_as_decode_does(dataset, tmp_path, capsys):
+    # --problems names a dataset directory (its problems.jsonl) or the file
+    records = solver.load_problems(dataset / "problems.jsonl")
+    eh.save_candidates([(rec.id, [rec.gt_program]) for rec in records],
+                       tmp_path / "cands.jsonl")
+    payloads = [run_cli(capsys, "eval", "--problems", str(problems),
+                        "--candidates", str(tmp_path / "cands.jsonl"))
+                for problems in (dataset, dataset / "problems.jsonl")]
+    assert payloads[0] == payloads[1]
+    code, payload = payloads[0]
+    assert code == 0
+    assert payload["n_problems"] == len(records) == 6
+    assert payload["top1"] == 1.0
+
+
+def test_eval_on_a_directory_without_problems_is_data_error(tmp_path, capsys):
+    (tmp_path / "cands.jsonl").write_text('{"id": "p0", "candidates": ["g_equal 1.0"]}\n')
+    err = assert_data_error(capsys, "eval", "--problems", str(tmp_path),
+                            "--candidates", str(tmp_path / "cands.jsonl"))
+    assert f"{tmp_path / 'problems.jsonl'}" in err
+
+
 def test_eval_schema_error_exit_code(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{not json\n")

@@ -25,7 +25,7 @@ from geoformal.diagram_synth import (
     sample_scene,
     write_pgm,
 )
-from geoformal.solver import Bindings, execute_program
+from geoformal.solver import execute_program
 from geoformal.tensorcore import Rng, ShapeMismatchError
 
 
@@ -206,9 +206,7 @@ def test_problems_are_solver_consistent_and_choices_unique():
     for i in range(300):
         scene = sample_scene(rng.split(f"s{i}"), cfg.scene)
         problem = make_problem(scene, rng.split(f"p{i}"), cfg, f"p{i}")
-        result = execute_program(
-            problem.gt_program, Bindings.from_numbers(problem.numbers)
-        ).final
+        result = execute_program(problem.gt_program, problem.numbers)
         assert abs(result - problem.answer) <= 1e-9 * max(1.0, abs(problem.answer))
         assert problem.choices is not None
         assert len(problem.choices) == 4

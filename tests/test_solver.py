@@ -7,11 +7,11 @@ import pytest
 from geoformal import formal_lang as fl
 from geoformal import solver
 from geoformal.solver import (
-    Bindings,
     DomainError,
     EmptyProgramError,
     ProblemRecord,
     UnboundNumRefError,
+    UnknownConstantError,
     evaluate_beam,
     execute_program,
     operator_table,
@@ -32,9 +32,7 @@ class Tol:
 
 
 def run(text: str, numbers=()) -> float:
-    return execute_program(
-        fl.parse_program(text), Bindings.from_numbers(numbers)
-    ).final
+    return execute_program(fl.parse_program(text), numbers)
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +80,18 @@ def test_unbound_numref():
 
 def test_empty_program_rejected():
     with pytest.raises(EmptyProgramError):
-        execute_program(fl.SolutionProgram(), Bindings())
+        execute_program(fl.SolutionProgram(), [])
 
 
-def test_trace_and_bindings_growth():
-    b = Bindings.from_numbers([6.0, 8.0])
-    trace = execute_program(fl.parse_program("gougu_add N_0 N_1 g_double V_0"), b)
-    assert len(trace.steps) == 2
-    assert b.v_values == [10.0, 20.0]
-    assert trace.steps[0].operands == (6.0, 8.0)
-    assert trace.final == trace.steps[-1].result == 20.0
+def test_numbers_resolve_as_floats_and_are_only_read():
+    numbers = [6, 8]
+    value = execute_program(fl.parse_program("gougu_add N_0 N_1 g_double V_0"), numbers)
+    assert value == 20.0 and type(value) is float
+    assert numbers == [6, 8]
+    with pytest.raises(DomainError) as info:
+        run("g_divide N_0 N_1", [1, 0])
+    assert info.value.operands == (1.0, 0.0)
+    assert str(info.value) == "g_divide(1.0, 0.0): division by zero"
 
 
 def test_constants():
@@ -169,7 +169,7 @@ def test_resolve_choice_empty_rejected():
 
 def test_beam_invalid_then_correct():
     out = evaluate_beam(
-        ["g_equal", "gougu_add 3.0 4.0"], Bindings(), 5.0, Tol()
+        ["g_equal", "gougu_add 3.0 4.0"], [], 5.0, Tol()
     )
     assert out.rank_of_first_executed == 1
     assert out.rank_of_first_correct == 1
@@ -178,7 +178,7 @@ def test_beam_invalid_then_correct():
 
 
 def test_beam_all_invalid():
-    out = evaluate_beam(["nosuch 1.0"] * 10, Bindings(), 5.0, Tol())
+    out = evaluate_beam(["nosuch 1.0"] * 10, [], 5.0, Tol())
     assert out.rank_of_first_executed is None
     assert out.rank_of_first_correct is None
     assert len(out.candidates) == 10
@@ -186,7 +186,7 @@ def test_beam_all_invalid():
 
 def test_beam_wrong_then_correct():
     out = evaluate_beam(
-        ["g_add 1.0 1.0", "gougu_add 3.0 4.0"], Bindings(), 5.0, Tol()
+        ["g_add 1.0 1.0", "gougu_add 3.0 4.0"], [], 5.0, Tol()
     )
     assert out.rank_of_first_executed == 0
     assert out.rank_of_first_correct == 1
@@ -196,16 +196,16 @@ def test_beam_tail_candidates_never_change_first_correct():
     rng = random.Random(9)
     for _ in range(100):
         cands = ["g_equal 1.0", "gougu_add 3.0 4.0"]
-        out_short = evaluate_beam(cands, Bindings(), 5.0, Tol())
+        out_short = evaluate_beam(cands, [], 5.0, Tol())
         extra = [random_program_text(rng) for _ in range(rng.randint(1, 4))]
-        out_long = evaluate_beam(cands + extra, Bindings(), 5.0, Tol())
+        out_long = evaluate_beam(cands + extra, [], 5.0, Tol())
         assert out_long.rank_of_first_correct == out_short.rank_of_first_correct
 
 
 def test_beam_candidates_get_fresh_bindings():
-    # if bindings leaked across candidates, the second V_0 would resolve
+    # if V_ slots leaked across candidates, the second V_0 would resolve
     out = evaluate_beam(
-        ["g_equal 1.0", "g_equal V_0"], Bindings(), 1.0, Tol()
+        ["g_equal 1.0", "g_equal V_0"], [], 1.0, Tol()
     )
     assert out.candidates[0].executed
     assert not out.candidates[1].executed
@@ -217,7 +217,7 @@ def test_beam_candidates_get_fresh_bindings():
 ], ids=["N", "V"])
 def test_beam_scores_an_oversized_index_as_failed(text, position):
     # int() refuses more than 4300 digits; that word is no operand
-    out = evaluate_beam([text, "g_equal N_0"], Bindings.from_numbers([2.0]), 2.0, Tol())
+    out = evaluate_beam([text, "g_equal N_0"], [2.0], 2.0, Tol())
     assert not out.candidates[0].executed
     assert out.candidates[0].error.startswith(f"token {position}: expected operand, got ")
     assert out.rank_of_first_executed == out.rank_of_first_correct == 1
@@ -241,23 +241,72 @@ HAND_BUILT = [
 ]
 
 
+def test_beam_isolates_each_candidate_and_only_reads_the_numbers():
+    numbers = [2.0, 3.0]
+    # a hand-built program that reads V_0 without producing it; the parser
+    # would refuse its text
+    parsed = {"leak": fl.SolutionProgram((fl.Operator("g_equal"), fl.VarRef(0)))}
+    out = evaluate_beam(
+        ["g_equal N_1 g_divide V_0 0.0", "leak", "g_equal 7.0 g_add V_0 N_0"],
+        numbers, 9.0, Tol(), parsed,
+    )
+    first, leak, last = out.candidates
+    assert not first.executed  # fails at group 2, after writing its V_0 = 3.0
+    assert first.error == "g_divide(3.0, 0.0): division by zero"
+    assert not leak.executed
+    assert leak.error == "V_0 resolved before it was produced"
+    assert last.executed and last.value == 9.0  # its own V_0 = 7.0
+    assert out.rank_of_first_executed == out.rank_of_first_correct == 2
+    assert numbers == [2.0, 3.0]
+
+
+def outcome(run, *args):
+    """What `run` returns, or its error's class, message and, for a domain
+    error, operands."""
+    try:
+        return run(*args)
+    except Exception as exc:  # hand-built programs raise TypeError and the like
+        return type(exc), str(exc), getattr(exc, "operands", None)
+
+
+HAND_BUILT = [
+    fl.SolutionProgram(),
+    fl.SolutionProgram((fl.Operator("g_equal"), fl.Operator("g_equal"))),
+    fl.SolutionProgram((fl.Operator("g_add"), fl.Literal(1.0))),
+    fl.SolutionProgram((fl.Operator("g_equal"), fl.VarRef(0))),
+    fl.SolutionProgram((fl.Operator("g_equal"), fl.ConstRef("E"))),
+    fl.SolutionProgram((fl.Operator("g_nosuch"), fl.Literal(1.0))),
+    fl.SolutionProgram((fl.Literal(1.0),)),
+    fl.parse_program("g_mul 1e200 1e200"),
+    fl.parse_program("g_equal N_0 g_half N_7"),
+]
+
+
+def reference_value(p, numbers):
+    return reference_execute_program(p, numbers)[-1][2]
+
+
 def test_interpreter_matches_reference_interpreter():
     rng = random.Random(505)
     programs = list(HAND_BUILT)
-    for _ in range(300):
+    while len(programs) < 1500:
         for text in bench_style_candidates(rng, n_numbers=3):
             try:
                 programs.append(fl.parse_program(text))
             except fl.FormalLangError:
                 pass
-    programs += [fl.parse_program(random_program_text(rng, n_numbers=3))
-                 for _ in range(300)]
+        programs.append(fl.parse_program(random_program_text(rng, n_numbers=3)))
+    raised = set()
     for p in programs:
-        numbers = [rng.choice((0.0, 1.0, 90.0, 3.5)) for _ in range(rng.randint(0, 3))]
-        got, want = Bindings.from_numbers(numbers), Bindings.from_numbers(numbers)
-        assert outcome(execute_program, p, got) == \
-            outcome(reference_execute_program, p, want), p
-        assert got == want
+        numbers = [rng.choice((0.0, 1.0, 90.0, 3.5, 2, 0)) for _ in range(rng.randint(0, 3))]
+        kept = list(numbers)
+        got = outcome(execute_program, p, numbers)
+        assert got == outcome(reference_value, p, numbers), (p, numbers)
+        assert numbers == kept
+        if type(got) is tuple:
+            raised.add(got[0])
+    assert raised >= {EmptyProgramError, UnboundNumRefError, UnknownConstantError,
+                      DomainError, fl.FormalLangError, TypeError}
 
 
 def test_beam_matches_reference_beam():
@@ -266,10 +315,10 @@ def test_beam_matches_reference_beam():
         n_numbers = rng.randint(0, 3)
         beam = bench_style_candidates(rng, n_numbers)
         beam += [random_bytes_text(rng, 20), random_program_text(rng, n_numbers=n_numbers)]
-        b = Bindings.from_numbers([rng.choice((1.0, 3.0, 90.0)) for _ in range(n_numbers)])
+        numbers = [rng.choice((1.0, 3.0, 90.0)) for _ in range(n_numbers)]
         gt = rng.choice((1.0, 3.0, 180.0))
-        assert evaluate_beam(beam, b, gt, Tol(1.0)) == \
-            reference_evaluate_beam(beam, b, gt, Tol(1.0))
+        assert evaluate_beam(beam, numbers, gt, Tol(1.0)) == \
+            reference_evaluate_beam(beam, numbers, gt, Tol(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -849,6 +850,21 @@ def test_checkpoint_roundtrip(tmp_path):
     for name in params:
         assert np.array_equal(loaded[name].data, params[name].data)
         assert loaded[name].requires_grad
+
+
+def test_a_save_that_fails_midway_leaves_the_old_checkpoint(tmp_path):
+    prefix = tmp_path / "ckpt"
+    tc.save_params({"a": tc.zeros((2,)), "b": tc.zeros((3,))}, prefix)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(before) == ["ckpt.bin", "ckpt.json"]
+    # "b" is written after "a", and its data cannot be read as float64
+    bad = {"a": Tensor(np.ones(4)), "b": SimpleNamespace(data=np.array(["x"]))}
+    with pytest.raises(ValueError):
+        tc.save_params(bad, prefix)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    tc.save_params({"a": Tensor(np.ones(4))}, prefix)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+    assert np.array_equal(tc.load_params(prefix)["a"].data, np.ones(4))
 
 
 def test_checkpoint_rejects_unknown_schema(tmp_path):

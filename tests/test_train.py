@@ -1,4 +1,5 @@
 import json
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -146,6 +147,27 @@ def test_sft_freeze_encoder_keeps_encoder_fixed(dataset, tmp_path):
         for name, tensor in align_params.items()
     )
     assert changed
+
+
+def test_a_snapshot_that_fails_to_write_leaves_the_old_files(dataset, tmp_path,
+                                                            monkeypatch):
+    config = small_config(dataset)
+    config.stages["lm"].steps = 0
+    params = {"w": Tensor(np.ones(2), requires_grad=True)}
+    tr._run_loop("lm", config, 1, tmp_path / "run", params, None)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(before) == ["run.bin", "run.config.json", "run.json", "run.log.jsonl"]
+    real_replace = os.replace
+
+    def fail_on_snapshot(src, dst):
+        if str(dst).endswith(".config.json"):
+            raise OSError("no space left for the snapshot")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_snapshot)
+    with pytest.raises(OSError, match="no space left"):  # seed 2 would change it
+        tr._run_loop("lm", config, 2, tmp_path / "run", params, None)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_frozen_encoder_builds_no_gradients(dataset, tmp_path, monkeypatch):
@@ -475,8 +497,8 @@ def test_adjudicate_parses_each_text_once_per_call(monkeypatch):
     tol = eh.Tolerance()
     pairs = tr.adjudicate(problems, beams, beam=10, tol=tol)
     assert pairs == [
-        (rec, reference_evaluate_beam(beams[rec.id], solver.Bindings.from_numbers(
-            rec.numbers), rec.answer, tol)) for rec in problems]
+        (rec, reference_evaluate_beam(beams[rec.id], rec.numbers, rec.answer, tol))
+        for rec in problems]
     texts = {text for rec in problems for text in beams[rec.id]}
     assert calls == dict.fromkeys(texts, 1)
     tr.adjudicate(problems, beams, beam=10, tol=tol)
