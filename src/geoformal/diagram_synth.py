@@ -401,12 +401,8 @@ def pgm_bytes(pixels: np.ndarray) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes()
 
 
-def write_pgm(pixels: np.ndarray, path: str | Path) -> None:
-    Path(path).write_bytes(pgm_bytes(pixels))
-
-
 def read_pgm(path: str | Path) -> np.ndarray:
-    """An 8-bit P5 graymap laid out as write_pgm writes it, scaled to [0, 1];
+    """An 8-bit P5 graymap laid out as pgm_bytes writes it, scaled to [0, 1];
     a malformed header or pixel block raises ValueError naming the file."""
     parts = Path(path).read_bytes().split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5":

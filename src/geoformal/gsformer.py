@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensorcore as tc
-from .formal_lang import OutOfVocabError
+from .formal_lang import PAD_ID, OutOfVocabError
 from .tensorcore import Rng, Tensor
 
 
@@ -166,9 +166,6 @@ def init_params(cfg: GSFormerConfig, rng: Rng) -> dict[str, Tensor]:
 # Building blocks and the pre-LN layer of all three models
 # ---------------------------------------------------------------------------
 
-PAD_ID = 0  # fills each token list past its own length (formal_lang.PAD_ID)
-
-
 def pad_ids(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad token lists with PAD_ID to the longest one in the batch:
     ((B, L) ids, (B,) lengths)."""
@@ -293,7 +290,7 @@ def gs_former_forward(
     longest caption.
     """
     if (patches.ndim != 3 or patches.shape[-1] != cfg.d_in
-            or patches.shape[1] > cfg.n_patches):
+            or patches.shape[1] != cfg.n_patches):
         raise tc.ShapeMismatchError("gs_former_forward patches", patches.shape,
                                     (-1, cfg.n_patches, cfg.d_in))
     batch, n_patches = patches.shape[:2]

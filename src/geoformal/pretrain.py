@@ -8,7 +8,7 @@ the `proj` linear, train.visual_tokens), and decoding is length-normalized
 beam search.
 
 Batch layout: every loss takes a whole batch.  MAE patches stack to
-(B, N, d).  Token sequences are right-padded with gsformer.PAD_ID to the
+(B, N, d).  Token sequences are right-padded with formal_lang.PAD_ID to the
 longest sequence in the batch (`pad_ids`) and run through `decoder_forward`
 as one (B, T) block; the causal mask it builds already hides each row's
 trailing pads from every real query.  Each loss passes `decoder_forward`
@@ -21,7 +21,8 @@ Decoding is KV-cached: each layer's keys/values live in one
 (2, beam, n_prefix + max_len, d) buffer whose beam rows start with a copy of
 the prefix rows, computed once; generated rows follow and are reordered by
 parent index.  Attention over all heads is one `tc.attention` call on that
-block (gsformer.mha).
+block (gsformer.mha).  The live hypotheses are one (L, t) token matrix and
+an (L,) score vector; one argsort ranks a step's (L, k) expansions.
 
 Every affine map (`linear`, the tied output head), attention and layer
 norm is one tape node (tensorcore's fused ops), so a decoder layer adds
@@ -38,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import formal_lang as fl
 from . import tensorcore as tc
 from .gsformer import (INIT_STD, _block_init, _linear_init, _ln_init, block, linear,
                        norm, pad_ids)
@@ -208,7 +210,7 @@ class KVCache:
         keys, values = self.rows[:, :live, :self.n]
         return Tensor(keys), Tensor(values)
 
-    def reorder(self, parents: list[int]) -> None:
+    def reorder(self, parents: np.ndarray) -> None:
         new = slice(self.n_prefix, self.n)
         self.rows[:, :len(parents), new] = self.rows[:, parents, new]
 
@@ -319,7 +321,7 @@ def beam_decode(
     t_p: Sequence[int],
     beam: int = 10,
     max_len: int = 24,
-    eos_id: int = 2,
+    eos_id: int = fl.EOS_ID,
 ) -> list[BeamHypothesis]:
     """Length-normalized beam search for one problem: (1, P, d) visual
     tokens t_g (or None) and instruction ids t_p; rng-free and deterministic.
@@ -329,46 +331,44 @@ def beam_decode(
     emit EOS are cut at max_len.
 
     KV-cached: the prefix [t_g || t_p] runs through the decoder once, then
-    each step advances every live hypothesis by one token as one (B, 1, d)
+    each step advances every live hypothesis by one token as one (L, 1, d)
     batch over its row of the cache: the prefix keys/values, then its own
     generated ones (KVCache).
+
+    Each step scores the (L, k) expansions of the L live hypotheses by their
+    k most likely tokens and ranks them with one stable argsort (ties: parent,
+    then token rank).  Every EOS expansion is finished, even below the beam
+    cut; the first `beam` others stay live, their cache rows their parent's.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     cache = [KVCache(beam, max_len) for _ in range(cfg.n_layers)]
-    live: list[tuple[list[int], float]] = [([], 0.0)]
+    tokens = np.zeros((1, 0), dtype=np.int64)  # (L, t): the live hypotheses
+    scores = np.zeros(1)  # (L,) summed log-probs
     finished: list[tuple[list[int], float]] = []
     with tc.no_grad():
         for step in range(max_len):
-            if not live:
+            if not len(scores):
                 break
-            if step == 0:
-                logits = decoder_forward(params, cfg, [list(t_p)], t_g, cache).data[0, -1:]
-            else:
-                last = [[tokens[-1]] for tokens, _ in live]
-                logits = decoder_forward(params, cfg, last, cache=cache).data[:, -1]
+            ids = tokens[:, -1:] if step else [list(t_p)]
+            logits = decoder_forward(params, cfg, ids, None if step else t_g, cache).data[:, -1]
             logp = tc._log_softmax(logits)
             top = np.argsort(-logp, axis=1, kind="stable")[:, :beam]
-            expansions = [
-                (tokens + [int(t)], score + float(logp[parent, t]), parent)
-                for parent, (tokens, score) in enumerate(live) for t in top[parent]
-            ]
-            expansions.sort(key=lambda e: -e[1])
-            live, parents = [], []
-            for tokens, score, parent in expansions:
-                if tokens[-1] == eos_id:
-                    finished.append((tokens, score))
-                elif len(live) < beam:
-                    live.append((tokens, score))
-                    parents.append(parent)
+            grown = scores[:, None] + np.take_along_axis(logp, top, axis=1)
+            order = np.argsort(-grown, axis=None, kind="stable")
+            parents, ranks = np.divmod(order, top.shape[1])
+            ranked = np.column_stack((tokens[parents], top[parents, ranks]))
+            ranked_scores = grown.ravel()[order]
+            eos = ranked[:, -1] == eos_id
+            finished += zip(ranked[eos].tolist(), ranked_scores[eos].tolist())
+            keep = np.flatnonzero(~eos)[:beam]
+            tokens, scores = ranked[keep], ranked_scores[keep]
             for layer in cache:
-                layer.reorder(parents)
-    pool = finished + live
-    hypotheses = [
-        BeamHypothesis(tuple(tokens), score, score / max(1, len(tokens)))
-        for tokens, score in pool
-    ]
+                layer.reorder(parents[keep])
+    pool = finished + list(zip(tokens.tolist(), scores.tolist()))
+    hypotheses = [BeamHypothesis(tuple(ids), score, score / max(1, len(ids)))
+                  for ids, score in pool]
     hypotheses.sort(key=lambda h: -h.normalized)
     return hypotheses[:beam]

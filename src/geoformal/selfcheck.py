@@ -313,8 +313,7 @@ def _check_beam_greedy(rng: Rng) -> tuple[bool, str]:
             greedy.append(nxt)
             if nxt == fl.EOS_ID:
                 break
-    top = pt.beam_decode(params, cfg, None, t_p, beam=1, max_len=6,
-                         eos_id=fl.EOS_ID)[0]
+    top = pt.beam_decode(params, cfg, None, t_p, beam=1, max_len=6)[0]
     ok = list(top.token_ids) == greedy
     return ok, "beam=1 equals greedy decoding"
 

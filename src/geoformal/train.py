@@ -35,6 +35,7 @@ Adam leaves them as loaded.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -171,14 +172,21 @@ def load_dataset(path: str | Path, patch: int = 8) -> Dataset:
     problems file, with each diagram cut into patch x patch patches.
 
     Diagram paths and vocab.txt are read relative to the problems file's
-    own directory; without a vocab.txt the default vocabulary is used."""
+    own directory.  Questions are tokenized with the package vocabulary
+    (`diagram_synth.make_problem`), so a vocab.txt that differs is refused."""
     path = solver.problems_file(path)
     root = path.parent
     problems = solver.load_problems(path)
     if not problems:
         raise eh.SchemaError(f"{path} holds no problems")
-    vocab_path = root / "vocab.txt"
-    vocab = fl.Vocab.load(vocab_path) if vocab_path.exists() else ds.default_vocab()
+    vocab, vocab_path = ds.default_vocab(), root / "vocab.txt"
+    if vocab_path.exists():
+        lines = vocab_path.read_text(encoding="utf-8").splitlines()
+        for line, pair in enumerate(itertools.zip_longest(lines, vocab.tokens()), 1):
+            if pair[0] != pair[1]:
+                got, want = ("end of file" if t is None else repr(t) for t in pair)
+                raise eh.SchemaError(f"{vocab_path} line {line} is {got}, the package "
+                                     f"vocabulary's is {want}")
     patches: dict[str, Tensor] = {}
     for rec in problems:
         if rec.diagram is None:
@@ -491,21 +499,18 @@ def decode_problems(
 ) -> list[tuple[str, list[str]]]:
     """Hard-mask, noise-free decoding of every problem; rng-free."""
     gs_cfg, dec_cfg, params = load_sft_checkpoint(ckpt_prefix)
+    if data.n_patches != gs_cfg.n_patches:
+        raise eh.SchemaError(f"checkpoint {ckpt_prefix} has gsformer.n_patches "
+                             f"{gs_cfg.n_patches}, the dataset's diagrams {data.n_patches}")
     _, dec = split_sft_params(params)
     results = []
     for rec in data.problems:
         patches = data.patches[rec.id]
         t_g = visual_tokens(params, gs_cfg, tc.reshape(patches, (1,) + patches.shape),
                             None, hard=True)
-        hyps = pt.beam_decode(
-            dec, dec_cfg, t_g, rec.question_tokens,
-            beam=beam, max_len=max_len, eos_id=fl.EOS_ID,
-        )
-        texts = [
-            fl.detokenize([t for t in h.token_ids if t != fl.EOS_ID], data.vocab)
-            for h in hyps
-        ]
-        results.append((rec.id, texts))
+        hyps = pt.beam_decode(dec, dec_cfg, t_g, rec.question_tokens,
+                              beam=beam, max_len=max_len)
+        results.append((rec.id, [fl.detokenize(h.token_ids, data.vocab) for h in hyps]))
     return results
 
 

@@ -4,7 +4,10 @@ The language oracles are deliberately written against the *text* of the two
 languages, with their own arity table and operator semantics, so that they
 share no code path with the package they check.  `reference_beam_decode` is
 the uncached beam search: it re-runs the full decoder for every hypothesis at
-every step and pins the KV-cached `pretrain.beam_decode`.  The fused
+every step and pins the KV-cached `pretrain.beam_decode`;
+`reference_list_beam_decode` is that cached search as it was before a step
+became array ops, and pins its hypotheses and scores with ==
+(`assert_identical_beams`).  The fused
 tensorcore ops are pinned against compositions of primitives:
 `reference_linear` (matmul, then add), `reference_attention` (one head at a
 time), `reference_mha` (built from those two), `reference_layer_norm`
@@ -518,6 +521,57 @@ def reference_beam_decode(params, cfg, t_g, t_p, beam=10, max_len=24, eos_id=2):
     ]
     hypotheses.sort(key=lambda h: -h.normalized)
     return hypotheses[:beam]
+
+
+def reference_list_beam_decode(params, cfg, t_g, t_p, beam=10, max_len=24, eos_id=2):
+    """`pretrain.beam_decode` as it was before a step became array ops: the
+    KV-cached search with live hypotheses as (token list, score) pairs and one
+    (tokens, score, parent) tuple per expansion, sorted by a stable list sort."""
+    if beam < 1:
+        raise ValueError("beam must be >= 1")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    cache = [pt.KVCache(beam, max_len) for _ in range(cfg.n_layers)]
+    live: list[tuple[list[int], float]] = [([], 0.0)]
+    finished: list[tuple[list[int], float]] = []
+    with tc.no_grad():
+        for step in range(max_len):
+            if not live:
+                break
+            if step == 0:
+                logits = pt.decoder_forward(params, cfg, [list(t_p)], t_g, cache).data[0, -1:]
+            else:
+                last = [[tokens[-1]] for tokens, _ in live]
+                logits = pt.decoder_forward(params, cfg, last, cache=cache).data[:, -1]
+            logp = tc._log_softmax(logits)
+            top = np.argsort(-logp, axis=1, kind="stable")[:, :beam]
+            expansions = [
+                (tokens + [int(t)], score + float(logp[parent, t]), parent)
+                for parent, (tokens, score) in enumerate(live) for t in top[parent]
+            ]
+            expansions.sort(key=lambda e: -e[1])
+            live, parents = [], []
+            for tokens, score, parent in expansions:
+                if tokens[-1] == eos_id:
+                    finished.append((tokens, score))
+                elif len(live) < beam:
+                    live.append((tokens, score))
+                    parents.append(parent)
+            for layer in cache:
+                layer.reorder(parents)
+    pool = finished + live
+    hypotheses = [
+        pt.BeamHypothesis(tuple(tokens), score, score / max(1, len(tokens)))
+        for tokens, score in pool
+    ]
+    hypotheses.sort(key=lambda h: -h.normalized)
+    return hypotheses[:beam]
+
+
+def assert_identical_beams(got, want) -> None:
+    """Identical hypotheses, scores compared with ==; token ids Python ints."""
+    assert got == want
+    assert all(type(t) is int for h in got for t in h.token_ids)
 
 
 def assert_same_beams(cached, reference, tol: float = 1e-9) -> None:

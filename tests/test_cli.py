@@ -603,6 +603,54 @@ def test_decode_refuses_an_align_checkpoint(dataset, checkpoints, tmp_path, caps
     assert not (tmp_path / "cands.jsonl").exists()
 
 
+@pytest.mark.parametrize("image_size, n_patches", [(32, 16), (40, 25)])
+def test_decode_refuses_diagrams_of_another_patch_grid(
+        checkpoints, tmp_path, capsys, image_size, n_patches):
+    data = tmp_path / "data"
+    assert dispatch(["gen-data", "--n", "3", "--seed", "1", "--image-size",
+                     str(image_size), "--out", str(data)]) == 0
+    capsys.readouterr()
+    err = assert_data_error(
+        capsys, "decode", "--ckpt", str(checkpoints / "sft"), "--problems", str(data),
+        "--out", str(tmp_path / "cands.jsonl"))
+    assert err == (f"error: checkpoint {checkpoints / 'sft'} has gsformer.n_patches 64, "
+                   f"the dataset's diagrams {n_patches}\n")
+    assert not (tmp_path / "cands.jsonl").exists()
+
+
+def swapped_vocab_copy(dataset, tmp_path) -> tuple[Path, str]:
+    """A copy of `dataset` whose vocab.txt swaps the g_add and g_minus lines,
+    and the error that refuses it."""
+    copy = tmp_path / "swapped"
+    shutil.copytree(dataset, copy)
+    vocab = copy / "vocab.txt"
+    lines = vocab.read_text().splitlines()
+    i, j = lines.index("g_add"), lines.index("g_minus")
+    lines[i], lines[j] = lines[j], lines[i]
+    vocab.write_text("\n".join(lines) + "\n")
+    return copy, (f"error: {vocab} line {min(i, j) + 1} is {lines[min(i, j)]!r}, "
+                  f"the package vocabulary's is {lines[max(i, j)]!r}\n")
+
+
+def test_train_refuses_a_vocab_file_that_is_not_the_package_vocabulary(
+        dataset, tmp_path, capsys):
+    copy, message = swapped_vocab_copy(dataset, tmp_path)
+    err = assert_data_error(capsys, "train-toy", "--stage", "sft", "--data", str(copy),
+                            "--steps", "1", "--out", str(tmp_path / "sft"))
+    assert err == message
+    assert not list(tmp_path.glob("sft*"))
+
+
+def test_decode_refuses_a_vocab_file_that_is_not_the_package_vocabulary(
+        dataset, checkpoints, tmp_path, capsys):
+    copy, message = swapped_vocab_copy(dataset, tmp_path)
+    err = assert_data_error(
+        capsys, "decode", "--ckpt", str(checkpoints / "sft"), "--problems", str(copy),
+        "--out", str(tmp_path / "cands.jsonl"))
+    assert err == message
+    assert not (tmp_path / "cands.jsonl").exists()
+
+
 def test_freeze_encoder_on_another_stage_is_data_error(dataset, tmp_path, capsys):
     err = assert_data_error(
         capsys, "train-toy", "--stage", "lm", "--data", str(dataset),

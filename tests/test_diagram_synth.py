@@ -20,10 +20,10 @@ from geoformal.diagram_synth import (
     generate_dataset,
     make_problem,
     patchify,
+    pgm_bytes,
     rasterize,
     read_pgm,
     sample_scene,
-    write_pgm,
 )
 from geoformal.solver import execute_program
 from geoformal.tensorcore import Rng, ShapeMismatchError
@@ -235,7 +235,7 @@ def test_caption_roundtrips_through_language(tmp_path):
 def test_pgm_roundtrip(tmp_path):
     pixels = Rng(16).uniform((32, 48))
     path = tmp_path / "x.pgm"
-    write_pgm(pixels, path)
+    path.write_bytes(pgm_bytes(pixels))
     back = read_pgm(path)
     assert back.shape == (32, 48)
     assert np.abs(back - pixels).max() <= 0.5 / 255 + 1e-12

@@ -27,10 +27,12 @@ from geoformal.tensorcore import Adam, Rng, Tensor
 
 from oracles import (
     assert_grads_close,
+    assert_identical_beams,
     assert_same_beams,
     loss_and_grads,
     reference_beam_decode,
     reference_instruction_loss,
+    reference_list_beam_decode,
     reference_lm_loss,
     summed_loss_and_grads,
 )
@@ -423,6 +425,8 @@ def test_cached_beam_decode_matches_uncached_reference(seed, beam, with_t_g):
     assert_same_beams(cached, reference_beam_decode(params, cfg, t_g, t_p,
                                                     beam=beam, max_len=12))
     assert len(cached) == beam
+    assert_identical_beams(cached, reference_list_beam_decode(params, cfg, t_g, t_p,
+                                                              beam=beam, max_len=12))
 
 
 def test_cached_beam_decode_matches_reference_when_eos_comes_early():
@@ -433,6 +437,32 @@ def test_cached_beam_decode_matches_reference_when_eos_comes_early():
     assert_same_beams(cached, reference_beam_decode(params, cfg, t_g, [5, 9],
                                                     beam=4, max_len=10))
     assert any(h.token_ids[-1] == 2 and len(h.token_ids) < 10 for h in cached)
+    assert_identical_beams(cached, reference_list_beam_decode(params, cfg, t_g, [5, 9],
+                                                              beam=4, max_len=10))
+
+
+@pytest.mark.parametrize("beam", [1, 4, 10])
+def test_array_beam_step_breaks_score_ties_as_the_list_step(beam):
+    # a zero embedding makes every step's logits head_b, whose values come in
+    # pairs: expansions tie within a parent and across parents of equal score
+    cfg, params = cache_decoder(3)
+    params["tok_emb"].data[:] = 0.0
+    params["head_b"].data[:] = np.repeat(np.arange(cfg.vocab_size // 2), 2)
+    got = beam_decode(params, cfg, None, [5, 6], beam=beam, max_len=6)
+    assert_identical_beams(got, reference_list_beam_decode(params, cfg, None, [5, 6],
+                                                           beam=beam, max_len=6))
+    assert len({h.log_prob for h in got}) < len(got) or beam == 1
+
+
+def test_array_beam_step_keeps_eos_expansions_below_the_beam_cut():
+    # the returned (..., 0, 10, 12, 2) ranked below the beam cut at its step
+    cfg, params = cache_decoder(3)
+    t_g = Tensor(Rng(13).normal((1, 3, cfg.d_lm), std=0.5))
+    t_p = [int(x) for x in Rng(3).integers(3, cfg.vocab_size, (4,))]
+    got = beam_decode(params, cfg, t_g, t_p, beam=4, max_len=10)
+    assert_identical_beams(got, reference_list_beam_decode(params, cfg, t_g, t_p,
+                                                           beam=4, max_len=10))
+    assert got[-1].token_ids[-4:] == (0, 10, 12, 2)
 
 
 def test_cached_beam_decode_hits_the_length_limit_at_the_same_step():
@@ -443,6 +473,9 @@ def test_cached_beam_decode_hits_the_length_limit_at_the_same_step():
     assert_same_beams(
         beam_decode(params, cfg, t_g, t_p, beam=3, max_len=5),
         reference_beam_decode(params, cfg, t_g, t_p, beam=3, max_len=5))
+    assert_identical_beams(
+        beam_decode(params, cfg, t_g, t_p, beam=3, max_len=5),
+        reference_list_beam_decode(params, cfg, t_g, t_p, beam=3, max_len=5))
     for decode in (beam_decode, reference_beam_decode):
         with pytest.raises(tc.ShapeMismatchError, match="sequence too long"):
             decode(params, cfg, t_g, t_p, beam=3, max_len=6)
