@@ -38,7 +38,7 @@ def _default_seed(value: int | None) -> int:
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(solver.json_line(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------

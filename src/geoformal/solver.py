@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .formal_lang import (
     OPERATOR_ARITIES,
@@ -194,16 +194,17 @@ def resolve_choice(result: float, choices: list[float]) -> int:
 # Beam adjudication
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CandidateResult:
+# Results are NamedTuples, not frozen dataclasses: as immutable (the parse map
+# shares one failure result across problems) at about half the cost to build.
+# Like any tuple, a result also equals a plain tuple of the same values.
+class CandidateResult(NamedTuple):
     text: str
     executed: bool
     value: float | None = None
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class BeamOutcome:
+class BeamOutcome(NamedTuple):
     candidates: tuple[CandidateResult, ...]
     rank_of_first_executed: int | None
     rank_of_first_correct: int | None
@@ -258,17 +259,22 @@ def evaluate_beam(
 # ---------------------------------------------------------------------------
 # Every JSON record the CLI reads decodes through `json_fields`: problem and
 # candidate lines, reports, config files and checkpoint snapshots.  The JSON
-# value a field takes follows from its dataclass annotation alone.
+# value a field takes follows from its dataclass annotation alone.  Every
+# JSONL line the package writes (problems, candidates, step logs, CLI
+# summaries) is encoded by `json_line`: one encoder, built once, that runs in
+# the C encoder because it has no `indent`.
 
 class SchemaError(ValueError):
     """A JSON record of the wrong shape, or a field value of the wrong type."""
 
 
 RecordId = str  # a JSON string, or an integer read as its string
+json_line = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 # A field rule maps a JSON value and the label of its record to the decoded
 # value, or to _BAD for a value it refuses.  Types match exactly, so a boolean
 # is never a number or a count.
 _BAD = object()
+_EXACT = {"int": int, "bool": bool, "str": str}  # `X | None` of these: one check
 
 
 def _exact(kind: type):
@@ -330,7 +336,11 @@ def _rule(cls: type, name: str, annotation):
         return _RULES[annotation]
     spelled = str(annotation)
     if spelled.endswith(" | None"):
-        item, kind = _rule(cls, name, spelled[:-len(" | None")])
+        inner = spelled[:-len(" | None")]
+        item, kind = _rule(cls, name, inner)
+        if (exact := _EXACT.get(inner)) is not None:
+            return (lambda v, _: v if v is None or type(v) is exact else _BAD), \
+                f"null or {kind}"
         return (lambda v, label: None if v is None else item(v, label)), f"null or {kind}"
     record = vars(sys.modules[cls.__module__]).get(spelled[len("list["):-1])
     if spelled.startswith("list[") and is_dataclass(record):  # each item strict
@@ -435,4 +445,4 @@ def load_problems(path: str | Path) -> list[ProblemRecord]:
 def save_problems(records: Iterable[ProblemRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(vars(rec), sort_keys=True, allow_nan=False) + "\n")
+            fh.write(json_line(vars(rec)) + "\n")

@@ -820,7 +820,8 @@ def save_params(params: dict[str, Tensor], prefix: str | Path) -> None:
 
 def load_params(prefix: str | Path, requires_grad: bool = True) -> dict[str, Tensor]:
     """The parameters of checkpoint `prefix`.  The sidecar is checked here,
-    field by field: a malformed one raises ValueError naming the field."""
+    field by field: a malformed one raises ValueError naming the field, as
+    does one whose byte ranges, in offset order, do not tile the `.bin`."""
     sidecar = json.loads(
         checkpoint_path(prefix, ".json").read_text(encoding="utf-8"))
     if type(sidecar) is not dict:
@@ -833,6 +834,7 @@ def load_params(prefix: str | Path, requires_grad: bool = True) -> dict[str, Ten
             f"checkpoint sidecar params must be a JSON object, got {index!r}")
     raw = checkpoint_path(prefix, ".bin").read_bytes()
     params: dict[str, Tensor] = {}
+    ranges: list[tuple[int, int, str]] = []
     for name, meta in index.items():
         label = f"checkpoint sidecar params[{name!r}]"
         if type(meta) is not dict:
@@ -847,6 +849,19 @@ def load_params(prefix: str | Path, requires_grad: bool = True) -> dict[str, Ten
         if offset + 8 * count > len(raw):
             raise ValueError(f"{label}: {count} values at offset {offset} run past "
                              f"the {len(raw)}-byte .bin")
+        ranges.append((offset, offset + 8 * count, name))
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
         params[name] = Tensor(arr.astype(np.float64), requires_grad=requires_grad)
+    end, last = 0, None
+    for offset, stop, name in sorted(ranges):
+        if offset < end:
+            raise ValueError(f"checkpoint sidecar params[{name!r}] at offset {offset} "
+                             f"overlaps params[{last!r}], which ends at {end}")
+        if offset > end:
+            raise ValueError(f"checkpoint sidecar leaves bytes {end}-{offset - 1} of the "
+                             f".bin to no parameter, before params[{name!r}]")
+        end, last = stop, name
+    if end < len(raw):
+        raise ValueError(f"checkpoint .bin has {len(raw) - end} trailing bytes after "
+                         f"its last parameter (sidecar ends at {end} of {len(raw)})")
     return params

@@ -244,8 +244,7 @@ def _run_loop(
                 raise NonFiniteLossError(stage, step, loss.item())
             loss.backward()
             opt.step()
-            log.write(json.dumps({"step": step, **last}, sort_keys=True,
-                                 allow_nan=False) + "\n")
+            log.write(solver.json_line({"step": step, **last}) + "\n")
     tc.save_params(params, out_prefix)
     snapshot = {"schema": 1, **asdict(config), "seed": seed, "stage": stage}
     with tc.replacing(tc.checkpoint_path(out_prefix, ".config.json")) as fh:

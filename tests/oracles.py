@@ -37,6 +37,9 @@ the same values, outcomes and errors.  `reference_metrics` computes
 each metric by its own walk over the pairs, as `eval_harness` did before
 `build_report` computed them all from its rows, and pins that one pass; its
 `rank0` metric judges the first candidate itself, and must equal top-1.
+`reference_write_report` is the report writer as it was before the rows were
+encoded in one C-encoder call (one `json.dumps(indent=2)` over the payload),
+and pins the current writer's bytes.
 `shared_pool_beams` builds
 beams from a small pool of texts reused across problems with different
 numbers, as the placeholder programs of real decode output are.
@@ -44,9 +47,12 @@ numbers, as the placeholder programs of real decode output are.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
+from dataclasses import asdict
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -412,6 +418,20 @@ def reference_metrics(pairs, tol) -> dict:
         "choice": _reference_choice(pairs) if has_choices else None,
         "adjusted_top1": _reference_adjusted(pairs) if has_choices else None,
     }
+
+
+def reference_write_report(report: eh.EvaluationReport, path) -> None:
+    # rows have slots now, so `asdict` stands for the former `vars`
+    payload = {
+        "schema": eh.REPORT_SCHEMA,
+        "n_problems": report.n_problems,
+        "metrics": {name: getattr(report, name) for name in eh.METRICS},
+        "rows": [asdict(row) for row in report.rows],
+    }
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
+    )
 
 
 _BENCH_LITERALS = ("180.0", "180", "1800.0", "90.0", "2.0", "0.5", "0.0", "1e999")

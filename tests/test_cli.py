@@ -592,6 +592,48 @@ def test_sft_loads_an_encoder_trained_under_other_align_losses(
     assert code == 0 and payload["steps"] == 1
 
 
+def _append_bytes(prefix, index):
+    with open(prefix.with_suffix(".bin"), "ab") as fh:
+        fh.write(bytes(8))
+
+
+def _second_at_first(prefix, index):
+    first, second = sorted(index, key=lambda name: index[name]["offset"])[:2]
+    index[second]["offset"] = index[first]["offset"]
+
+
+def _shift_last(prefix, index):
+    index[max(index, key=lambda name: index[name]["offset"])]["offset"] += 8
+    _append_bytes(prefix, index)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_append_bytes, "8 trailing bytes after its last parameter"),
+    (_second_at_first, "overlaps params["),
+    (_shift_last, "leaves bytes"),
+], ids=["trailing", "overlap", "gap"])
+@pytest.mark.parametrize("ckpt", ["sft", "align"])
+def test_checkpoint_bytes_must_tile_the_bin(
+        dataset, checkpoints, tmp_path, capsys, ckpt, edit, message):
+    """`decode` and `--encoder-ckpt` refuse a sidecar whose byte ranges
+    overlap, leave a gap or stop short of the `.bin`'s end."""
+    prefix = tmp_path / ckpt
+    for suffix in (".bin", ".json", ".config.json"):
+        shutil.copy(checkpoints / f"{ckpt}{suffix}", tmp_path / f"{ckpt}{suffix}")
+    sidecar = json.loads(prefix.with_suffix(".json").read_text())
+    edit(prefix, sidecar["params"])
+    prefix.with_suffix(".json").write_text(json.dumps(sidecar))
+    if ckpt == "sft":
+        argv = ["decode", "--ckpt", str(prefix), "--problems",
+                str(dataset / "problems.jsonl"), "--out", str(tmp_path / "cands.jsonl")]
+    else:
+        argv = ["train-toy", "--stage", "sft", "--data", str(dataset), "--encoder-ckpt",
+                str(prefix), "--steps", "1", "--out", str(tmp_path / "x")]
+    assert message in assert_data_error(capsys, *argv)
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        sorted(f"{ckpt}{suffix}" for suffix in (".bin", ".json", ".config.json"))
+
+
 def test_decode_refuses_an_align_checkpoint(dataset, checkpoints, tmp_path, capsys):
     err = assert_data_error(
         capsys, "decode", "--ckpt", str(checkpoints / "align"),

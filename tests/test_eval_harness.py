@@ -14,7 +14,7 @@ from geoformal.eval_harness import (
     write_report,
 )
 from geoformal.solver import BeamOutcome, CandidateResult, ProblemRecord
-from oracles import reference_metrics
+from oracles import reference_metrics, reference_write_report
 
 
 TOL = Tolerance(abs=1e-2, rel=1e-3)
@@ -302,6 +302,32 @@ def test_report_roundtrip_large_fuzzed(tmp_path):
     path = tmp_path / "big.json"
     write_report(report, path)
     assert read_report(path) == report
+
+
+ROW_IDS = ('say "hi"', "back\\slash", "new\nline", "tab\tbed", "},", "{", "é∠θ",
+           "},\n      {", "0", "123")
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2_000])
+def test_report_bytes_equal_the_reference_writer(tmp_path, n_rows):
+    """Rows are indented by hand around one C-encoder call; the file must be
+    the whole-payload `json.dumps(indent=2)` byte for byte, whatever the ids
+    and field values hold."""
+    rng = random.Random(n_rows)
+    path, want = tmp_path / "report.json", tmp_path / "want.json"
+    for _ in range(20 if n_rows < 2_000 else 2):
+        rows = [eh.ProblemRow(
+            f"{rng.choice(ROW_IDS)}{i}" if rng.random() < 0.5 else rng.choice(ROW_IDS),
+            *(rng.choice([None, 0, 9]) for _ in range(4)))
+            for i in range(n_rows)]
+        choice, adjusted = rng.choice([(None, None), (0.25, 0.3125), (0.0, 1.0)])
+        report = EvaluationReport(n_problems=n_rows, top1=rng.random(), top3=0.5,
+                                  top10=1.0, choice=choice, adjusted_top1=adjusted,
+                                  rows=rows)
+        write_report(report, path)
+        reference_write_report(report, want)
+        assert path.read_bytes() == want.read_bytes()
+    assert (n_rows == 0) == ('"rows": []' in path.read_text(encoding="utf-8"))
 
 
 def test_read_handwritten_v1_report(tmp_path):

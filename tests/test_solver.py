@@ -6,6 +6,7 @@ import pytest
 
 from geoformal import formal_lang as fl
 from geoformal import solver
+from geoformal import train as tr
 from geoformal.solver import (
     DomainError,
     EmptyProgramError,
@@ -319,6 +320,22 @@ def test_beam_matches_reference_beam():
         gt = rng.choice((1.0, 3.0, 180.0))
         assert evaluate_beam(beam, numbers, gt, Tol(1.0)) == \
             reference_evaluate_beam(beam, numbers, gt, Tol(1.0))
+
+
+def test_results_are_immutable_and_one_parse_failure_is_shared():
+    """The parse map hands the same failure result to every problem whose
+    beam holds that text, so a result must refuse assignment."""
+    beams = {"p0": ["g_add N_0", "g_equal N_0"], "p1": ["g_add N_0"]}
+    problems = [ProblemRecord(id=f"p{i}", answer=1.0, numbers=[1.0]) for i in range(2)]
+    (_, first), (_, second) = tr.adjudicate(problems, beams, 10, Tol())
+    failed = first.candidates[0]
+    assert failed is second.candidates[0] and not failed.executed
+    assert first.candidates[1] == solver.CandidateResult("g_equal N_0", True, 1.0)
+    for result, name in [(failed, "error"), (first.candidates[1], "value"),
+                         (first, "rank_of_first_correct"), (second, "candidates")]:
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
+    assert (first.rank_of_first_executed, first.rank_of_first_correct) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -890,14 +890,32 @@ def test_checkpoint_rejects_unknown_schema(tmp_path):
      "params['w'].shape must be a list of integers >= 0"),
     (lambda side: {**side, "params": {"w": {"offset": 8, "shape": [2]}}},
      "params['w']: 2 values at offset 8 run past the 16-byte .bin"),
+    (lambda side: {**side, "params": {"w": {"offset": 0, "shape": [1]}}},
+     "checkpoint .bin has 8 trailing bytes after its last parameter "
+     "(sidecar ends at 8 of 16)"),
+    (lambda side: {**side, "params": {"w": {"offset": 0, "shape": [2]},
+                                      "v": {"offset": 8, "shape": [1]}}},
+     "params['v'] at offset 8 overlaps params['w'], which ends at 16"),
+    (lambda side: {**side, "params": {"w": {"offset": 8, "shape": [1]}}},
+     "leaves bytes 0-7 of the .bin to no parameter, before params['w']"),
 ], ids=["list", "list-params", "scalar-entry", "no-offset", "negative-offset",
-        "float-dim", "negative-dim", "past-end"])
+        "float-dim", "negative-dim", "past-end", "trailing", "overlap", "gap"])
 def test_checkpoint_rejects_malformed_sidecar(tmp_path, edit, message):
     prefix = tmp_path / "ckpt"
     tc.save_params({"w": tc.zeros((2,))}, prefix)
     sidecar = prefix.with_suffix(".json")
     sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
     with pytest.raises(ValueError, match=re.escape(message)):
+        tc.load_params(prefix)
+
+
+def test_checkpoint_rejects_bytes_past_its_last_parameter(tmp_path):
+    prefix = tmp_path / "ckpt"
+    tc.save_params({"a": tc.zeros((2,)), "b": tc.zeros((3,)), "e": tc.zeros((0, 4))}, prefix)
+    assert set(tc.load_params(prefix)) == {"a", "b", "e"}
+    with open(prefix.with_suffix(".bin"), "ab") as fh:
+        fh.write(bytes(8))
+    with pytest.raises(ValueError, match=r"\.bin has 8 trailing bytes .* ends at 40 of 48"):
         tc.load_params(prefix)
 
 
