@@ -6,14 +6,17 @@ coordinates of the full pretraining and instruction-tuning loss graphs.  Both ar
 the seed and keep their output free of paths and timestamps so two runs are
 byte-identical.
 
-The program evaluator used as the solver oracle here is an independent
-recursion over the token stream (V_ references re-evaluate their group), not
-the interpreter's sequential slot machine.
+`recursive_eval`, the solver oracle here and in the benchmark's output
+checks, recurses over the program text (V_ references re-evaluate their
+group) with its own operator table, `SEMANTICS`, and shares no code with
+`formal_lang` or `solver`: a wrong operator in the solver shows as a
+mismatch.  The text fuzzers here also drive the test suite.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -43,78 +46,111 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 # Independent recursive program evaluator (oracle for the interpreter)
 # ---------------------------------------------------------------------------
 
+_DEG = math.pi / 180.0
+
+# Operator semantics written apart from the solver's registry, several in a
+# different formulation on purpose; `random_program_text` draws in key order.
+SEMANTICS: dict[str, Callable[..., float]] = {
+    "g_equal": lambda x: x,
+    "g_double": lambda x: x + x,
+    "g_half": lambda x: 0.5 * x,
+    "g_add": lambda a, b: a + b,
+    "g_minus": lambda a, b: max(a, b) - min(a, b),
+    "g_mul": lambda a, b: a * b,
+    "g_divide": lambda a, b: a / b,
+    "gougu_add": lambda a, b: math.hypot(a, b),
+    "gougu_minus": lambda a, b: math.sqrt(abs((a - b) * (a + b))),
+    "Sum": lambda a, b, c: math.fsum((a, b, c)),
+    "PRK_Perim": lambda side, count: side * count,
+    "cal_circle_area": lambda r: math.pi * r ** 2,
+    "cal_circle_perimeter": lambda r: math.tau * r,
+    "g_sin": lambda deg: math.sin(deg * _DEG),
+    "g_cos": lambda deg: math.cos(deg * _DEG),
+    "g_tan": lambda deg: math.tan(deg * _DEG),
+}
+
+# each operator's operand count is its semantic function's parameter count
+ARITY: dict[str, int] = {name: fn.__code__.co_argcount for name, fn in SEMANTICS.items()}
+
+
 def recursive_eval(program_text: str, numbers: list[float]) -> float:
-    arity = solver.operator_arities()
-    semantics = {spec.name: spec.fn for spec in solver.operator_table()}
+    """V_i re-evaluates group i's subtree on demand; no slots are kept."""
     words = program_text.split()
     groups: list[tuple[str, list[str]]] = []
     i = 0
     while i < len(words):
-        op = words[i]
-        k = arity[op]
-        groups.append((op, words[i + 1 : i + 1 + k]))
+        k = ARITY[words[i]]
+        groups.append((words[i], words[i + 1 : i + 1 + k]))
         i += 1 + k
 
     def group_value(g: int) -> float:
         op, operands = groups[g]
-        return semantics[op](*(operand_value(w) for w in operands))
+        return SEMANTICS[op](*(operand_value(w) for w in operands))
 
     def operand_value(w: str) -> float:
         if w.startswith("N_"):
             return numbers[int(w[2:])]
         if w.startswith("V_"):
             return group_value(int(w[2:]))
-        if w.startswith("C_"):
-            return solver.CONSTANTS[w[2:]]
+        if w == "C_PI":
+            return math.pi
         return float(w)
 
     return group_value(len(groups) - 1)
 
 
 # ---------------------------------------------------------------------------
-# Fuzz generators
+# Fuzz generators (text level; each takes a random.Random)
 # ---------------------------------------------------------------------------
 
-_LABELS = list("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_LABEL_HEAD = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_LABEL_TAIL = _LABEL_HEAD + "0123456789"
 
 
-def _random_caption(rng: Rng) -> str:
+def random_label(rng: random.Random, max_len: int = 3) -> str:
+    n = rng.randint(1, max_len)
+    return rng.choice(_LABEL_HEAD) + "".join(rng.choice(_LABEL_TAIL) for _ in range(n - 1))
+
+
+def random_caption_text(rng: random.Random, single_letter: bool = False) -> str:
+    """Canonical caption text built straight from the grammar."""
     lines = []
-    for _ in range(rng.integers(0, 5)):
-        pool = _LABELS[:]
-        order = rng.permutation(len(pool))
-        pool = [pool[i] for i in order]
-        if rng.uniform(()) < 0.5:
-            k = rng.integers(2, 6)
+    for _ in range(rng.randint(0, 5)):
+        if single_letter:
+            pool = list(_LABEL_HEAD)
+        else:
+            # dict, not set: a set's order follows the string hash seed
+            pool = list(dict.fromkeys(random_label(rng) for _ in range(12)))
+        rng.shuffle(pool)
+        if rng.random() < 0.5:
+            k = rng.randint(2, min(5, len(pool)))
             lines.append("Line " + " ".join(pool[:k]))
         else:
-            k = rng.integers(1, 5)
+            k = rng.randint(1, min(4, len(pool) - 1))
             lines.append(f"\\odot {pool[0]} lieson " + " ".join(pool[1 : 1 + k]))
     return "\n".join(lines)
 
 
-def _random_program(rng: Rng, n_numbers: int = 3, max_groups: int = 4) -> str:
-    names = [spec.name for spec in solver.operator_table()]
-    arity = solver.operator_arities()
+def random_program_text(rng: random.Random, max_groups: int = 4, n_numbers: int = 0) -> str:
+    """Valid program text: every V_ reference points at an earlier group."""
     words: list[str] = []
-    n_groups = rng.integers(1, max_groups + 1)
-    for g in range(n_groups):
-        op = names[rng.integers(0, len(names))]
+    for g in range(rng.randint(1, max_groups)):
+        op = rng.choice(list(ARITY))
         words.append(op)
-        for _ in range(arity[op]):
-            kind = rng.integers(0, 3 if g else 2)
-            if kind == 0:
-                words.append(repr(round(0.5 + float(rng.uniform(())) * 19.5, 3)))
-            elif kind == 1:
-                words.append(f"N_{rng.integers(0, n_numbers)}")
+        for _ in range(ARITY[op]):
+            # literals twice, so they are the likeliest operand
+            kind = rng.choice(["lit"] + ["num"] * bool(n_numbers) + ["var"] * (g > 0) + ["lit"])
+            if kind == "num":
+                words.append(f"N_{rng.randrange(n_numbers)}")
+            elif kind == "var":
+                words.append(f"V_{rng.randrange(g)}")
             else:
-                words.append(f"V_{rng.integers(0, g)}")
+                words.append(repr(round(rng.uniform(0.5, 20.0), 3)))
     return " ".join(words)
 
 
-def _random_bytes(rng: Rng) -> str:
-    n = rng.integers(0, 60)
-    return bytes(int(b) for b in rng.integers(0, 256, (n,))).decode("latin-1")
+def random_bytes_text(rng: random.Random, max_len: int = 80) -> str:
+    return bytes(rng.randrange(256) for _ in range(rng.randint(0, max_len))).decode("latin-1")
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +158,9 @@ def _random_bytes(rng: Rng) -> str:
 # ---------------------------------------------------------------------------
 
 def _check_caption_roundtrip(rng: Rng) -> tuple[bool, str]:
+    fuzz = random.Random(rng.integers(0, 2**62))
     for i in range(500):
-        text = _random_caption(rng.split(str(i)))
+        text = random_caption_text(fuzz)
         caption = fl.parse_caption(text)
         if fl.format_caption(caption) != text:
             return False, f"format(parse) changed text at case {i}"
@@ -133,8 +170,9 @@ def _check_caption_roundtrip(rng: Rng) -> tuple[bool, str]:
 
 
 def _check_program_roundtrip(rng: Rng) -> tuple[bool, str]:
+    fuzz = random.Random(rng.integers(0, 2**62))
     for i in range(500):
-        text = _random_program(rng.split(str(i)))
+        text = random_program_text(fuzz, n_numbers=3)
         program = fl.parse_program(text)
         if fl.format_program(program) != text:
             return False, f"format(parse) changed text at case {i}"
@@ -144,8 +182,9 @@ def _check_program_roundtrip(rng: Rng) -> tuple[bool, str]:
 
 
 def _check_no_crash_on_bytes(rng: Rng) -> tuple[bool, str]:
-    for i in range(500):
-        text = _random_bytes(rng.split(str(i)))
+    fuzz = random.Random(rng.integers(0, 2**62))
+    for _ in range(500):
+        text = random_bytes_text(fuzz)
         for parse in (fl.parse_caption, fl.parse_program):
             try:
                 parse(text)
@@ -163,12 +202,11 @@ def _check_vocab_bijective(rng: Rng) -> tuple[bool, str]:
 
 
 def _check_solver_oracle(rng: Rng) -> tuple[bool, str]:
+    fuzz = random.Random(rng.integers(0, 2**62))
     checked = 0
-    case = 0
     while checked < 300:
-        case += 1
-        text = _random_program(rng.split(str(case)))
-        numbers = [round(0.5 + float(v) * 19.5, 3) for v in rng.split(f"n{case}").uniform((3,))]
+        text = random_program_text(fuzz, n_numbers=3)
+        numbers = [round(fuzz.uniform(0.5, 20.0), 3) for _ in range(3)]
         try:
             got = solver.execute_program(fl.parse_program(text), numbers)
         except solver.SolverError:

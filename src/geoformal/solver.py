@@ -116,11 +116,6 @@ _OPERATORS: tuple[OperatorSpec, ...] = (
 _REGISTRY: Mapping[str, OperatorSpec] = {spec.name: spec for spec in _OPERATORS}
 
 
-def operator_table() -> list[OperatorSpec]:
-    """The fixed operator registry, in declaration order."""
-    return list(_OPERATORS)
-
-
 def operator_arities() -> Mapping[str, int]:
     """Read-only name -> operand count, shared with the parser."""
     return OPERATOR_ARITIES

@@ -1,10 +1,11 @@
-"""Independent oracles and fuzz generators used by the test suite.
+"""Reference implementations the test suite pins the package against.
 
-The language oracles are deliberately written against the *text* of the two
-languages, with their own arity table and operator semantics, so that they
-share no code path with the package they check.  `reference_beam_decode` is
-the uncached beam search: it re-runs the full decoder for every hypothesis at
-every step and pins the KV-cached `pretrain.beam_decode`;
+The independent program evaluator (`recursive_eval`) and the text fuzzers
+live in `geoformal.selfcheck`, where `selftest` uses them too;
+`bench_style_candidates` builds its beams from that program fuzzer and
+arity table.  `reference_beam_decode` is the uncached beam search: it re-runs
+the full decoder for every hypothesis at every step and pins the KV-cached
+`pretrain.beam_decode`;
 `reference_list_beam_decode` is that cached search as it was before a step
 became array ops, and pins its hypotheses and scores with ==
 (`assert_identical_beams`).  The fused
@@ -66,141 +67,12 @@ from geoformal import tensorcore as tc
 from geoformal.formal_lang import OutOfVocabError
 from geoformal.gsformer import (AlignedFeatures, SGSState, ffn, gqg_queries, linear, mha,
                                 norm, pad_ids, sgs_update_mask)
+from geoformal.selfcheck import ARITY, random_program_text
 from geoformal.tensorcore import Rng, Tensor
-
-# Hand-written arity table (kept independent of the package registry).
-ORACLE_ARITY = {
-    "g_equal": 1, "g_double": 1, "g_half": 1,
-    "g_add": 2, "g_minus": 2, "g_mul": 2, "g_divide": 2,
-    "gougu_add": 2, "gougu_minus": 2,
-    "Sum": 3, "PRK_Perim": 2,
-    "cal_circle_area": 1, "cal_circle_perimeter": 1,
-    "g_sin": 1, "g_cos": 1, "g_tan": 1,
-}
-
-_DEG = math.pi / 180.0
-
-# Independent operator semantics (different formulations on purpose).
-ORACLE_SEMANTICS = {
-    "g_equal": lambda x: x,
-    "g_double": lambda x: x + x,
-    "g_half": lambda x: 0.5 * x,
-    "g_add": lambda a, b: a + b,
-    "g_minus": lambda a, b: max(a, b) - min(a, b),
-    "g_mul": lambda a, b: a * b,
-    "g_divide": lambda a, b: a / b,
-    "gougu_add": lambda a, b: math.hypot(a, b),
-    "gougu_minus": lambda a, b: math.sqrt(abs((a - b) * (a + b))),
-    "Sum": lambda a, b, c: math.fsum((a, b, c)),
-    "PRK_Perim": lambda side, count: side * count,
-    "cal_circle_area": lambda r: math.pi * r ** 2,
-    "cal_circle_perimeter": lambda r: math.tau * r,
-    "g_sin": lambda deg: math.sin(deg * _DEG),
-    "g_cos": lambda deg: math.cos(deg * _DEG),
-    "g_tan": lambda deg: math.tan(deg * _DEG),
-}
-
-
-def oracle_eval(program_text: str, numbers: list[float]) -> float:
-    """Recursive evaluator: V_i re-evaluates group i's subtree on demand."""
-    words = program_text.split()
-    groups: list[tuple[str, list[str]]] = []
-    i = 0
-    while i < len(words):
-        op = words[i]
-        k = ORACLE_ARITY[op]
-        groups.append((op, words[i + 1 : i + 1 + k]))
-        i += 1 + k
-    if not groups:
-        raise ValueError("empty program")
-
-    def group_value(g: int) -> float:
-        op, operands = groups[g]
-        return ORACLE_SEMANTICS[op](*(operand_value(w) for w in operands))
-
-    def operand_value(w: str) -> float:
-        if w.startswith("N_"):
-            return numbers[int(w[2:])]
-        if w.startswith("V_"):
-            return group_value(int(w[2:]))
-        if w == "C_PI":
-            return math.pi
-        return float(w)
-
-    return group_value(len(groups) - 1)
 
 
 def rel_close(a: float, b: float, rel: float = 1e-9) -> bool:
     return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-
-
-# ---------------------------------------------------------------------------
-# Fuzz generators (text level)
-# ---------------------------------------------------------------------------
-
-_LABEL_HEAD = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_LABEL_TAIL = _LABEL_HEAD + "0123456789"
-
-
-def random_label(rng: random.Random, max_len: int = 3) -> str:
-    n = rng.randint(1, max_len)
-    return rng.choice(_LABEL_HEAD) + "".join(
-        rng.choice(_LABEL_TAIL) for _ in range(n - 1)
-    )
-
-
-def random_caption_text(rng: random.Random, single_letter: bool = False) -> str:
-    """Canonical caption text built straight from the grammar."""
-    lines = []
-    for _ in range(rng.randint(0, 5)):
-        if single_letter:
-            pool = list(_LABEL_HEAD)
-        else:
-            pool = list({random_label(rng) for _ in range(12)})
-        rng.shuffle(pool)
-        if rng.random() < 0.5:
-            k = rng.randint(2, min(5, len(pool)))
-            lines.append("Line " + " ".join(pool[:k]))
-        else:
-            k = rng.randint(1, min(4, len(pool) - 1))
-            lines.append(f"\\odot {pool[0]} lieson " + " ".join(pool[1 : 1 + k]))
-    return "\n".join(lines)
-
-
-def random_program_text(
-    rng: random.Random,
-    max_groups: int = 4,
-    n_numbers: int = 0,
-    lit_lo: float = 0.5,
-    lit_hi: float = 20.0,
-) -> str:
-    """Valid program text: every V_ reference points at an earlier group."""
-    n_groups = rng.randint(1, max_groups)
-    words: list[str] = []
-    for g in range(n_groups):
-        op = rng.choice(list(ORACLE_ARITY))
-        words.append(op)
-        for _ in range(ORACLE_ARITY[op]):
-            kinds = ["lit"]
-            if n_numbers:
-                kinds.append("num")
-            if g > 0:
-                kinds.append("var")
-            kinds.append("lit")  # bias toward literals
-            kind = rng.choice(kinds)
-            if kind == "num":
-                words.append(f"N_{rng.randrange(n_numbers)}")
-            elif kind == "var":
-                words.append(f"V_{rng.randrange(g)}")
-            else:
-                value = round(rng.uniform(lit_lo, lit_hi), 3)
-                words.append(repr(float(value)))
-    return " ".join(words)
-
-
-def random_bytes_text(rng: random.Random, max_len: int = 80) -> str:
-    raw = bytes(rng.randrange(256) for _ in range(rng.randint(0, max_len)))
-    return raw.decode("latin-1")
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +316,7 @@ def bench_style_candidates(rng: random.Random, n_numbers: int) -> list[str]:
     malformed decimals, forward V_ references, unknown operators, overflowing
     literals, or a whole extra group appended."""
     gold = random_program_text(rng, max_groups=3, n_numbers=n_numbers)
-    n_groups = sum(1 for word in gold.split() if word in ORACLE_ARITY)
+    n_groups = sum(1 for word in gold.split() if word in ARITY)
 
     def operand() -> str:
         kind = rng.randrange(4)
@@ -457,15 +329,15 @@ def bench_style_candidates(rng: random.Random, n_numbers: int) -> list[str]:
         return rng.choice(_BENCH_LITERALS)
 
     beam = [gold]
-    ops = sorted(ORACLE_ARITY)
+    ops = sorted(ARITY)
     for _ in range(9):
         words = gold.split()
         flaw = rng.randrange(6)
         op = rng.choice(ops)
         if flaw == 0:  # whole group
-            words += [op] + [operand() for _ in range(ORACLE_ARITY[op])]
+            words += [op] + [operand() for _ in range(ARITY[op])]
         elif flaw == 1:  # arity cut short
-            words += [op] + [operand() for _ in range(ORACLE_ARITY[op] - 1)]
+            words += [op] + [operand() for _ in range(ARITY[op] - 1)]
         elif flaw == 2:  # operands where an operator belongs
             words += [operand() for _ in range(rng.randint(1, 2))]
         elif flaw == 3:  # malformed operand

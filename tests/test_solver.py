@@ -7,6 +7,7 @@ import pytest
 from geoformal import formal_lang as fl
 from geoformal import solver
 from geoformal import train as tr
+from geoformal.selfcheck import ARITY, random_bytes_text, random_program_text, recursive_eval
 from geoformal.solver import (
     DomainError,
     EmptyProgramError,
@@ -15,12 +16,10 @@ from geoformal.solver import (
     UnknownConstantError,
     evaluate_beam,
     execute_program,
-    operator_table,
     resolve_choice,
 )
 
-from oracles import (ORACLE_ARITY, bench_style_candidates, oracle_eval,
-                     random_bytes_text, random_program_text, reference_evaluate_beam,
+from oracles import (bench_style_candidates, reference_evaluate_beam,
                      reference_execute_program, rel_close)
 
 
@@ -41,10 +40,9 @@ def run(text: str, numbers=()) -> float:
 # ---------------------------------------------------------------------------
 
 def test_registry_matches_oracle_table():
-    table = {spec.name: spec.arity for spec in operator_table()}
-    assert table == ORACLE_ARITY
+    assert {name: spec.arity for name, spec in solver._REGISTRY.items()} == ARITY
     # every operator the parser accepts has semantics, in vocabulary order
-    assert list(fl.OPERATOR_ARITIES) == [spec.name for spec in operator_table()]
+    assert list(fl.OPERATOR_ARITIES) == list(solver._REGISTRY)
 
 
 def test_sum_executes_three_operands():
@@ -126,7 +124,7 @@ def test_interpreter_matches_recursive_oracle():
             got = run(text, numbers)
         except DomainError:
             continue
-        assert rel_close(got, oracle_eval(text, numbers)), text
+        assert rel_close(got, recursive_eval(text, numbers)), text
         checked += 1
 
 
